@@ -6,7 +6,6 @@ from .coarse import (
     build_coarse_exact,
     build_coarse_mc,
     build_coarse_model,
-    coarse_stationary,
     compute_v,
 )
 from .engine import (
@@ -21,7 +20,6 @@ from .engine import (
     bin_totals,
     empirical_estimate,
     init_ensemble,
-    mean_children,
     mutate,
     run_we,
     select,

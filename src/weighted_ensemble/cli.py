@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import build_coarse_mc, build_coarse_model, compute_v, coarse_stationary, kernel_step_sampler
+from .coarse import build_coarse_mc, build_coarse_model, compute_v
 from .config import ExperimentConfig, parse_state_set
-from .diagnostics import check_doob_identity, check_unbiasedness
+from .diagnostics import run_checks
 from .engine import RngStream, stationary_init_ensemble
 from .experiment import make_policy, run_sweep_cell, stationary_reference
 from .hill import SourceSinkSpec, direct_mfpt, source_sink_kernel, we_hill_hitting, we_hill_mfpt
@@ -81,10 +81,9 @@ def cmd_coarse(cfg: ExperimentConfig) -> int:
     if cfg.coarse_samples > 0:
         rng = RngStream(cfg.seed).at(0, "coarse")
         P, u = build_coarse_mc(
-            kernel_step_sampler(setup.K), setup.bins, setup.zeta, setup.f,
-            cfg.coarse_samples, rng,
+            setup.K, setup.bins, setup.zeta, setup.f, cfg.coarse_samples, rng,
         )
-        mu = coarse_stationary(P)
+        mu = stationary(P)
         v = compute_v(P, u, horizon)
     else:
         model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon)
@@ -125,10 +124,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                 res.exact, pi_f, res.extinct_count,
             ))
             run_rows = (
-                (rep, p, res.traces[rep, p], res.weight_traces[rep, p],
-                 res.count_traces[rep, p], bool(res.extinct_flags[rep]))
-                for rep in range(cfg.reps)
-                for p in range(n + 1)
+                (rep, p, eta, weight, count, bool(extinct))
+                for rep, (etas, weights, counts, extinct) in enumerate(zip(
+                    res.traces, res.weight_traces, res.count_traces,
+                    res.extinct_flags))
+                for p, (eta, weight, count) in enumerate(zip(etas, weights, counts))
             )
             write_rows(out / f"runs_{mode}_n{n}.csv",
                        ("replicate", "p", "eta_f", "total_weight",
@@ -171,9 +171,8 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     for mode in cfg.modes:
         policy = make_policy(mode, setup.bins, cfg.n_particles,
                              cfg.n_floor, cfg.per_bin_target)
-        for check in (check_unbiasedness, check_doob_identity):
-            report = check(setup.K, setup.f, policy, init, n, cfg.diag_reps,
-                           RngStream(cfg.seed), v_table=model.v)
+        for report in run_checks(setup.K, setup.f, policy, init, n, cfg.diag_reps,
+                                 RngStream(cfg.seed), model.v, cfg.threads):
             rows.append((report.check, report.n, report.policy, report.value,
                          report.reference, report.std_err, report.z,
                          report.passed))
@@ -202,7 +201,8 @@ def cmd_hill(cfg: ExperimentConfig) -> int:
                            cfg.n_floor, cfg.per_bin_target)
 
     est = we_hill_mfpt(spec, setup.bins, policy_factory, cfg.hill_horizon,
-                       cfg.reps, RngStream(cfg.seed), cfg.n_particles)
+                       cfg.reps, RngStream(cfg.seed), cfg.n_particles,
+                       threads=cfg.threads)
     rows = []
     if n_states <= ORACLE_SIZE_LIMIT:
         oracle_mfpt = direct_mfpt(base, rho, sink)
@@ -220,7 +220,7 @@ def cmd_hill(cfg: ExperimentConfig) -> int:
         B = parse_state_set(cfg.hit_b)
         hit = we_hill_hitting(base, rho, A, B, setup.bins, policy_factory,
                               cfg.hill_horizon, cfg.reps, RngStream(cfg.seed),
-                              cfg.n_particles)
+                              cfg.n_particles, threads=cfg.threads)
         if n_states <= ORACLE_SIZE_LIMIT:
             pi_hit = stationary(source_sink_kernel(SourceSinkSpec(
                 base, frozenset(A) | frozenset(B), rho)))

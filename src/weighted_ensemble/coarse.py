@@ -7,15 +7,12 @@ K(K^{n-p-1}f)^2 - (K^{n-p}f)^2 that drives the square-root allocation rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .binning import BinPartition
+from .diagnostics import g_sequence
 from .markov import Distribution, Observable, TransitionMatrix, stationary
-
-# pre-clamp values below this are a bug, not roundoff: Jensen forbids them
-V_CLAMP = -1e-10
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ def build_coarse_exact(
 
 
 def build_coarse_mc(
-    step_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    K: TransitionMatrix,
     bins: BinPartition,
     zeta: Distribution,
     f: Observable,
@@ -66,8 +63,8 @@ def build_coarse_mc(
 
     The sample budget is allocated to start states proportionally to their
     zeta mass (stratified), so bins with positive mass are always visited when
-    the budget allows. ``step_sampler(states, rng)`` returns one K-step from
-    each given state.
+    the budget allows. The steps are sampled by `TransitionMatrix.step`, the
+    inverse CDF that `engine.mutate` uses.
     """
     from .engine import largest_remainder
 
@@ -76,7 +73,7 @@ def build_coarse_mc(
         raise ValueError(f"need at least {R} samples, one per bin")
     n_starts = largest_remainder(total_samples * zeta.weights, total_samples)
     starts = np.repeat(np.arange(zeta.n_states), n_starts)
-    ends = step_sampler(starts, rng)
+    ends = K.step(starts, rng)
     sb = bins.bin_of[starts]
     eb = bins.bin_of[ends]
     counts = np.zeros((R, R))
@@ -93,43 +90,12 @@ def build_coarse_mc(
     return TransitionMatrix(P), u
 
 
-def kernel_step_sampler(K: TransitionMatrix):
-    """One-step sampler for a known transition matrix (inverse-CDF)."""
-    cum = K.row_cumsums()
-
-    def step(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(states.size)
-        return (u[:, None] >= cum[states]).sum(axis=1)
-
-    return step
-
-
 def compute_v(P: TransitionMatrix, u: np.ndarray, n: int) -> np.ndarray:
     """Variance-proxy table: v[p] = P (P^{n-p-1} u)^2 - (P^{n-p} u)^2, entrywise
-    squares, computed by the vector recursion w_k = P w_{k-1}."""
+    squares, which is the local variance of the g sequence of P and u."""
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    u = np.asarray(u, dtype=float)
-    R = u.size
-    w = np.empty((n + 1, R))  # w[k] = P^k u
-    w[0] = u
-    for k in range(1, n + 1):
-        w[k] = P.matrix @ w[k - 1]
-    v = np.empty((n, R))
-    for p in range(n):
-        v[p] = P.matrix @ (w[n - p - 1] ** 2) - w[n - p] ** 2
-    worst = v.min()
-    if worst < V_CLAMP:
-        raise ValueError(
-            f"variance proxy is {worst:.3e} < {V_CLAMP}; this violates Jensen "
-            "and signals a bug in P or u"
-        )
-    return np.maximum(v, 0.0)
-
-
-def coarse_stationary(P: TransitionMatrix) -> Distribution:
-    """Stationary vector of the coarse matrix (left eigenvector for eigenvalue 1)."""
-    return stationary(P)
+    return g_sequence(P, Observable(u), n).local_var
 
 
 def build_coarse_model(
@@ -142,5 +108,5 @@ def build_coarse_model(
     """Exact coarse model with its stationary vector and v table for one horizon."""
     P, u = build_coarse_exact(K, bins, zeta, f)
     return CoarseModel(
-        P=P, u=u, mu=coarse_stationary(P), v=compute_v(P, u, horizon), horizon=horizon
+        P=P, u=u, mu=stationary(P), v=compute_v(P, u, horizon), horizon=horizon
     )

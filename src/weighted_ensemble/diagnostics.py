@@ -9,17 +9,17 @@ Carlo comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .engine import (
     Ensemble,
     RngStream,
-    RunRecord,
     SelectionOutcome,
     SelectionPolicy,
-    empirical_estimate,
+    replicates,
     run_we,
 )
 from .markov import Observable, TransitionMatrix
@@ -45,7 +45,12 @@ class GSequence:
 
 
 def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
-    """Backward recursion g[n] = f, g[p] = K g[p+1]."""
+    """Backward recursion g[n] = f, g[p] = K g[p+1].
+
+    Serves both the fine chain and, through `coarse.compute_v`, the coarse
+    model's variance-proxy table. A local variance below -1e-10 violates
+    Jensen and signals a bug in K or f, so it raises ValueError.
+    """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     m = K.n_states
@@ -58,7 +63,10 @@ def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
         kg2[p] = K.matrix @ (g[p + 1] ** 2)
     local_var = kg2 - g[:n] ** 2
     if local_var.size and local_var.min() < -1e-10:
-        raise AssertionError("local variance below -1e-10; numerical bug")
+        raise ValueError(
+            f"local variance is {local_var.min():.3e} < -1e-10; this violates "
+            "Jensen and signals a bug in the kernel or the observable"
+        )
     return GSequence(g=g, kg2=kg2, local_var=np.maximum(local_var, 0.0))
 
 
@@ -149,7 +157,58 @@ def _policy_name(policy: SelectionPolicy) -> str:
     return type(policy).__name__.removesuffix("Policy").lower()
 
 
-def check_unbiasedness(
+def doob_terms(
+    gseq: GSequence,
+) -> tuple[Callable[[int, Ensemble, SelectionOutcome], None], np.ndarray, np.ndarray]:
+    """Observer for `run_we` plus the arrays it fills: the exact
+    per-generation (mutation, selection) conditional variance terms along one
+    run, computed as the run goes. Generations the run never selects at (it
+    went extinct, or it is shorter than the g sequence) keep 0."""
+    mut = np.zeros(gseq.horizon)
+    sel = np.zeros(gseq.horizon)
+
+    def observe(p: int, e: Ensemble, outcome: SelectionOutcome) -> None:
+        if p < gseq.horizon:
+            mut[p] = mutation_variance_term(outcome, gseq, p)
+            sel[p] = selection_variance_term(e, outcome.mean_children, gseq, p)
+
+    return observe, mut, sel
+
+
+def _doob_replicate(K, f, policy, init, gseq, rng, v_table, rep) -> tuple[float, float]:
+    observe, mut, sel = doob_terms(gseq)
+    rec = run_we(K, f, policy, init, gseq.horizon, rng.for_replicate(rep),
+                 v_table=v_table, observe=observe)
+    return rec.eta_f[gseq.horizon], mut.sum() + sel.sum()
+
+
+def doob_replicates(
+    K: TransitionMatrix,
+    f: Observable,
+    policy: SelectionPolicy,
+    init: Ensemble,
+    gseq: GSequence,
+    reps: int,
+    rng: RngStream,
+    v_table: Optional[np.ndarray] = None,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run replicates 0..reps-1 of ``rng`` to the horizon of ``gseq`` = K^{n-p} f.
+
+    Returns each replicate's eta_n(f) and its accumulated exact conditional
+    variance sum_p (mut_p + sel_p). M_0 is deterministic, so the mean of the
+    second array is unbiased for Var(eta_n f).
+    """
+    one = partial(_doob_replicate, K, f, policy, init, gseq, rng, v_table)
+    etas = np.empty(reps)
+    accum = np.empty(reps)
+    for rep, (eta, acc) in enumerate(replicates(one, reps, threads)):
+        etas[rep] = eta
+        accum[rep] = acc
+    return etas, accum
+
+
+def run_checks(
     K: TransitionMatrix,
     f: Observable,
     policy: SelectionPolicy,
@@ -158,88 +217,55 @@ def check_unbiasedness(
     reps: int,
     rng: RngStream,
     v_table: Optional[np.ndarray] = None,
-) -> CheckReport:
-    """Replicate mean of eta_n(f) against the exact eta_0 K^n f (the initial
-    ensemble is fixed across replicates, so the reference is deterministic)."""
+    threads: int = 1,
+) -> tuple[CheckReport, CheckReport]:
+    """Unbiasedness and second-moment (Doob) identity checks, both from one
+    run of each replicate.
+
+    Unbiasedness compares the replicate mean of eta_n(f) with the exact
+    eta_0 K^n f (the initial ensemble is fixed across replicates, so the
+    reference is deterministic). The Doob identity compares E[M_n^2] with
+    M_0^2 plus the accumulated exact conditional variance terms; both sides
+    come from the same replicates, so it uses the standard error of the
+    per-replicate difference.
+    """
     if reps < 100:
         raise ValueError("need at least 100 replicates")
     gseq = g_sequence(K, f, n)
-    exact = float(init.weights @ gseq.g[0][init.states])
-    vals = np.empty(reps)
-    cum = K.row_cumsums()
-    for rep in range(reps):
-        rec = run_we(K, f, policy, init, n, rng.for_replicate(rep),
-                     v_table=v_table, row_cumsums=cum)
-        vals[rep] = rec.eta_f[n]
+    m0 = float(init.weights @ gseq.g[0][init.states])
+    vals, accum = doob_replicates(K, f, policy, init, gseq, reps, rng, v_table,
+                                  threads)
+    name = _policy_name(policy)
+
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(reps))
-    z = (mean - exact) / se if se > 0 else 0.0
-    return CheckReport(
+    z = (mean - m0) / se if se > 0 else 0.0
+    unbiased = CheckReport(
         check="unbiasedness",
         n=n,
-        policy=_policy_name(policy),
+        policy=name,
         value=mean,
-        reference=exact,
+        reference=m0,
         std_err=se,
         z=float(z),
         passed=bool(abs(z) <= Z_THRESHOLD),
     )
 
-
-def doob_terms(rec: RunRecord, gseq: GSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-generation (mutation, selection) conditional variance terms
-    along one recorded trajectory; requires run_we(record_history=True)."""
-    if rec.history is None:
-        raise ValueError("run record has no history; rerun with record_history=True")
-    n_steps = len(rec.history)
-    mut = np.zeros(gseq.horizon)
-    sel = np.zeros(gseq.horizon)
-    for p, snap in enumerate(rec.history[: gseq.horizon]):
-        mut[p] = mutation_variance_term(snap.outcome, gseq, p)
-        sel[p] = selection_variance_term(
-            snap.ensemble, snap.outcome.mean_children, gseq, p
-        )
-    del n_steps
-    return mut, sel
-
-
-def check_doob_identity(
-    K: TransitionMatrix,
-    f: Observable,
-    policy: SelectionPolicy,
-    init: Ensemble,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    v_table: Optional[np.ndarray] = None,
-) -> CheckReport:
-    """E[M_n^2] vs M_0^2 + accumulated exact conditional variance terms.
-
-    Both sides are estimated from the same replicates, so the comparison uses
-    the standard error of the per-replicate difference.
-    """
-    gseq = g_sequence(K, f, n)
-    m0 = float(init.weights @ gseq.g[0][init.states])
-    lhs = np.empty(reps)
-    accum = np.empty(reps)
-    cum = K.row_cumsums()
-    for rep in range(reps):
-        rec = run_we(K, f, policy, init, n, rng.for_replicate(rep),
-                     v_table=v_table, record_history=True, row_cumsums=cum)
-        lhs[rep] = rec.eta_f[n] ** 2
-        mut, sel = doob_terms(rec, gseq)
-        accum[rep] = mut.sum() + sel.sum()
+    # scalar squares: numpy's array square can differ from the scalar power
+    # in the last bit, and the per-replicate values have always been scalars
+    lhs = np.array([v**2 for v in vals])
     diff = lhs - (m0**2 + accum)
     se = float(diff.std(ddof=1) / np.sqrt(reps))
     mean_diff = float(diff.mean())
     z = mean_diff / se if se > 0 else 0.0
-    return CheckReport(
+    doob = CheckReport(
         check="doob_identity",
         n=n,
-        policy=_policy_name(policy),
+        policy=name,
         value=float(lhs.mean()),
         reference=float(m0**2 + accum.mean()),
         std_err=se,
         z=float(z),
         passed=bool(abs(z) <= Z_THRESHOLD),
     )
+    return unbiased, doob

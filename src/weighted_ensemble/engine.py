@@ -4,11 +4,14 @@ A generation goes selection -> mutation. Selection copies or kills particles
 with per-particle mean children counts beta and reweights each child to its
 parent's weight divided by beta, which keeps every weighted average unbiased.
 Mutation evolves each selected particle independently under the chain kernel.
+Independent replicates of a run go through one driver, `replicates`.
 """
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -204,19 +207,14 @@ def stationary_init_ensemble(
     return Ensemble(0, np.concatenate(states), np.concatenate(weights))
 
 
-def stochastic_round(beta: float, rng: np.random.Generator) -> int:
-    """Round beta >= 0 to floor(beta) or floor(beta)+1 with mean exactly beta.
+def stochastic_round(beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Round each beta >= 0 to floor(beta) or floor(beta)+1 with mean exactly
+    beta, drawing one uniform per entry in order.
 
     This is the minimal-second-moment integer law with mean beta.
     """
-    if beta < 0:
+    if np.any(beta < 0):
         raise ValueError("beta must be >= 0")
-    low = int(np.floor(beta))
-    frac = beta - low
-    return low + int(rng.random() < frac)
-
-
-def stochastic_round_vec(beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     low = np.floor(beta)
     return (low + (rng.random(beta.size) < beta - low)).astype(np.int64)
 
@@ -280,14 +278,6 @@ def _mean_children_and_child_weights(
     return beta, child_weight
 
 
-def mean_children(
-    e: Ensemble, policy: SelectionPolicy, v_p: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Per-particle expected children counts beta implied by a policy."""
-    beta, _ = _mean_children_and_child_weights(e, policy, v_p)
-    return beta
-
-
 def select(
     e: Ensemble,
     policy: SelectionPolicy,
@@ -309,7 +299,7 @@ def select(
     else:
         if rng is None:
             raise ValueError("bin policies need an rng for stochastic rounding")
-        counts = stochastic_round_vec(beta, rng)
+        counts = stochastic_round(beta, rng)
     parent_of = np.repeat(np.arange(e.n_particles), counts)
     return SelectionOutcome(
         states=e.states[parent_of],
@@ -322,21 +312,17 @@ def select(
 
 
 def mutate(
-    s: SelectionOutcome, K: TransitionMatrix, rng: np.random.Generator,
-    row_cumsums: Optional[np.ndarray] = None,
+    s: SelectionOutcome, K: TransitionMatrix, rng: np.random.Generator
 ) -> Ensemble:
     """Evolve each selected particle one step under K, keeping its weight.
 
-    Draws one uniform per particle in particle order and inverts the row CDF,
-    so a run with the naive policy reproduces plain independent chains bit for
-    bit under the same stream.
+    Draws one uniform per particle in particle order and inverts the row CDF
+    (`TransitionMatrix.step`), so a run with the naive policy reproduces plain
+    independent chains bit for bit under the same stream.
     """
     if s.n_selected == 0:
         return Ensemble(s.generation + 1, np.empty(0, np.int64), np.empty(0))
-    cum = K.row_cumsums() if row_cumsums is None else row_cumsums
-    u = rng.random(s.n_selected)
-    nxt = (u[:, None] >= cum[s.states]).sum(axis=1)
-    return Ensemble(s.generation + 1, nxt, s.weights.copy())
+    return Ensemble(s.generation + 1, K.step(s.states, rng), s.weights.copy())
 
 
 def empirical_estimate(e: Ensemble, f: Observable) -> float:
@@ -344,14 +330,6 @@ def empirical_estimate(e: Ensemble, f: Observable) -> float:
     if e.n_particles == 0:
         return 0.0
     return float(e.weights @ f.values[e.states])
-
-
-@dataclass
-class GenerationSnapshot:
-    """Pre-selection ensemble plus the selection made from it (for diagnostics)."""
-
-    ensemble: Ensemble
-    outcome: SelectionOutcome
 
 
 @dataclass
@@ -366,7 +344,6 @@ class RunRecord:
     extinct: bool
     tau_kill: Optional[int]
     final: Ensemble
-    history: Optional[list[GenerationSnapshot]] = None
 
 
 def _policy_bins(policy: SelectionPolicy) -> Optional[BinPartition]:
@@ -381,14 +358,15 @@ def run_we(
     n: int,
     rng: RngStream,
     v_table: Optional[np.ndarray] = None,
-    record_history: bool = False,
-    row_cumsums: Optional[np.ndarray] = None,
+    observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
 ) -> RunRecord:
     """Run the select -> mutate loop for n generations from a given ensemble.
 
     For the adaptive policy, ``v_table`` must hold the per-generation, per-bin
     variance proxies with at least n rows. Stops early on extinction; eta is 0
-    from then on by convention.
+    from then on by convention. ``observe(p, ensemble, outcome)``, if given, is
+    called at every generation p < n that selects, with the pre-selection
+    ensemble and the selection made from it.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
@@ -405,11 +383,9 @@ def run_we(
     tot = np.zeros(n + 1)
     bc = np.zeros((n + 1, R), dtype=np.int64) if bins is not None else None
     bw = np.zeros((n + 1, R)) if bins is not None else None
-    history: Optional[list[GenerationSnapshot]] = [] if record_history else None
 
     e = init
     tau_kill: Optional[int] = None
-    cum = K.row_cumsums() if row_cumsums is None else row_cumsums
     for p in range(n + 1):
         eta[p] = empirical_estimate(e, f)
         num[p] = e.n_particles
@@ -423,9 +399,9 @@ def run_we(
             break
         v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
         outcome = select(e, policy, v_p, rng.at(p, "select"))
-        if record_history:
-            history.append(GenerationSnapshot(e, outcome))
-        e = mutate(outcome, K, rng.at(p, "mutate"), row_cumsums=cum)
+        if observe is not None:
+            observe(p, e, outcome)
+        e = mutate(outcome, K, rng.at(p, "mutate"))
     return RunRecord(
         eta_f=eta,
         num_particles=num,
@@ -435,5 +411,40 @@ def run_we(
         extinct=tau_kill is not None,
         tau_kill=tau_kill,
         final=e,
-        history=history,
     )
+
+
+T = TypeVar("T")
+
+
+def replicates(one: Callable[[int], T], reps: int, threads: int = 1) -> Iterator[T]:
+    """Yield one(rep) for rep = 0..reps-1, in replicate order.
+
+    With threads > 1 the calls run in that many spawned worker processes, so
+    ``one`` must pickle (a functools.partial of a module-level function).
+    Callers fold the results in the order given, so every output depends only
+    on what ``one`` computes, never on the thread count.
+    """
+    if threads <= 1 or reps <= 1:
+        yield from map(one, range(reps))
+        return
+    workers = min(threads, reps)
+    chunk = -(-reps // (4 * workers))
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        yield from pool.map(one, range(reps), chunksize=chunk)
+
+
+def run_replicate(
+    K: TransitionMatrix,
+    f: Observable,
+    policy: SelectionPolicy,
+    init: Ensemble,
+    n: int,
+    rng: RngStream,
+    v_table: Optional[np.ndarray],
+    rep: int,
+) -> RunRecord:
+    """run_we on replicate ``rep`` of the stream ``rng``; bind every argument
+    but ``rep`` with functools.partial to drive it through `replicates`."""
+    return run_we(K, f, policy, init, n, rng.for_replicate(rep), v_table=v_table)

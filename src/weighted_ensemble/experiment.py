@@ -8,8 +8,8 @@ on (seed, config), never on the worker count.
 """
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,8 @@ from .engine import (
     RngStream,
     SelectionPolicy,
     TraditionalPolicy,
-    run_we,
+    replicates,
+    run_replicate,
     stationary_init_ensemble,
 )
 from .markov import (
@@ -105,40 +106,6 @@ class SweepResult:
         return self.std / np.sqrt(self.reps)
 
 
-def _replicate_batch(args) -> dict:
-    """Worker: run a contiguous block of replicates, return etas + histograms."""
-    (K, f, policy, init, n, seed, rep_lo, rep_hi, v_table, n_states) = args
-    stream = RngStream(seed)
-    cum = K.row_cumsums()
-    size = rep_hi - rep_lo
-    etas = np.empty(size)
-    traces = np.empty((size, n + 1))
-    weights = np.empty((size, n + 1))
-    counts = np.empty((size, n + 1), dtype=np.int64)
-    flags = np.zeros(size, dtype=bool)
-    hist_c = np.zeros(n_states)
-    hist_w = np.zeros(n_states)
-    for rep in range(rep_lo, rep_hi):
-        rec = run_we(K, f, policy, init, n, stream.for_replicate(rep),
-                     v_table=v_table, row_cumsums=cum)
-        k = rep - rep_lo
-        etas[k] = rec.eta_f[n]
-        traces[k] = rec.eta_f
-        weights[k] = rec.total_weight
-        counts[k] = rec.num_particles
-        flags[k] = rec.extinct
-        if rec.extinct:
-            continue
-        final = rec.final
-        hist_c += np.bincount(final.states, minlength=n_states) / final.n_particles
-        hist_w += np.bincount(final.states, weights=final.weights,
-                              minlength=n_states) / final.total_weight
-    return {
-        "etas": etas, "traces": traces, "weights": weights, "counts": counts,
-        "flags": flags, "hist_c": hist_c, "hist_w": hist_w,
-    }
-
-
 def run_sweep_cell(
     setup: ChainSetup,
     mode: str,
@@ -174,26 +141,29 @@ def run_sweep_cell(
     exact = float(init.weights @ gn[init.states])
 
     n_states = setup.K.n_states
-    jobs = []
-    workers = max(1, int(threads))
-    bounds = np.linspace(0, reps, min(workers, reps) * 4 + 1).astype(int) \
-        if workers > 1 else np.array([0, reps])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            jobs.append((setup.K, setup.f, policy, init, n, seed,
-                         int(lo), int(hi), v_table, n_states))
-    if workers == 1 or len(jobs) == 1:
-        parts = [_replicate_batch(job) for job in jobs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replicate_batch, jobs))
-
-    etas = np.concatenate([p["etas"] for p in parts])
-    flags = np.concatenate([p["flags"] for p in parts])
+    etas = np.empty(reps)
+    traces = np.empty((reps, n + 1))
+    weights = np.empty((reps, n + 1))
+    counts = np.empty((reps, n + 1), dtype=np.int64)
+    flags = np.zeros(reps, dtype=bool)
+    hist_c = np.zeros(n_states)
+    hist_w = np.zeros(n_states)
+    one = partial(run_replicate, setup.K, setup.f, policy, init, n,
+                  RngStream(seed), v_table)
+    for rep, rec in enumerate(replicates(one, reps, threads)):
+        etas[rep] = rec.eta_f[n]
+        traces[rep] = rec.eta_f
+        weights[rep] = rec.total_weight
+        counts[rep] = rec.num_particles
+        flags[rep] = rec.extinct
+        if rec.extinct:
+            continue
+        final = rec.final
+        hist_c += np.bincount(final.states, minlength=n_states) / final.n_particles
+        hist_w += np.bincount(final.states, weights=final.weights,
+                              minlength=n_states) / final.total_weight
     extinct = int(flags.sum())
     alive = reps - extinct
-    hist_c = sum(p["hist_c"] for p in parts) / alive if alive else np.zeros(n_states)
-    hist_w = sum(p["hist_w"] for p in parts) / alive if alive else np.zeros(n_states)
     return SweepResult(
         mode=mode,
         n=n,
@@ -201,11 +171,11 @@ def run_sweep_cell(
         etas=etas,
         extinct_count=extinct,
         exact=exact,
-        hist_counts=hist_c,
-        hist_weights=hist_w,
-        traces=np.concatenate([p["traces"] for p in parts]) if keep_traces else None,
-        weight_traces=np.concatenate([p["weights"] for p in parts]) if keep_traces else None,
-        count_traces=np.concatenate([p["counts"] for p in parts]) if keep_traces else None,
+        hist_counts=hist_c / alive if alive else np.zeros(n_states),
+        hist_weights=hist_w / alive if alive else np.zeros(n_states),
+        traces=traces if keep_traces else None,
+        weight_traces=weights if keep_traces else None,
+        count_traces=counts if keep_traces else None,
         extinct_flags=flags,
     )
 

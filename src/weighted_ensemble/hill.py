@@ -9,13 +9,14 @@ Hill relation) and P^rho[tau_B < tau_A] = pi(B)/pi(A u B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .binning import BinPartition
 from .coarse import CoarseModel, build_coarse_model
-from .engine import RngStream, run_we, stationary_init_ensemble
+from .engine import RngStream, replicates, run_replicate, stationary_init_ensemble
 from .markov import Distribution, Observable, TransitionMatrix
 
 
@@ -113,6 +114,7 @@ def stationary_replicate_estimates(
     rng: RngStream,
     n_particles: int,
     zeta: Optional[Distribution] = None,
+    threads: int = 1,
 ) -> tuple[np.ndarray, CoarseModel, int]:
     """Run the stationary-average workflow and evaluate eta_n for several
     observables from the same replicates.
@@ -129,12 +131,10 @@ def stationary_replicate_estimates(
     model = build_coarse_model(K, bins, zeta, f_guide, horizon=max(n, 1))
     init = stationary_init_ensemble(model.mu, bins, n_particles)
     policy = policy_factory(bins, model)
-    cum = K.row_cumsums()
+    one = partial(run_replicate, K, f_guide, policy, init, n, rng, model.v)
     out = np.zeros((reps, len(observables)))
     extinct = 0
-    for rep in range(reps):
-        rec = run_we(K, f_guide, policy, init, n, rng.for_replicate(rep),
-                     v_table=model.v, row_cumsums=cum)
+    for rep, rec in enumerate(replicates(one, reps, threads)):
         if rec.extinct:
             extinct += 1
             continue  # eta is 0 for every observable by convention
@@ -173,12 +173,13 @@ def we_hill_mfpt(
     rng: RngStream,
     n_particles: int,
     zeta: Optional[Distribution] = None,
+    threads: int = 1,
 ) -> HillEstimate:
     """Estimate E^rho[tau_F] = 1/pi(F) on the source-sink chain with f = 1_F."""
     K = source_sink_kernel(spec)
     f = Observable.indicator(sorted(spec.sink), K.n_states)
     etas, _, extinct = stationary_replicate_estimates(
-        K, bins, policy_factory, f, [f], n, reps, rng, n_particles, zeta
+        K, bins, policy_factory, f, [f], n, reps, rng, n_particles, zeta, threads
     )
     etas = etas[:, 0]
     mean = float(etas.mean())
@@ -219,6 +220,7 @@ def we_hill_hitting(
     rng: RngStream,
     n_particles: int,
     zeta: Optional[Distribution] = None,
+    threads: int = 1,
 ) -> HittingEstimate:
     """Estimate a hitting probability from one set of replicates by evaluating
     eta_n(1_B) and eta_n(1_{A u B}) on the source-sink chain with F = A u B."""
@@ -230,7 +232,8 @@ def we_hill_hitting(
     f_ab = Observable.indicator(A + B, K.n_states)
     f_b = Observable.indicator(B, K.n_states)
     etas, _, extinct = stationary_replicate_estimates(
-        K, bins, policy_factory, f_ab, [f_b, f_ab], n, reps, rng, n_particles, zeta
+        K, bins, policy_factory, f_ab, [f_b, f_ab], n, reps, rng, n_particles, zeta,
+        threads,
     )
     mean_b = float(etas[:, 0].mean())
     mean_ab = float(etas[:, 1].mean())

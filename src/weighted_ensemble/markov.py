@@ -49,10 +49,24 @@ class TransitionMatrix:
         return self.matrix.shape[0]
 
     def row_cumsums(self) -> np.ndarray:
-        """Per-row cumulative sums, used for inverse-CDF sampling of one step."""
-        c = np.cumsum(self.matrix, axis=1)
-        c[:, -1] = 1.0
+        """Per-row cumulative sums, used for inverse-CDF sampling of one step.
+
+        Built on the first call, not at construction, so kernels that are only
+        solved never hold the extra S x S array; cached read-only after that.
+        """
+        c = self.__dict__.get("_row_cumsums")
+        if c is None:
+            c = np.cumsum(self.matrix, axis=1)
+            c[:, -1] = 1.0
+            c.setflags(write=False)
+            object.__setattr__(self, "_row_cumsums", c)
         return c
+
+    def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One step from each given state: draws one uniform per state, in
+        order, and inverts that state's row CDF."""
+        u = rng.random(states.size)
+        return (u[:, None] >= self.row_cumsums()[states]).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .markov import Distribution, Observable, TransitionMatrix
+from .markov import Observable, TransitionMatrix
 
 
 def config_hash(text: str) -> str:
@@ -89,10 +89,6 @@ def read_vector_csv(path: Path) -> np.ndarray:
     for i, val in rows:
         v[int(i) - 1] = float(val)
     return v
-
-
-def distribution_from_csv(path: Path) -> Distribution:
-    return Distribution(read_vector_csv(path))
 
 
 def observable_from_csv(path: Path) -> Observable:

@@ -30,11 +30,12 @@ from weighted_ensemble import (
 from weighted_ensemble import cli
 from weighted_ensemble.coarse import compute_v
 from weighted_ensemble.diagnostics import (
-    check_doob_identity,
     conditional_mutation_variance,
+    doob_replicates,
     doob_terms,
     g_sequence,
     optimal_allocation,
+    run_checks,
 )
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
 
@@ -74,29 +75,18 @@ def exact_naive_std(setup, init: Ensemble, n: int) -> float:
 
 def doob_replay(setup, model, init: Ensemble, mode: str, n: int, seed: int,
                 reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rerun replicates 0..reps-1 of RngStream(seed) with history recorded.
+    """Rerun replicates 0..reps-1 of RngStream(seed) with the Doob-term observer.
 
     Returns each replicate's final eta_n(f) and its accumulated exact
     conditional variance sum_p (mut_p + sel_p). M_0 is deterministic, so the
     mean of the second array is unbiased for Var(eta_n f) (the second-moment
     identity of test_04).
     """
-    gseq = g_sequence(setup.K, setup.f, n)
-    v = compute_v(model.P, model.u, n)
-    cum = setup.K.row_cumsums()
-    policy = make_policy(mode, setup.bins, 150)
-    stream = RngStream(seed)
-    etas = np.empty(reps)
-    acc = np.empty(reps)
-    for rep in range(reps):
-        rec = run_we(
-            setup.K, setup.f, policy, init, n, stream.for_replicate(rep),
-            v_table=v, record_history=True, row_cumsums=cum,
-        )
-        mut, sel = doob_terms(rec, gseq)
-        etas[rep] = rec.eta_f[n]
-        acc[rep] = mut.sum() + sel.sum()
-    return etas, acc
+    return doob_replicates(
+        setup.K, setup.f, make_policy(mode, setup.bins, 150), init,
+        g_sequence(setup.K, setup.f, n), reps, RngStream(seed),
+        v_table=compute_v(model.P, model.u, n),
+    )
 
 
 def std_from_variance_terms(acc: np.ndarray) -> tuple[float, float]:
@@ -176,8 +166,8 @@ def test_03_variance_ordering(setup, model30, init150, sweep30):
     gate uses estimators that are unbiased for the variance instead:
 
     - naive: the exact std in closed form;
-    - adaptive and traditional: the `sweep30` replicates are replayed with
-      history recorded (bit-identity with `sweep30` is asserted), and the std
+    - adaptive and traditional: the `sweep30` replicates are replayed with the
+      Doob-term observer (bit-identity with `sweep30` is asserted), and the std
       is sqrt of the mean accumulated exact conditional variance, with a
       delta-method standard error.
 
@@ -257,7 +247,7 @@ def test_03_supplement_ordering_with_powered_estimators(setup, init150, model30)
 def test_04_doob_identity(setup, model30, init150):
     policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
     v5 = compute_v(model30.P, model30.u, 5)
-    rep = check_doob_identity(
+    _, rep = run_checks(
         setup.K, setup.f, policy, init150, 5, 5000, RngStream(SEED), v_table=v5
     )
     report(
@@ -358,21 +348,20 @@ def test_08_degeneracies(setup, init150):
     # (all mean children counts are the integer 1 under the naive policy)
     ones = Observable(np.ones(90))
     g = g_sequence(setup.K, ones, n)
-    rec1 = run_we(
-        setup.K, ones, NaivePolicy(), init150, n, RngStream(SEED),
-        record_history=True,
-    )
+    observe, mut, sel = doob_terms(g)
+    run_we(setup.K, ones, NaivePolicy(), init150, n, RngStream(SEED),
+           observe=observe)
     # the selection term is exactly zero (integer mean children counts); the
     # mutation term is zero up to the 1e-12 row-sum roundoff of K applied to
     # the constant vector, squared weights included
-    mut, sel = doob_terms(rec1, g)
     const_ok = bool(np.all(mut <= 1e-15) and np.all(sel == 0.0))
     assert g.local_var.max() <= 1e-15
 
     # (c) stochastic rounding at integer means is deterministic
     rng = np.random.default_rng(1)
     round_ok = all(
-        stochastic_round(float(b), rng) == b for b in (0, 1, 2, 7) for _ in range(200)
+        np.all(stochastic_round(np.full(200, float(b)), rng) == b)
+        for b in (0, 1, 2, 7)
     )
     passed = naive_ok and const_ok and round_ok
     report(

@@ -24,6 +24,18 @@ def write_config(tmp_path, **kv):
 SMALL_RUN = dict(mode="all", horizons="1,2", reps="10", n_particles="60")
 
 
+def assert_threads_do_not_change_outputs(tmp_path, command, cfg, threads):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main([command, "--config", str(cfg), "--out", str(a)]) == 0
+    assert cli.main(
+        [command, "--config", str(cfg), "--out", str(b), "--threads", str(threads)]
+    ) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestCoarse:
     def test_writes_model_files(self, tmp_path):
         out = tmp_path / "out"
@@ -88,15 +100,12 @@ class TestRun:
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path, **SMALL_RUN)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(a)]) == 0
-        assert cli.main(
-            ["run", "--config", str(cfg), "--out", str(b), "--threads", "4"]
-        ) == 0
-        for path in sorted(a.iterdir()):
-            assert path.read_bytes() == (b / path.name).read_bytes()
+    # at 40 replicates and 2 threads the worker chunks hold several
+    # replicates each, so a fold in any order but the replicate order shows
+    @pytest.mark.parametrize("reps, threads", [(10, 4), (40, 2)])
+    def test_threads_do_not_change_results(self, tmp_path, reps, threads):
+        cfg = write_config(tmp_path, **{**SMALL_RUN, "reps": str(reps)})
+        assert_threads_do_not_change_outputs(tmp_path, "run", cfg, threads)
 
 
 class TestDiagnose:
@@ -114,11 +123,21 @@ class TestDiagnose:
         assert len(body) == 6  # 2 checks x 3 modes
         assert all(row[-1] == "1" for row in body)
 
-    def test_failed_check_exits_three(self, tmp_path, monkeypatch):
-        def broken(K, f, policy, init, n, reps, rng, v_table=None):
-            return CheckReport("unbiasedness", n, "naive", 1.0, 0.0, 0.1, 10.0, False)
+    def test_threads_do_not_change_results(self, tmp_path):
+        cfg = write_config(
+            tmp_path, mode="all", diag_horizon="2", diag_reps="150",
+            n_particles="60", horizons="2",
+        )
+        assert_threads_do_not_change_outputs(tmp_path, "diagnose", cfg, 2)
 
-        monkeypatch.setattr(cli, "check_unbiasedness", broken)
+    def test_failed_check_exits_three(self, tmp_path, monkeypatch):
+        def broken(K, f, policy, init, n, reps, rng, v_table=None, threads=1):
+            return (
+                CheckReport("unbiasedness", n, "naive", 1.0, 0.0, 0.1, 10.0, False),
+                CheckReport("doob_identity", n, "naive", 1.0, 1.0, 0.1, 0.0, True),
+            )
+
+        monkeypatch.setattr(cli, "run_checks", broken)
         cfg = write_config(tmp_path, mode="naive", diag_reps="150", horizons="1")
         code = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
@@ -145,6 +164,13 @@ class TestHill:
         se = float(rows["pi_F"][3])
         assert abs(est - 0.1) <= 5 * max(se, 1e-3)
         assert "hitting_probability" not in rows  # no hit sets configured
+
+    def test_threads_do_not_change_results(self, tmp_path):
+        cfg = write_config(
+            tmp_path, mode="adaptive", hill_horizon="20", reps="40",
+            n_particles="60", horizons="1",
+        )
+        assert_threads_do_not_change_outputs(tmp_path, "hill", cfg, 2)
 
     def test_three_state_hitting_probability(self, tmp_path):
         K0 = TransitionMatrix(

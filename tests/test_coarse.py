@@ -9,10 +9,9 @@ from weighted_ensemble import (
     build_coarse_exact,
     build_coarse_mc,
     build_coarse_model,
-    coarse_stationary,
     compute_v,
+    stationary,
 )
-from weighted_ensemble.coarse import kernel_step_sampler
 
 
 def uniform(n):
@@ -59,7 +58,7 @@ class TestBuildCoarseMC:
         P, u = build_coarse_exact(two_state, bins, uniform(2), f)
         total = 1_000_000
         Pm, um = build_coarse_mc(
-            kernel_step_sampler(two_state), bins, uniform(2), f, total,
+            two_state, bins, uniform(2), f, total,
             np.random.default_rng(0),
         )
         visits = total / 2  # stratified: half the budget starts in each bin
@@ -71,7 +70,7 @@ class TestBuildCoarseMC:
         K = TransitionMatrix(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
         bins = BinPartition(np.arange(3))
         P, _ = build_coarse_mc(
-            kernel_step_sampler(K), bins, uniform(3), Observable(np.zeros(3)), 3,
+            K, bins, uniform(3), Observable(np.zeros(3)), 3,
             np.random.default_rng(0),
         )
         assert np.allclose(P.matrix, K.matrix)
@@ -79,7 +78,7 @@ class TestBuildCoarseMC:
     def test_indicator_of_bin_gives_unit_u(self, setup):
         f = Observable.indicator(setup.bins.states_in(4), 90)
         _, u = build_coarse_mc(
-            kernel_step_sampler(setup.K), setup.bins, setup.zeta, f, 9000,
+            setup.K, setup.bins, setup.zeta, f, 9000,
             np.random.default_rng(1),
         )
         expected = np.zeros(30)
@@ -89,7 +88,7 @@ class TestBuildCoarseMC:
     def test_budget_below_bin_count_errors(self, setup):
         with pytest.raises(ValueError):
             build_coarse_mc(
-                kernel_step_sampler(setup.K), setup.bins, setup.zeta, setup.f, 10,
+                setup.K, setup.bins, setup.zeta, setup.f, 10,
                 np.random.default_rng(0),
             )
 
@@ -98,8 +97,8 @@ class TestBuildCoarseMC:
         errs = []
         for total in (10_000, 1_000_000):
             Pm, _ = build_coarse_mc(
-                kernel_step_sampler(setup.K), setup.bins, setup.zeta, setup.f,
-                total, np.random.default_rng(2),
+                setup.K, setup.bins, setup.zeta, setup.f, total,
+                np.random.default_rng(2),
             )
             errs.append(np.abs(Pm.matrix - exact.matrix).max())
         # 100x more samples should shrink the error roughly 10x; allow slack
@@ -134,6 +133,16 @@ class TestComputeV:
             exact = K @ (g[p + 1] ** 2) - g[p] ** 2
             assert np.abs(v[p] - np.maximum(exact, 0.0)).max() <= 1e-10
 
+    def test_bit_identical_to_vector_recursion(self, model30):
+        # w_k = P^k u forward, then v[p] = P w_{n-p-1}^2 - w_{n-p}^2, clamped
+        P, u = model30.P.matrix, model30.u
+        for n in (1, 5, 30):
+            w = [u]
+            for _ in range(n):
+                w.append(P @ w[-1])
+            ref = np.array([P @ (w[n - p - 1] ** 2) - w[n - p] ** 2 for p in range(n)])
+            assert np.array_equal(compute_v(model30.P, u, n), np.maximum(ref, 0.0))
+
     def test_nonnegative_on_benchmark_model(self, model30):
         assert model30.v.shape == (30, 30)
         assert model30.v.min() >= 0.0
@@ -141,12 +150,12 @@ class TestComputeV:
 
 class TestCoarseStationary:
     def test_two_state(self, two_state):
-        mu = coarse_stationary(two_state)
+        mu = stationary(two_state)
         assert np.allclose(mu.weights, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_doubly_stochastic_is_uniform(self):
         P = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert np.allclose(coarse_stationary(P).weights, [0.5, 0.5])
+        assert np.allclose(stationary(P).weights, [0.5, 0.5])
 
     def test_benchmark_mu_is_fixed_point(self, model30):
         mu = model30.mu.weights

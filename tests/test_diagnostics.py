@@ -11,18 +11,15 @@ from weighted_ensemble import (
     TraditionalPolicy,
     TransitionMatrix,
     init_ensemble,
-    run_we,
     select,
 )
 from weighted_ensemble.diagnostics import (
-    check_doob_identity,
-    check_unbiasedness,
     conditional_mutation_variance,
-    doob_terms,
     expected_c_squared,
     g_sequence,
     mutation_variance_term,
     optimal_allocation,
+    run_checks,
     selection_variance_term,
 )
 
@@ -93,11 +90,11 @@ class TestExpectedCSquared:
         assert np.array_equal(expected_c_squared(np.array([0.0, 1.0, 3.0])), [0, 1, 9])
 
     def test_closed_form_matches_simulation(self):
-        from weighted_ensemble.engine import stochastic_round_vec
+        from weighted_ensemble.engine import stochastic_round
 
         beta = 1.7
         rng = np.random.default_rng(3)
-        draws = stochastic_round_vec(np.full(300_000, beta), rng).astype(float)
+        draws = stochastic_round(np.full(300_000, beta), rng).astype(float)
         exact = float(expected_c_squared(np.array([beta]))[0])
         se = (draws**2).std(ddof=1) / np.sqrt(draws.size)
         assert abs((draws**2).mean() - exact) <= 4 * se
@@ -190,9 +187,11 @@ class TestOptimalAllocation:
         n = 10
         g = g_sequence(setup.K, setup.f, n)
         p = n - 1
-        from weighted_ensemble import TraditionalPolicy, mean_children
+        from weighted_ensemble import TraditionalPolicy
 
-        beta_trad = mean_children(init150, TraditionalPolicy(setup.bins, 5.0))
+        beta_trad = select(
+            init150, TraditionalPolicy(setup.bins, 5.0), rng=np.random.default_rng(0)
+        ).mean_children
         beta_opt = optimal_allocation(init150, g, p, float(beta_trad.sum()))
         var_opt = conditional_mutation_variance(init150, beta_opt, g, p)
         var_trad = conditional_mutation_variance(init150, beta_trad, g, p)
@@ -202,42 +201,28 @@ class TestOptimalAllocation:
 class TestChecks:
     def test_unbiasedness_requires_reps(self, setup, init150):
         with pytest.raises(ValueError):
-            check_unbiasedness(
-                setup.K, setup.f, NaivePolicy(), init150, 1, 10, RngStream(0)
-            )
+            run_checks(setup.K, setup.f, NaivePolicy(), init150, 1, 10, RngStream(0))
 
     def test_unbiasedness_naive_small(self, two_state, f01):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 20)
-        report = check_unbiasedness(
-            two_state, f01, NaivePolicy(), init, 3, 500, RngStream(1)
-        )
+        report, _ = run_checks(two_state, f01, NaivePolicy(), init, 3, 500, RngStream(1))
         assert report.passed and report.check == "unbiasedness"
 
     def test_doob_identity_horizon_zero_is_exact(self, two_state, f01):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
-        report = check_doob_identity(
-            two_state, f01, NaivePolicy(), init, 0, 200, RngStream(2)
-        )
-        assert report.passed
+        _, report = run_checks(two_state, f01, NaivePolicy(), init, 0, 200, RngStream(2))
+        assert report.passed and report.check == "doob_identity"
         assert report.value == pytest.approx(report.reference)
 
     def test_doob_identity_single_walker(self, two_state, f01):
         init = init_ensemble(Distribution.point_mass(0, 2), 1)
-        report = check_doob_identity(
-            two_state, f01, NaivePolicy(), init, 4, 2000, RngStream(3)
-        )
+        _, report = run_checks(two_state, f01, NaivePolicy(), init, 4, 2000, RngStream(3))
         assert report.passed
 
     def test_doob_identity_traditional_policy(self, two_state, f01):
         bins = BinPartition(np.arange(2))
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
-        report = check_doob_identity(
+        _, report = run_checks(
             two_state, f01, TraditionalPolicy(bins, 5.0), init, 4, 2000, RngStream(4)
         )
         assert report.passed
-
-    def test_doob_terms_need_history(self, setup, init150):
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 2, RngStream(0))
-        g = g_sequence(setup.K, setup.f, 2)
-        with pytest.raises(ValueError):
-            doob_terms(rec, g)

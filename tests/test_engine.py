@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,13 @@ from weighted_ensemble import (
     bin_totals,
     empirical_estimate,
     init_ensemble,
-    mean_children,
     mutate,
     run_we,
     select,
     stationary_init_ensemble,
     stochastic_round,
 )
-from weighted_ensemble.engine import largest_remainder, stochastic_round_vec
+from weighted_ensemble.engine import largest_remainder, replicates
 
 
 class TestRngStream:
@@ -50,6 +51,14 @@ class TestRngStream:
         early_then_late = (s2.at(0, "select").random(3), s2.at(5, "select").random(3))
         assert np.array_equal(late_then_early[0], early_then_late[1])
         assert np.array_equal(late_then_early[1], early_then_late[0])
+
+
+class TestReplicates:
+    def test_yields_in_replicate_order(self):
+        one = partial(pow, 3)
+        expected = [3**rep for rep in range(9)]
+        assert list(replicates(one, 9)) == expected
+        assert list(replicates(one, 9, threads=2)) == expected
 
 
 class TestEnsemble:
@@ -153,17 +162,17 @@ class TestStationaryInitEnsemble:
 class TestStochasticRound:
     def test_integer_is_deterministic(self):
         rng = np.random.default_rng(0)
-        assert all(stochastic_round(3.0, rng) == 3 for _ in range(100))
-        assert all(stochastic_round(0.0, rng) == 0 for _ in range(100))
+        assert np.all(stochastic_round(np.full(100, 3.0), rng) == 3)
+        assert np.all(stochastic_round(np.zeros(100), rng) == 0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            stochastic_round(-0.1, np.random.default_rng(0))
+            stochastic_round(np.array([1.5, -0.1]), np.random.default_rng(0))
 
     def test_support_mean_and_second_moment(self):
         rng = np.random.default_rng(42)
         beta = 2.3
-        draws = stochastic_round_vec(np.full(200_000, beta), rng)
+        draws = stochastic_round(np.full(200_000, beta), rng)
         assert set(np.unique(draws)) <= {2, 3}
         # binomial CI: sd of the indicator is sqrt(0.3*0.7)
         se = np.sqrt(0.3 * 0.7 / draws.size)
@@ -173,7 +182,7 @@ class TestStochasticRound:
 
     def test_sub_one_beta(self):
         rng = np.random.default_rng(7)
-        draws = stochastic_round_vec(np.full(100_000, 0.4), rng)
+        draws = stochastic_round(np.full(100_000, 0.4), rng)
         assert set(np.unique(draws)) <= {0, 1}
         assert abs(draws.mean() - 0.4) <= 4 * np.sqrt(0.4 * 0.6 / draws.size)
 
@@ -254,14 +263,13 @@ class TestSelect:
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.75, 0.25]))
         policy = TraditionalPolicy(bins, 2.0)
-        beta = mean_children(e, policy)
-        assert np.allclose(beta, [1.5, 0.5])
         out = select(e, policy, rng=np.random.default_rng(0))
+        assert np.allclose(out.mean_children, [1.5, 0.5])
         assert np.all(out.weights == 0.5)
 
     def test_traditional_beta_sums_to_target_per_bin(self, setup, init150):
         policy = TraditionalPolicy(setup.bins, 5.0)
-        beta = mean_children(init150, policy)
+        beta = select(init150, policy, rng=np.random.default_rng(0)).mean_children
         b = setup.bins.bin_of[init150.states]
         sums = np.bincount(b, weights=beta, minlength=setup.bins.n_bins)
         assert np.allclose(sums, 5.0)
