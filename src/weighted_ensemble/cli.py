@@ -2,7 +2,8 @@
 
 Subcommands: coarse, run, diagnose, hill. Exit codes: 0 success, 1 config
 error, 2 numerical failure, 3 diagnostic check failure. All CSVs carry a
-header row and a leading comment recording the config hash.
+header row and a leading comment recording the config hash, the sha256 of
+the config.txt written beside them.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", type=Path, default=None, help="key=value config file")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
     sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--reps", type=int, default=None, help="replicate count")
+    sub.add_argument("--reps", type=int, default=None,
+                     help="replicate count (diag_reps for diagnose)")
     sub.add_argument("--threads", type=int, default=None, help="worker processes")
     sub.add_argument("--mode", type=str, default=None,
                      help="adaptive | traditional | naive | all")
@@ -63,20 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    return ExperimentConfig.from_file(
+    reps_key = "diag_reps" if args.command == "diagnose" else "reps"
+    cfg = ExperimentConfig.from_file(
         args.config,
         seed=args.seed,
         out=args.out,
-        reps=args.reps,
         threads=args.threads,
         mode=args.mode,
+        **{reps_key: args.reps},
     )
+    if args.command == "hill" and len(cfg.modes) > 1:
+        raise ValueError("hill runs one mode: adaptive, traditional or naive")
+    return cfg
 
 
-def cmd_coarse(cfg: ExperimentConfig) -> int:
+def cmd_coarse(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
-    out = Path(cfg.out)
-    h = config_hash(cfg.canonical_text())
     horizon = max(cfg.horizons)
     if cfg.coarse_samples > 0:
         rng = RngStream(cfg.seed).at(0, "coarse")
@@ -97,10 +101,8 @@ def cmd_coarse(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
-    out = Path(cfg.out)
-    h = config_hash(cfg.canonical_text())
     model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
                                horizon=max(cfg.horizons) or 1)
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
@@ -158,10 +160,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: ExperimentConfig) -> int:
+def cmd_diagnose(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
-    out = Path(cfg.out)
-    h = config_hash(cfg.canonical_text())
     n = cfg.diag_horizon
     model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
                                horizon=max(n, 1))
@@ -186,10 +186,8 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_hill(cfg: ExperimentConfig) -> int:
+def cmd_hill(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
-    out = Path(cfg.out)
-    h = config_hash(cfg.canonical_text())
     n_states = setup.K.n_states
     base = setup.K
     rho = Distribution.point_mass(cfg.source_state - 1, n_states)
@@ -252,8 +250,12 @@ def main(argv=None) -> int:
         "diagnose": cmd_diagnose,
         "hill": cmd_hill,
     }[args.command]
+    out = Path(cfg.out)
+    text = cfg.canonical_text()
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_bytes(text.encode())
     try:
-        return handler(cfg)
+        return handler(cfg, out, config_hash(text))
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,0 +1,28 @@
+"""The benchmark's probe (bench/probe.py) runs the CLI with every layer it
+traces wrapped by name; this keeps those names and call forms resolvable."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_probe_traces_a_small_sweep(tmp_path):
+    cfg = tmp_path / "config"
+    cfg.write_text("mode = all\nhorizons = 2\nreps = 5\n")
+    report = tmp_path / "r.json"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "probe.py"), str(report), "--trace",
+         "--", "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text())
+    assert Path(result["module"]).resolve().is_relative_to(ROOT / "src")
+    layers = result["layers"]
+    assert layers["engine.run_we"]["generations"] > 0
+    assert layers["engine.mutate"]["particles"] > 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ def read_csv(path):
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     header, body = rows[0], rows[1:]
     return header, body
+
+
+def assert_config_txt_matches_csvs(out):
+    """config.txt hashes to every CSV's config_hash comment."""
+    digest = hashlib.sha256((out / "config.txt").read_bytes()).hexdigest()[:16]
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert path.read_text().splitlines()[0] == f"# config_hash={digest}", path.name
 
 
 def write_config(tmp_path, **kv):
@@ -49,6 +59,7 @@ class TestCoarse:
         assert len(body) == 900
         header, _ = read_csv(out / "v.csv")
         assert header == ["p", "r", "value"]
+        assert_config_txt_matches_csvs(out)
 
     def test_mc_builder_close_to_exact(self, tmp_path):
         exact_out, mc_out = tmp_path / "exact", tmp_path / "mc"
@@ -91,6 +102,7 @@ class TestRun:
             assert sum(float(r[3]) for r in rows) == pytest.approx(1.0)
         assert (out / "v_snapshot.csv").exists()
         assert (out / "extinctions.csv").exists()
+        assert_config_txt_matches_csvs(out)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, **SMALL_RUN)
@@ -122,6 +134,19 @@ class TestDiagnose:
         ]
         assert len(body) == 6  # 2 checks x 3 modes
         assert all(row[-1] == "1" for row in body)
+        assert_config_txt_matches_csvs(out)
+
+    def test_reps_flag_sets_diag_reps(self, tmp_path):
+        small = dict(mode="naive", diag_horizon="2", n_particles="60", horizons="2")
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        cfg = write_config(tmp_path, diag_reps="150", **small)
+        assert cli.main(["diagnose", "--config", str(cfg), "--reps", "120",
+                         "--out", str(flagged)]) == 0
+        cfg = write_config(tmp_path, diag_reps="120", **small)
+        assert cli.main(["diagnose", "--config", str(cfg),
+                         "--out", str(configured)]) == 0
+        for name in ("config.txt", "diagnostics.csv"):
+            assert (flagged / name).read_bytes() == (configured / name).read_bytes()
 
     def test_threads_do_not_change_results(self, tmp_path):
         cfg = write_config(
@@ -164,6 +189,12 @@ class TestHill:
         se = float(rows["pi_F"][3])
         assert abs(est - 0.1) <= 5 * max(se, 1e-3)
         assert "hitting_probability" not in rows  # no hit sets configured
+        assert_config_txt_matches_csvs(out)
+
+    def test_mode_all_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, mode="all")
+        assert cli.main(["hill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_results(self, tmp_path):
         cfg = write_config(
