@@ -161,6 +161,9 @@ def stationary(
 
     Solves the dense linear system first, then refines by power iteration; the
     chain must be irreducible and aperiodic (detected via non-convergence).
+    Entries of the solve that are negative only by roundoff (at least
+    -tol * max|pi|, as on states no other state reaches) are clipped to 0;
+    a solve that fails or is negative beyond that restarts from uniform.
     """
     m = K.matrix
     n = m.shape[0]
@@ -173,8 +176,9 @@ def stationary(
         pi = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         pi = np.full(n, 1.0 / n)
-    if np.any(pi < 0) or not np.all(np.isfinite(pi)):
+    if not np.all(np.isfinite(pi)) or pi.min() < -tol * np.abs(pi).max():
         pi = np.full(n, 1.0 / n)
+    pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     residual = np.abs(pi @ m - pi).max()
     for _ in range(max_iters):

@@ -149,6 +149,24 @@ class TestStationary:
         pi = stationary(setup.K)
         assert np.abs(pi.weights @ setup.K.matrix - pi.weights).max() <= 1e-12
 
+    def test_source_sink_chain_keeps_the_clipped_direct_solve(self, setup):
+        # the sink states no other state reaches solve to +-1e-16; clipping
+        # them keeps the direct solve, which power iteration from uniform
+        # would only approach to 2.9e-6 relative
+        from weighted_ensemble.hill import SourceSinkSpec, source_sink_kernel
+
+        rho = Distribution.point_mass(0, 90)
+        K = source_sink_kernel(SourceSinkSpec(setup.K, frozenset(range(80, 90)), rho))
+        a = K.matrix.T - np.eye(90)
+        a[-1] = 1.0
+        rhs = np.zeros(90)
+        rhs[-1] = 1.0
+        ref = np.maximum(np.linalg.solve(a, rhs), 0.0)
+        ref /= ref.sum()
+        pi = stationary(K).weights
+        big = ref > 1e-10
+        assert np.all(np.abs(pi[big] - ref[big]) <= 1e-12 * ref[big])
+
     def test_same_for_lag_and_base_chain(self, setup):
         assert np.allclose(
             stationary(setup.Q).weights, stationary(setup.K).weights, atol=1e-10
