@@ -251,8 +251,9 @@ def run_checks(
         passed=bool(abs(z) <= Z_THRESHOLD),
     )
 
-    # scalar squares: numpy's array square can differ from the scalar power
-    # in the last bit, and the per-replicate values have always been scalars
+    # squared one replicate at a time: numpy's array square can round the last
+    # bit differently from the scalar power, and diagnostics.csv is compared
+    # byte for byte across versions
     lhs = np.array([v**2 for v in vals])
     diff = lhs - (m0**2 + accum)
     se = float(diff.std(ddof=1) / np.sqrt(reps))

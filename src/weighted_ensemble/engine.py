@@ -8,8 +8,6 @@ Independent replicates of a run go through one driver, `replicates`.
 """
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -213,7 +211,7 @@ def stochastic_round(beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     This is the minimal-second-moment integer law with mean beta.
     """
-    if np.any(beta < 0):
+    if beta.size and beta.min() < 0:
         raise ValueError("beta must be >= 0")
     low = np.floor(beta)
     return (low + (rng.random(beta.size) < beta - low)).astype(np.int64)
@@ -428,6 +426,10 @@ def replicates(one: Callable[[int], T], reps: int, threads: int = 1) -> Iterator
     if threads <= 1 or reps <= 1:
         yield from map(one, range(reps))
         return
+    # imported here: a single-process run does not pay for loading them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(threads, reps)
     chunk = -(-reps // (4 * workers))
     context = multiprocessing.get_context("spawn")
