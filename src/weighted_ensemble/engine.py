@@ -418,8 +418,10 @@ T = TypeVar("T")
 def replicates(one: Callable[[int], T], reps: int, threads: int = 1) -> Iterator[T]:
     """Yield one(rep) for rep = 0..reps-1, in replicate order.
 
-    With threads > 1 the calls run in that many spawned worker processes, so
-    ``one`` must pickle (a functools.partial of a module-level function).
+    With threads > 1 the calls run in that many worker processes, forked from
+    a single-threaded server that has imported this module (the forkserver
+    start method), so ``one`` must pickle: a functools.partial of a
+    module-level function.
     Callers fold the results in the order given, so every output depends only
     on what ``one`` computes, never on the thread count.
     """
@@ -432,7 +434,8 @@ def replicates(one: Callable[[int], T], reps: int, threads: int = 1) -> Iterator
 
     workers = min(threads, reps)
     chunk = -(-reps // (4 * workers))
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         yield from pool.map(one, range(reps), chunksize=chunk)
 
