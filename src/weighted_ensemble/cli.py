@@ -65,6 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    if args.command == "coarse":
+        for flag in ("reps", "threads", "mode"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"coarse does not take --{flag}")
     reps_key = "diag_reps" if args.command == "diagnose" else "reps"
     cfg = ExperimentConfig.from_file(
         args.config,
@@ -113,13 +117,13 @@ def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
     extinct_total = 0
     n_max = max(cfg.horizons)
     for mode in cfg.modes:
-        for n in cfg.horizons:
-            res = run_sweep_cell(
-                setup, mode, n, cfg.reps, cfg.seed,
-                n_particles=cfg.n_particles, n_floor=cfg.n_floor,
-                per_bin_target=cfg.per_bin_target, model=model, init=init,
-                threads=cfg.threads, keep_traces=True,
-            )
+        for res in run_sweep_cell(
+            setup, mode, cfg.horizons, cfg.reps, cfg.seed,
+            n_particles=cfg.n_particles, n_floor=cfg.n_floor,
+            per_bin_target=cfg.per_bin_target, model=model, init=init,
+            threads=cfg.threads,
+        ):
+            n = res.n
             extinct_total += res.extinct_count
             summary_rows.append((
                 mode, n, cfg.reps, res.mean, res.std, res.std_err,

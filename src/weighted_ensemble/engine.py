@@ -181,14 +181,15 @@ def stationary_init_ensemble(
 
     Bins with zero coarse mass (possible on source-sink chains, whose sink
     interior is transient) receive no particles: a zero-weight particle would
-    never be selected and is not allowed.
+    never be selected and is not allowed. Mass at most 1e-12 of the largest,
+    the roundoff that `markov.stationary` leaves on such bins, counts as zero.
     """
     R = bins.n_bins
     if n_particles < R:
         raise ValueError(f"need at least {R} particles so no bin is empty")
     if mu.n_states != R:
         raise ValueError("mu must be a distribution over bins")
-    quotas = np.where(mu.weights > 0, n_particles / R, 0.0)
+    quotas = np.where(mu.weights > 1e-12 * mu.weights.max(), n_particles / R, 0.0)
     scale = n_particles / quotas.sum()
     per_bin = largest_remainder(quotas * scale, n_particles)
     states = []
@@ -396,7 +397,8 @@ def run_we(
         if p == n:
             break
         v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
-        outcome = select(e, policy, v_p, rng.at(p, "select"))
+        select_rng = None if bins is None else rng.at(p, "select")  # naive: no draws
+        outcome = select(e, policy, v_p, select_rng)
         if observe is not None:
             observe(p, e, outcome)
         e = mutate(outcome, K, rng.at(p, "mutate"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,16 +82,18 @@ class SweepResult:
 
     mode: str
     n: int
-    reps: int
-    etas: np.ndarray  # final eta_n(f) per replicate
-    extinct_count: int
     exact: float  # eta_0 K^n f from the deterministic initial ensemble
+    traces: np.ndarray  # (reps, n+1) eta per generation
+    weight_traces: np.ndarray  # (reps, n+1) total weight
+    count_traces: np.ndarray  # (reps, n+1) particle counts, 0 from extinction on
     hist_counts: Optional[np.ndarray] = None  # mean per-replicate count fractions
     hist_weights: Optional[np.ndarray] = None  # mean per-replicate weight fractions
-    traces: Optional[np.ndarray] = None  # (reps, n+1) eta per generation
-    weight_traces: Optional[np.ndarray] = None  # (reps, n+1) total weight
-    count_traces: Optional[np.ndarray] = None  # (reps, n+1) particle counts
-    extinct_flags: Optional[np.ndarray] = None  # (reps,) bool
+
+    def __post_init__(self):
+        self.reps = self.traces.shape[0]
+        self.etas = self.traces[:, -1].copy()  # final eta_n(f) per replicate
+        self.extinct_flags = self.count_traces[:, -1] == 0
+        self.extinct_count = int(self.extinct_flags.sum())
 
     @property
     def mean(self) -> float:
@@ -109,7 +111,7 @@ class SweepResult:
 def run_sweep_cell(
     setup: ChainSetup,
     mode: str,
-    n: int,
+    horizons: Sequence[int],
     reps: int,
     seed: int,
     n_particles: int = 150,
@@ -118,66 +120,58 @@ def run_sweep_cell(
     model: Optional[CoarseModel] = None,
     init: Optional[Ensemble] = None,
     threads: int = 1,
-    keep_traces: bool = False,
-) -> SweepResult:
-    """Run one (mode, horizon) cell of the experiment.
+) -> list[SweepResult]:
+    """Run one mode of the experiment; one result per horizon, in order.
 
     The coarse model preconditions the initial ensemble for every mode; only
-    the adaptive mode also uses its v table during selection. The v table is
-    recomputed for the cell's own horizon.
+    the adaptive mode also uses its v table during selection. That table is
+    recomputed for each horizon, so adaptive runs once per horizon. The other
+    modes never read the horizon and draw by (replicate, generation), so one
+    run to the largest horizon holds every shorter run as its prefix; their
+    cells are views into it. Histograms are kept for the largest horizon.
     """
+    n_max = max(horizons)
     if model is None:
         model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
-                                   horizon=max(n, 1))
+                                   horizon=max(n_max, 1))
     if init is None:
         init = stationary_init_ensemble(model.mu, setup.bins, n_particles)
     policy = make_policy(mode, setup.bins, n_particles, n_floor, per_bin_target)
-    v_table = compute_v(model.P, model.u, n) if n >= 1 else None
+    adaptive = isinstance(policy, AdaptivePolicy)
 
-    # exact reference from the deterministic initial empirical distribution
+    # exact reference eta_0 K^p f for p = 0..n_max from the initial ensemble
     gn = setup.f.values.copy()
-    for _ in range(n):
+    exact = [float(init.weights @ gn[init.states])]
+    for _ in range(n_max):
         gn = setup.K.matrix @ gn
-    exact = float(init.weights @ gn[init.states])
+        exact.append(float(init.weights @ gn[init.states]))
 
     n_states = setup.K.n_states
-    etas = np.empty(reps)
-    traces = np.empty((reps, n + 1))
-    weights = np.empty((reps, n + 1))
-    counts = np.empty((reps, n + 1), dtype=np.int64)
-    flags = np.zeros(reps, dtype=bool)
-    hist_c = np.zeros(n_states)
-    hist_w = np.zeros(n_states)
-    one = partial(run_replicate, setup.K, setup.f, policy, init, n,
-                  RngStream(seed), v_table)
-    for rep, rec in enumerate(replicates(one, reps, threads)):
-        etas[rep] = rec.eta_f[n]
-        traces[rep] = rec.eta_f
-        weights[rep] = rec.total_weight
-        counts[rep] = rec.num_particles
-        flags[rep] = rec.extinct
-        if rec.extinct:
-            continue
-        final = rec.final
-        hist_c += np.bincount(final.states, minlength=n_states) / final.n_particles
-        hist_w += np.bincount(final.states, weights=final.weights,
-                              minlength=n_states) / final.total_weight
-    extinct = int(flags.sum())
-    alive = reps - extinct
-    return SweepResult(
-        mode=mode,
-        n=n,
-        reps=reps,
-        etas=etas,
-        extinct_count=extinct,
-        exact=exact,
-        hist_counts=hist_c / alive if alive else np.zeros(n_states),
-        hist_weights=hist_w / alive if alive else np.zeros(n_states),
-        traces=traces if keep_traces else None,
-        weight_traces=weights if keep_traces else None,
-        count_traces=counts if keep_traces else None,
-        extinct_flags=flags,
-    )
+    results = []
+    for cells in ([[n] for n in horizons] if adaptive else [horizons]):
+        n = max(cells)
+        v_table = compute_v(model.P, model.u, n) if adaptive and n >= 1 else None
+        traces = np.empty((reps, n + 1))
+        weights = np.empty((reps, n + 1))
+        counts = np.empty((reps, n + 1), dtype=np.int64)
+        hist = np.zeros((2, n_states))  # count and weight fractions
+        one = partial(run_replicate, setup.K, setup.f, policy, init, n,
+                      RngStream(seed), v_table)
+        for rep, rec in enumerate(replicates(one, reps, threads)):
+            traces[rep] = rec.eta_f
+            weights[rep] = rec.total_weight
+            counts[rep] = rec.num_particles
+            if n == n_max and not rec.extinct:
+                final = rec.final
+                hist[0] += np.bincount(final.states, minlength=n_states) / final.n_particles
+                hist[1] += np.bincount(final.states, weights=final.weights,
+                                       minlength=n_states) / final.total_weight
+        hist /= max(np.count_nonzero(counts[:, n]), 1)  # mean over survivors
+        results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
+                                weights[:, :h + 1], counts[:, :h + 1],
+                                *(hist if h == n_max else ()))
+                    for h in cells]
+    return results
 
 
 def stationary_reference(setup: ChainSetup) -> float:

@@ -99,13 +99,13 @@ def std_from_variance_terms(acc: np.ndarray) -> tuple[float, float]:
 @pytest.fixture(scope="module")
 def short_cells(setup, model30, init150):
     """(mode, n) -> SweepResult at 2000 replicates for n in {1, 5}."""
-    out = {}
-    for mode in ("adaptive", "traditional", "naive"):
-        for n in (1, 5):
-            out[mode, n] = run_sweep_cell(
-                setup, mode, n, reps=2000, seed=SEED, model=model30, init=init150
-            )
-    return out
+    return {
+        (mode, res.n): res
+        for mode in ("adaptive", "traditional", "naive")
+        for res in run_sweep_cell(
+            setup, mode, (1, 5), reps=2000, seed=SEED, model=model30, init=init150
+        )
+    }
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +113,8 @@ def sweep30(setup, model30, init150):
     """mode -> SweepResult at n = 30, 1000 replicates each."""
     return {
         mode: run_sweep_cell(
-            setup, mode, 30, reps=1000, seed=SEED, model=model30, init=init150
-        )
+            setup, mode, (30,), reps=1000, seed=SEED, model=model30, init=init150
+        )[0]
         for mode in ("adaptive", "traditional", "naive")
     }
 

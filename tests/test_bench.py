@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_probe_traces_a_small_sweep(tmp_path):
     cfg = tmp_path / "config"
-    cfg.write_text("mode = all\nhorizons = 2\nreps = 5\n")
+    cfg.write_text("mode = all\nhorizons = 1,2\nreps = 5\n")
     report = tmp_path / "r.json"
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
@@ -24,5 +24,10 @@ def test_probe_traces_a_small_sweep(tmp_path):
     result = json.loads(report.read_text())
     assert Path(result["module"]).resolve().is_relative_to(ROOT / "src")
     layers = result["layers"]
-    assert layers["engine.run_we"]["generations"] > 0
     assert layers["engine.mutate"]["particles"] > 0
+    # adaptive runs each horizon (1 + 2 generations); traditional and naive
+    # run once to the largest (2 each) and report horizon 1 from that run
+    assert layers["engine.run_we"]["generations"] == 5 * (1 + 2 + 2 + 2)
+    assert layers["experiment.run_sweep_cell"]["calls"] == 3
+    # a select and a mutate stream per generation, the naive one mutate only
+    assert layers["engine.rng_at"]["calls"] == 5 * (2 * (1 + 2 + 2) + 2)

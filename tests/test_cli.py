@@ -73,6 +73,20 @@ class TestCoarse:
         mc = read_matrix_csv(mc_out / "P.csv").matrix
         assert np.abs(exact - mc).max() < 0.05
 
+    @pytest.mark.parametrize("flag, value",
+                             [("--reps", "5"), ("--threads", "2"), ("--mode", "naive")])
+    def test_unread_flag_is_config_error(self, tmp_path, flag, value):
+        cfg = write_config(tmp_path, horizons="1")
+        out = tmp_path / "o"
+        assert cli.main(["coarse", "--config", str(cfg), "--out", str(out),
+                         flag, value]) == 1
+        assert not out.exists()
+
+    def test_unread_config_keys_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, horizons="1", reps="5", threads="2", mode="naive")
+        assert cli.main(["coarse", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+
 
 class TestRun:
     def test_outputs_and_consistency(self, tmp_path):
@@ -111,6 +125,37 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out", str(b)]) == 0
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
+
+    def test_horizons_match_runs_of_their_own(self, tmp_path):
+        """A sweep reports each horizon as a sweep run at that horizon alone
+        would. On this config traditional replicates die out between the
+        horizons, so the per-horizon extinction flags are compared too."""
+        dying = dict(mode="all", reps="30", seed="5", n_particles="60",
+                     per_bin_target="0.5")
+
+        def run(horizons):
+            out = tmp_path / horizons
+            cfg = write_config(tmp_path, horizons=horizons, **dying)
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            return out
+
+        def body(path):  # the bytes below the config_hash line
+            return path.read_bytes().split(b"\n", 1)[1]
+
+        swept = run("1,3,6,12")
+        summary = body(swept / "summary.csv").splitlines()
+        extinct = {row.split(b",")[1]: row.split(b",")[-1]
+                   for row in summary if row.startswith(b"traditional,")}
+        assert len(set(extinct.values())) > 2
+        for n in ("1", "3", "6", "12"):
+            alone = run(n)
+            for mode in ("adaptive", "traditional", "naive"):
+                name = f"runs_{mode}_n{n}.csv"
+                assert body(swept / name) == body(alone / name), name
+            own = body(alone / "summary.csv").splitlines()
+            assert own[1:] == [row for row in summary[1:]
+                               if row.split(b",")[1] == n.encode()]
+        assert body(swept / "histograms.csv") == body(alone / "histograms.csv")
 
     # at 40 replicates and 2 threads the worker chunks hold several
     # replicates each, so a fold in any order but the replicate order shows

@@ -13,15 +13,18 @@ from weighted_ensemble import (
     NaivePolicy,
     Observable,
     RngStream,
+    SourceSinkSpec,
     TraditionalPolicy,
     TransitionMatrix,
     allocate_targets,
     bin_totals,
+    build_coarse_model,
     empirical_estimate,
     init_ensemble,
     mutate,
     run_we,
     select,
+    source_sink_kernel,
     stationary_init_ensemble,
     stochastic_round,
 )
@@ -157,6 +160,20 @@ class TestStationaryInitEnsemble:
         counts, _ = bin_totals(e, bins)
         assert counts[1] == 0 and counts.sum() == 6
         assert np.all(e.weights > 0)
+
+    def test_roundoff_mass_bins_get_no_particles(self, setup):
+        # the hitting chain with F = A u B, A = 11..30, B = 61..75, source 1:
+        # its stationary solve leaves roundoff mass on bins nothing reaches
+        F = [*range(10, 30), *range(60, 75)]
+        spec = SourceSinkSpec(setup.K, frozenset(F), Distribution.point_mass(0, 90))
+        model = build_coarse_model(source_sink_kernel(spec), setup.bins, setup.zeta,
+                                   Observable.indicator(F, 90), horizon=1)
+        mu = model.mu.weights
+        floor = 1e-12 * mu.max()
+        assert np.any((mu > 0) & (mu <= floor))
+        e = stationary_init_ensemble(model.mu, setup.bins, 60)
+        assert e.n_particles == 60
+        assert np.all(mu[setup.bins.bin_of[e.states]] > floor)
 
 
 class TestStochasticRound:
