@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import build_coarse_mc, build_coarse_model, compute_v
+from .coarse import CoarseModel, build_coarse_model, compute_v
 from .config import ExperimentConfig, parse_state_set
 from .diagnostics import run_checks
 from .engine import RngStream, stationary_init_ensemble
-from .experiment import make_policy, run_sweep_cell, stationary_reference
+from .experiment import ChainSetup, make_policy, run_sweep_cell, stationary_reference
 from .hill import SourceSinkSpec, direct_mfpt, source_sink_kernel, we_hill_hitting, we_hill_mfpt
 from .markov import ConvergenceError, Distribution, second_eigenvalue_modulus, stationary
 from .serialize import (
@@ -83,32 +83,27 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> CoarseModel:
+    """The coarse model every subcommand uses: exact when coarse_samples = 0,
+    otherwise sampled from the seed's "coarse" stream."""
+    return build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon,
+                              cfg.coarse_samples, cfg.seed)
+
+
 def cmd_coarse(cfg: ExperimentConfig, out: Path, h: str) -> int:
-    setup = cfg.build_setup()
-    horizon = max(cfg.horizons)
-    if cfg.coarse_samples > 0:
-        rng = RngStream(cfg.seed).at(0, "coarse")
-        P, u = build_coarse_mc(
-            setup.K, setup.bins, setup.zeta, setup.f, cfg.coarse_samples, rng,
-        )
-        mu = stationary(P)
-        v = compute_v(P, u, horizon)
-    else:
-        model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon)
-        P, u, mu, v = model.P, model.u, model.mu, model.v
-    write_matrix_csv(out / "P.csv", P, h)
-    write_vector_csv(out / "u.csv", u, h)
-    write_vector_csv(out / "mu.csv", mu.weights, h)
-    write_v_table_csv(out / "v.csv", v, h)
-    lam2 = second_eigenvalue_modulus(P)
-    print(f"coarse model written to {out} (R={P.n_states}, lambda_2={lam2:.6f})")
+    model = coarse_model(cfg, cfg.build_setup(), max(cfg.horizons))
+    write_matrix_csv(out / "P.csv", model.P, h)
+    write_vector_csv(out / "u.csv", model.u, h)
+    write_vector_csv(out / "mu.csv", model.mu.weights, h)
+    write_v_table_csv(out / "v.csv", model.v, h)
+    lam2 = second_eigenvalue_modulus(model.P)
+    print(f"coarse model written to {out} (R={model.n_bins}, lambda_2={lam2:.6f})")
     return EXIT_OK
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
-    model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
-                               horizon=max(cfg.horizons) or 1)
+    model = coarse_model(cfg, setup, max(cfg.horizons) or 1)
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
     pi_f = stationary_reference(setup)
 
@@ -167,8 +162,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
 def cmd_diagnose(cfg: ExperimentConfig, out: Path, h: str) -> int:
     setup = cfg.build_setup()
     n = cfg.diag_horizon
-    model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
-                               horizon=max(n, 1))
+    model = coarse_model(cfg, setup, max(n, 1))
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
     rows = []
     all_passed = True
@@ -204,7 +198,7 @@ def cmd_hill(cfg: ExperimentConfig, out: Path, h: str) -> int:
 
     est = we_hill_mfpt(spec, setup.bins, policy_factory, cfg.hill_horizon,
                        cfg.reps, RngStream(cfg.seed), cfg.n_particles,
-                       threads=cfg.threads)
+                       threads=cfg.threads, coarse_samples=cfg.coarse_samples)
     rows = []
     if n_states <= ORACLE_SIZE_LIMIT:
         oracle_mfpt = direct_mfpt(base, rho, sink)
@@ -222,7 +216,8 @@ def cmd_hill(cfg: ExperimentConfig, out: Path, h: str) -> int:
         B = parse_state_set(cfg.hit_b)
         hit = we_hill_hitting(base, rho, A, B, setup.bins, policy_factory,
                               cfg.hill_horizon, cfg.reps, RngStream(cfg.seed),
-                              cfg.n_particles, threads=cfg.threads)
+                              cfg.n_particles, threads=cfg.threads,
+                              coarse_samples=cfg.coarse_samples)
         if n_states <= ORACLE_SIZE_LIMIT:
             pi_hit = stationary(source_sink_kernel(SourceSinkSpec(
                 base, frozenset(A) | frozenset(B), rho)))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .binning import BinPartition
 from .diagnostics import g_sequence
+from .engine import RngStream, largest_remainder
 from .markov import Distribution, Observable, TransitionMatrix, stationary
 
 
@@ -66,14 +67,12 @@ def build_coarse_mc(
     the budget allows. The steps are sampled by `TransitionMatrix.step`, the
     inverse CDF that `engine.mutate` uses.
     """
-    from .engine import largest_remainder
-
     R = bins.n_bins
     if total_samples < R:
         raise ValueError(f"need at least {R} samples, one per bin")
     n_starts = largest_remainder(total_samples * zeta.weights, total_samples)
     starts = np.repeat(np.arange(zeta.n_states), n_starts)
-    ends = K.step(starts, rng)
+    ends = K.step(starts, rng.random(starts.size))
     sb = bins.bin_of[starts]
     eb = bins.bin_of[ends]
     counts = np.zeros((R, R))
@@ -104,9 +103,19 @@ def build_coarse_model(
     zeta: Distribution,
     f: Observable,
     horizon: int,
+    samples: int = 0,
+    seed: int = 0,
 ) -> CoarseModel:
-    """Exact coarse model with its stationary vector and v table for one horizon."""
-    P, u = build_coarse_exact(K, bins, zeta, f)
+    """Coarse model with its stationary vector and v table for one horizon.
+
+    Exact when ``samples`` is 0; otherwise estimated by `build_coarse_mc` from
+    that many one-step samples, drawn from the "coarse" stream of ``seed``.
+    """
+    if samples:
+        P, u = build_coarse_mc(K, bins, zeta, f, samples,
+                               RngStream(seed).at(0, "coarse"))
+    else:
+        P, u = build_coarse_exact(K, bins, zeta, f)
     return CoarseModel(
         P=P, u=u, mu=stationary(P), v=compute_v(P, u, horizon), horizon=horizon
     )

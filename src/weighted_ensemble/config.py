@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("per_bin_target must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def modes(self) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from .engine import (
     RngStream,
     SelectionOutcome,
     SelectionPolicy,
+    replicate_dots,
     replicates,
     run_we,
 )
@@ -72,14 +73,13 @@ def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
 
 def mutation_variance_term(
     selected: SelectionOutcome, g: GSequence, p: int
-) -> float:
+) -> np.ndarray:
     """Exact conditional mutation variance of the step from the selected
-    particles: sum_i w_i^2 [K g_{p+1}^2 - g_p^2](xi_i)."""
+    particles, per replicate: sum_i w_i^2 [K g_{p+1}^2 - g_p^2](xi_i)."""
     if not 0 <= p <= g.horizon - 1:
         raise ValueError("p must satisfy 0 <= p <= n-1")
-    if selected.n_selected == 0:
-        return 0.0
-    return float(selected.weights**2 @ g.local_var[p][selected.states])
+    return replicate_dots(selected.offsets, selected.weights**2,
+                          g.local_var[p][selected.states])
 
 
 def expected_c_squared(beta: np.ndarray) -> np.ndarray:
@@ -91,18 +91,16 @@ def expected_c_squared(beta: np.ndarray) -> np.ndarray:
 
 def selection_variance_term(
     e: Ensemble, beta: np.ndarray, g: GSequence, p: int
-) -> float:
-    """Exact conditional selection variance:
+) -> np.ndarray:
+    """Exact conditional selection variance, per replicate:
     sum_j w_j^2 (E[C^2]/beta^2 - 1) g_p(xi_j)^2, zero iff every beta is integer."""
     if not 0 <= p <= g.horizon - 1:
         raise ValueError("p must satisfy 0 <= p <= n-1")
     beta = np.asarray(beta, dtype=float)
     if e.n_particles and np.any(beta <= 0):
         raise ValueError("beta must be positive for every occupied particle")
-    if e.n_particles == 0:
-        return 0.0
     ratio = expected_c_squared(beta) / beta**2 - 1.0
-    return float((e.weights**2 * ratio) @ (g.g[p][e.states] ** 2))
+    return replicate_dots(e.offsets, e.weights**2 * ratio, g.g[p][e.states] ** 2)
 
 
 def conditional_mutation_variance(
@@ -158,28 +156,31 @@ def _policy_name(policy: SelectionPolicy) -> str:
 
 
 def doob_terms(
-    gseq: GSequence,
+    gseq: GSequence, n_replicates: int = 1,
 ) -> tuple[Callable[[int, Ensemble, SelectionOutcome], None], np.ndarray, np.ndarray]:
-    """Observer for `run_we` plus the arrays it fills: the exact
-    per-generation (mutation, selection) conditional variance terms along one
-    run, computed as the run goes. Generations the run never selects at (it
-    went extinct, or it is shorter than the g sequence) keep 0."""
-    mut = np.zeros(gseq.horizon)
-    sel = np.zeros(gseq.horizon)
+    """Observer for `run_we` plus the (replicates x n) arrays it fills: the
+    exact per-generation (mutation, selection) conditional variance terms
+    along each run of a batch, computed as the runs go. Generations a run
+    never selects at (it went extinct, or it is shorter than the g sequence)
+    keep 0."""
+    mut = np.zeros((n_replicates, gseq.horizon))
+    sel = np.zeros((n_replicates, gseq.horizon))
 
     def observe(p: int, e: Ensemble, outcome: SelectionOutcome) -> None:
         if p < gseq.horizon:
-            mut[p] = mutation_variance_term(outcome, gseq, p)
-            sel[p] = selection_variance_term(e, outcome.mean_children, gseq, p)
+            mut[:, p] = mutation_variance_term(outcome, gseq, p)
+            sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
 
     return observe, mut, sel
 
 
-def _doob_replicate(K, f, policy, init, gseq, rng, v_table, rep) -> tuple[float, float]:
-    observe, mut, sel = doob_terms(gseq)
-    rec = run_we(K, f, policy, init, gseq.horizon, rng.for_replicate(rep),
-                 v_table=v_table, observe=observe)
-    return rec.eta_f[gseq.horizon], mut.sum() + sel.sum()
+def _doob_batch(K, f, policy, init, gseq, rng, v_table,
+                reps: range) -> tuple[np.ndarray, np.ndarray]:
+    observe, mut, sel = doob_terms(gseq, len(reps))
+    rec = run_we(K, f, policy, init, gseq.horizon, rng, reps, v_table=v_table,
+                 observe=observe)
+    # row sums add as numpy sums one replicate's vector
+    return rec.eta_f[:, gseq.horizon], mut.sum(axis=1) + sel.sum(axis=1)
 
 
 def doob_replicates(
@@ -199,13 +200,9 @@ def doob_replicates(
     variance sum_p (mut_p + sel_p). M_0 is deterministic, so the mean of the
     second array is unbiased for Var(eta_n f).
     """
-    one = partial(_doob_replicate, K, f, policy, init, gseq, rng, v_table)
-    etas = np.empty(reps)
-    accum = np.empty(reps)
-    for rep, (eta, acc) in enumerate(replicates(one, reps, threads)):
-        etas[rep] = eta
-        accum[rep] = acc
-    return etas, accum
+    one = partial(_doob_batch, K, f, policy, init, gseq, rng, v_table)
+    etas, accum = zip(*replicates(one, reps, threads))
+    return np.concatenate(etas), np.concatenate(accum)
 
 
 def run_checks(

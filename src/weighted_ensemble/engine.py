@@ -4,12 +4,19 @@ A generation goes selection -> mutation. Selection copies or kills particles
 with per-particle mean children counts beta and reweights each child to its
 parent's weight divided by beta, which keeps every weighted average unbiased.
 Mutation evolves each selected particle independently under the chain kernel.
-Independent replicates of a run go through one driver, `replicates`.
+
+Independent replicates run in batches: one flat particle array holds every
+replicate of a batch, sorted by replicate, and each stage makes one pass over
+it per generation. Each replicate still draws its own uniforms, from its own
+stream, and every per-replicate sum adds in the order a batch of one would,
+so a replicate's results do not depend on which batch it ran in. Batches of
+at most `CHUNK` replicates go through one driver, `replicates`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -17,6 +24,10 @@ from .binning import BinPartition
 from .markov import Distribution, Observable, TransitionMatrix
 
 _PURPOSES = {"init": 0, "select": 1, "mutate": 2, "coarse": 3}
+
+# replicates per batch: numpy call overhead is shared by the batch, while its
+# temporaries grow with it; throughput is flat from about this size up
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -40,13 +51,40 @@ class RngStream:
         )
 
 
+def _offsets(offsets: Optional[np.ndarray], n: int) -> np.ndarray:
+    """Validated replicate offsets of n flat particles; None means one replicate."""
+    o = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.int64)
+    if o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != n or np.any(np.diff(o) < 0):
+        raise ValueError("offsets must rise from 0 to the particle count")
+    o.setflags(write=False)
+    return o
+
+
+def replicate_dots(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[lo:hi] @ b[lo:hi] for each replicate's slice of two flat arrays.
+
+    One dot per replicate, not one vectorised sum: BLAS adds in its own order,
+    and a replicate's value must not depend on the batch it ran in.
+    """
+    bounds = offsets.tolist()
+    return np.array([a[lo:hi] @ b[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+                    dtype=float)
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """Particle population at one generation: states and strictly positive weights."""
+    """Particle populations of a batch of replicates at one generation: states
+    and strictly positive weights.
+
+    The flat arrays are sorted by replicate; replicate b owns the particles
+    ``offsets[b]:offsets[b + 1]``. Without offsets the ensemble is one
+    replicate. An extinct replicate owns no particles.
+    """
 
     generation: int
     states: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    offsets: Optional[np.ndarray] = field(repr=False, default=None)
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.int64)
@@ -59,14 +97,33 @@ class Ensemble:
         w.setflags(write=False)
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "offsets", _offsets(self.offsets, s.size))
 
     @property
     def n_particles(self) -> int:
+        """Particles in the whole batch."""
         return self.states.shape[0]
 
     @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
+    def n_replicates(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Particles per replicate."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def replicate_of(self) -> np.ndarray:
+        """Batch index of the replicate each particle belongs to."""
+        return np.repeat(np.arange(self.n_replicates), self.sizes)
+
+    @property
+    def total_weight(self) -> np.ndarray:
+        """Total weight per replicate, each summed as numpy sums one vector."""
+        bounds = self.offsets.tolist()
+        return np.array([self.weights[lo:hi].sum()
+                         for lo, hi in zip(bounds, bounds[1:])])
 
     def empirical_distribution(self, n_states: int) -> Distribution:
         w = np.bincount(self.states, weights=self.weights, minlength=n_states)
@@ -111,10 +168,12 @@ SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """Result of one selection step.
+    """Result of one selection step over a batch.
 
     ``parent_of[i]`` is the index into the parent ensemble of selected particle
     i; children of parent j all carry weight ``weights[j] / mean_children[j]``.
+    Children stay sorted by replicate, and ``offsets`` bounds each replicate's
+    children as in `Ensemble`.
     """
 
     states: np.ndarray = field(repr=False)
@@ -123,9 +182,14 @@ class SelectionOutcome:
     children_count: np.ndarray = field(repr=False)
     mean_children: np.ndarray = field(repr=False)
     generation: int = 0
+    offsets: Optional[np.ndarray] = field(repr=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", _offsets(self.offsets, self.states.shape[0]))
 
     @property
     def n_selected(self) -> int:
+        """Children in the whole batch."""
         return self.states.shape[0]
 
 
@@ -206,53 +270,59 @@ def stationary_init_ensemble(
     return Ensemble(0, np.concatenate(states), np.concatenate(weights))
 
 
-def stochastic_round(beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Round each beta >= 0 to floor(beta) or floor(beta)+1 with mean exactly
-    beta, drawing one uniform per entry in order.
+    beta, using the uniform u in [0, 1) beside it: the larger count iff
+    u < beta - floor(beta).
 
     This is the minimal-second-moment integer law with mean beta.
     """
     if beta.size and beta.min() < 0:
         raise ValueError("beta must be >= 0")
+    if u.shape != beta.shape:
+        raise ValueError("need one uniform per beta")
     low = np.floor(beta)
-    return (low + (rng.random(beta.size) < beta - low)).astype(np.int64)
+    return (low + (u < beta - low)).astype(np.int64)
 
 
-def bin_totals(e: Ensemble, bins: BinPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin particle counts and total weights."""
+def bin_totals(e: Ensemble, bins: BinPartition) -> np.ndarray:
+    """Total particle weight per replicate and bin, a (replicates x bins) array.
+
+    One bincount on replicate * R + bin; it adds each bin's weights in
+    particle order, as a bincount over one replicate does.
+    """
     R = bins.n_bins
-    if e.n_particles == 0:
-        return np.zeros(R, dtype=np.int64), np.zeros(R)
-    b = bins.bin_of[e.states]
-    counts = np.bincount(b, minlength=R)
-    weights = np.bincount(b, weights=e.weights, minlength=R)
-    return counts, weights
+    key = e.replicate_of * R + bins.bin_of[e.states]
+    return np.bincount(key, weights=e.weights,
+                       minlength=e.n_replicates * R).reshape(-1, R)
 
 
 def allocate_targets(
-    e: Ensemble,
-    bins: BinPartition,
+    bin_weight: np.ndarray,
     v_p: np.ndarray,
     total_target: float,
     n_floor: float,
 ) -> np.ndarray:
     """Per-bin target particle numbers: (N - floor*R) sqrt(v_r) w_r / sum + floor.
 
-    w_r is the bin's total particle weight. If every occupied bin has v = 0 the
-    denominator vanishes and every bin gets the floor.
+    w_r is the bin's total particle weight, one row of ``bin_weight`` per
+    replicate (`bin_totals`). A replicate whose occupied bins all have v = 0
+    has a vanishing denominator, and every one of its bins gets the floor.
     """
-    R = bins.n_bins
+    bin_weight = np.asarray(bin_weight, dtype=float)
+    R = bin_weight.shape[-1]
     if not 0 < n_floor < total_target / R:
         raise ValueError("floor must lie in (0, N/R)")
     v_p = np.asarray(v_p, dtype=float)
     if np.any(v_p < 0):
         raise ValueError("variance proxies must be nonnegative")
-    _, w = bin_totals(e, bins)
-    score = np.sqrt(v_p) * w
-    denom = score.sum()
-    if denom == 0:
-        return np.full(R, n_floor)
-    return (total_target - n_floor * R) * score / denom + n_floor
+    score = np.sqrt(v_p) * bin_weight
+    # summed along rows, so each replicate's denominator adds in the order
+    # numpy sums one vector
+    denom = score.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        targets = (total_target - n_floor * R) * score / denom + n_floor
+    return np.where(denom == 0, n_floor, targets)
 
 
 def _mean_children_and_child_weights(
@@ -262,17 +332,16 @@ def _mean_children_and_child_weights(
     if isinstance(policy, NaivePolicy):
         return np.ones(e.n_particles), e.weights.copy()
     bins = policy.bins
-    _, bin_weight = bin_totals(e, bins)
+    bin_weight = bin_totals(e, bins)
     if isinstance(policy, TraditionalPolicy):
-        targets = np.full(bins.n_bins, policy.per_bin_target)
+        targets = policy.per_bin_target
     else:
         if v_p is None:
             raise ValueError("adaptive policy needs the per-bin variance proxies v_p")
-        targets = allocate_targets(e, bins, v_p, policy.total_target, policy.n_floor)
+        targets = allocate_targets(bin_weight, v_p, policy.total_target, policy.n_floor)
     with np.errstate(invalid="ignore", divide="ignore"):
         omega_bar = bin_weight / targets  # only meaningful for occupied bins
-    b = bins.bin_of[e.states]
-    child_weight = omega_bar[b]
+    child_weight = omega_bar.ravel()[e.replicate_of * bins.n_bins + bins.bin_of[e.states]]
     beta = e.weights / child_weight
     return beta, child_weight
 
@@ -281,14 +350,15 @@ def select(
     e: Ensemble,
     policy: SelectionPolicy,
     v_p: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
+    u: Optional[np.ndarray] = None,
 ) -> SelectionOutcome:
-    """Selection step: draw children counts and reweight.
+    """Selection step over a batch: draw children counts and reweight.
 
-    Under bin policies, all children in bin r share the weight
-    omega_bar_r = (bin weight) / (bin target); empty bins stay empty. The naive
-    policy copies every particle once deterministically and consumes no
-    randomness. An empty outcome (extinction) is legal.
+    Under bin policies, all children in bin r of a replicate share the weight
+    omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
+    are stochastically rounded with the uniforms ``u``, one per particle. The
+    naive policy copies every particle once deterministically and needs none.
+    An empty outcome (extinction) is legal.
     """
     if e.n_particles == 0:
         raise ValueError("cannot select from an empty ensemble")
@@ -296,10 +366,12 @@ def select(
     if isinstance(policy, NaivePolicy):
         counts = np.ones(e.n_particles, dtype=np.int64)
     else:
-        if rng is None:
-            raise ValueError("bin policies need an rng for stochastic rounding")
-        counts = stochastic_round(beta, rng)
+        if u is None:
+            raise ValueError("bin policies need uniforms for stochastic rounding")
+        counts = stochastic_round(beta, u)
     parent_of = np.repeat(np.arange(e.n_particles), counts)
+    born_before = np.zeros(e.n_particles + 1, dtype=np.int64)
+    np.cumsum(counts, out=born_before[1:])
     return SelectionOutcome(
         states=e.states[parent_of],
         weights=child_weight[parent_of],
@@ -307,46 +379,45 @@ def select(
         children_count=counts,
         mean_children=beta,
         generation=e.generation,
+        offsets=born_before[e.offsets],
     )
 
 
-def mutate(
-    s: SelectionOutcome, K: TransitionMatrix, rng: np.random.Generator
-) -> Ensemble:
+def mutate(s: SelectionOutcome, K: TransitionMatrix, u: np.ndarray) -> Ensemble:
     """Evolve each selected particle one step under K, keeping its weight.
 
-    Draws one uniform per particle in particle order and inverts the row CDF
-    (`TransitionMatrix.step`), so a run with the naive policy reproduces plain
-    independent chains bit for bit under the same stream.
+    Inverts the row CDF (`TransitionMatrix.step`) at the uniforms ``u``, one
+    per particle in particle order, so a run with the naive policy reproduces
+    plain independent chains bit for bit under the same draws.
     """
     if s.n_selected == 0:
-        return Ensemble(s.generation + 1, np.empty(0, np.int64), np.empty(0))
-    return Ensemble(s.generation + 1, K.step(s.states, rng), s.weights.copy())
+        return Ensemble(s.generation + 1, np.empty(0, np.int64), np.empty(0), s.offsets)
+    return Ensemble(s.generation + 1, K.step(s.states, u), s.weights.copy(), s.offsets)
 
 
-def empirical_estimate(e: Ensemble, f: Observable) -> float:
-    """eta_p(f) = sum_j w_j f(xi_j); 0 for an empty (extinct) ensemble."""
-    if e.n_particles == 0:
-        return 0.0
-    return float(e.weights @ f.values[e.states])
+def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
+    """eta_p(f) = sum_j w_j f(xi_j) per replicate; 0 for an extinct one."""
+    return replicate_dots(e.offsets, e.weights, f.values[e.states])
 
 
 @dataclass
 class RunRecord:
-    """Per-generation trace of one WE run."""
+    """Per-generation traces of a batch of WE runs, one row per replicate."""
 
-    eta_f: np.ndarray
+    eta_f: np.ndarray  # (replicates, n+1)
     num_particles: np.ndarray
     total_weight: np.ndarray
-    bin_counts: Optional[np.ndarray]  # (n+1, R) or None without bins
-    bin_weights: Optional[np.ndarray]
-    extinct: bool
-    tau_kill: Optional[int]
+    extinct: np.ndarray  # (replicates,) bool: no particle left at generation n
+    tau_kill: Optional[int]  # generation the whole batch was extinct at, if any
     final: Ensemble
 
 
-def _policy_bins(policy: SelectionPolicy) -> Optional[BinPartition]:
-    return None if isinstance(policy, NaivePolicy) else policy.bins
+def _uniforms(streams: list[RngStream], sizes: np.ndarray, p: int,
+              purpose: str) -> np.ndarray:
+    """Each replicate's own uniforms for (generation p, purpose), one per
+    particle, concatenated in replicate order; an extinct replicate draws none."""
+    draws = [s.at(p, purpose).random(k) for s, k in zip(streams, sizes.tolist()) if k]
+    return np.concatenate(draws) if draws else np.empty(0)
 
 
 def run_we(
@@ -356,59 +427,61 @@ def run_we(
     init: Ensemble,
     n: int,
     rng: RngStream,
+    reps: Sequence[int],
     v_table: Optional[np.ndarray] = None,
     observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
 ) -> RunRecord:
-    """Run the select -> mutate loop for n generations from a given ensemble.
+    """Run the select -> mutate loop for n generations on a batch of replicates.
 
-    For the adaptive policy, ``v_table`` must hold the per-generation, per-bin
-    variance proxies with at least n rows. Stops early on extinction; eta is 0
-    from then on by convention. ``observe(p, ensemble, outcome)``, if given, is
-    called at every generation p < n that selects, with the pre-selection
-    ensemble and the selection made from it.
+    Every replicate starts from ``init`` and replicate r draws from
+    ``rng.for_replicate(r)``, so its row does not depend on the rest of
+    ``reps``. For the adaptive policy, ``v_table`` must hold the
+    per-generation, per-bin variance proxies with at least n rows. An extinct
+    replicate has eta 0 from then on by convention; the loop stops when the
+    whole batch is. ``observe(p, ensemble, outcome)``, if given, is called at
+    every generation p < n that selects, with the pre-selection batch and the
+    selection made from it.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
+    if init.n_replicates != 1:
+        raise ValueError("init must be a single replicate's ensemble")
     if isinstance(policy, AdaptivePolicy) and n >= 1:
         if v_table is None:
             raise ValueError("adaptive policy requires a v table (use a coarse model)")
         v_table = np.asarray(v_table, dtype=float)
         if v_table.shape[0] < n:
             raise ValueError(f"v table has {v_table.shape[0]} rows, need {n}")
-    bins = _policy_bins(policy)
-    R = bins.n_bins if bins is not None else 0
-    eta = np.zeros(n + 1)
-    num = np.zeros(n + 1, dtype=np.int64)
-    tot = np.zeros(n + 1)
-    bc = np.zeros((n + 1, R), dtype=np.int64) if bins is not None else None
-    bw = np.zeros((n + 1, R)) if bins is not None else None
+    naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
+    streams = [rng.for_replicate(r) for r in reps]
+    B = len(streams)
+    eta = np.zeros((B, n + 1))
+    num = np.zeros((B, n + 1), dtype=np.int64)
+    tot = np.zeros((B, n + 1))
 
-    e = init
+    e = Ensemble(init.generation, np.tile(init.states, B), np.tile(init.weights, B),
+                 np.arange(B + 1) * init.n_particles)
     tau_kill: Optional[int] = None
     for p in range(n + 1):
-        eta[p] = empirical_estimate(e, f)
-        num[p] = e.n_particles
-        tot[p] = e.total_weight
-        if bins is not None:
-            bc[p], bw[p] = bin_totals(e, bins)
+        eta[:, p] = empirical_estimate(e, f)
+        num[:, p] = e.sizes
+        tot[:, p] = e.total_weight
         if e.n_particles == 0:
             tau_kill = p
             break
         if p == n:
             break
         v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
-        select_rng = None if bins is None else rng.at(p, "select")  # naive: no draws
-        outcome = select(e, policy, v_p, select_rng)
+        u = None if naive else _uniforms(streams, num[:, p], p, "select")
+        outcome = select(e, policy, v_p, u)
         if observe is not None:
             observe(p, e, outcome)
-        e = mutate(outcome, K, rng.at(p, "mutate"))
+        e = mutate(outcome, K, _uniforms(streams, np.diff(outcome.offsets), p, "mutate"))
     return RunRecord(
         eta_f=eta,
         num_particles=num,
         total_weight=tot,
-        bin_counts=bc,
-        bin_weights=bw,
-        extinct=tau_kill is not None,
+        extinct=num[:, n] == 0,
         tau_kill=tau_kill,
         final=e,
     )
@@ -417,41 +490,26 @@ def run_we(
 T = TypeVar("T")
 
 
-def replicates(one: Callable[[int], T], reps: int, threads: int = 1) -> Iterator[T]:
-    """Yield one(rep) for rep = 0..reps-1, in replicate order.
+def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterator[T]:
+    """Yield one(chunk) for consecutive chunks of replicates 0..reps-1, each
+    of at most CHUNK replicates, in replicate order.
 
-    With threads > 1 the calls run in that many worker processes, forked from
-    a single-threaded server that has imported this module (the forkserver
-    start method), so ``one`` must pickle: a functools.partial of a
-    module-level function.
+    The chunks do not depend on the thread count. With threads > 1 the calls
+    run in that many worker processes, forked from a single-threaded server
+    that has imported this module (the forkserver start method), so ``one``
+    must pickle: a functools.partial of a module-level function.
     Callers fold the results in the order given, so every output depends only
     on what ``one`` computes, never on the thread count.
     """
-    if threads <= 1 or reps <= 1:
-        yield from map(one, range(reps))
+    chunks = [range(lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
+    if threads <= 1 or len(chunks) <= 1:
+        yield from map(one, chunks)
         return
     # imported here: a single-process run does not pay for loading them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(threads, reps)
-    chunk = -(-reps // (4 * workers))
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([__name__])
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        yield from pool.map(one, range(reps), chunksize=chunk)
-
-
-def run_replicate(
-    K: TransitionMatrix,
-    f: Observable,
-    policy: SelectionPolicy,
-    init: Ensemble,
-    n: int,
-    rng: RngStream,
-    v_table: Optional[np.ndarray],
-    rep: int,
-) -> RunRecord:
-    """run_we on replicate ``rep`` of the stream ``rng``; bind every argument
-    but ``rep`` with functools.partial to drive it through `replicates`."""
-    return run_we(K, f, policy, init, n, rng.for_replicate(rep), v_table=v_table)
+    with ProcessPoolExecutor(min(threads, len(chunks)), mp_context=context) as pool:
+        yield from pool.map(one, chunks)

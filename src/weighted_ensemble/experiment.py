@@ -24,7 +24,7 @@ from .engine import (
     SelectionPolicy,
     TraditionalPolicy,
     replicates,
-    run_replicate,
+    run_we,
     stationary_init_ensemble,
 )
 from .markov import (
@@ -155,17 +155,27 @@ def run_sweep_cell(
         weights = np.empty((reps, n + 1))
         counts = np.empty((reps, n + 1), dtype=np.int64)
         hist = np.zeros((2, n_states))  # count and weight fractions
-        one = partial(run_replicate, setup.K, setup.f, policy, init, n,
-                      RngStream(seed), v_table)
-        for rep, rec in enumerate(replicates(one, reps, threads)):
-            traces[rep] = rec.eta_f
-            weights[rep] = rec.total_weight
-            counts[rep] = rec.num_particles
-            if n == n_max and not rec.extinct:
-                final = rec.final
-                hist[0] += np.bincount(final.states, minlength=n_states) / final.n_particles
-                hist[1] += np.bincount(final.states, weights=final.weights,
-                                       minlength=n_states) / final.total_weight
+        one = partial(run_we, setup.K, setup.f, policy, init, n, RngStream(seed),
+                      v_table=v_table)
+        lo = 0
+        for rec in replicates(one, reps, threads):
+            hi = lo + len(rec.eta_f)
+            traces[lo:hi] = rec.eta_f
+            weights[lo:hi] = rec.total_weight
+            counts[lo:hi] = rec.num_particles
+            lo = hi
+            if n < n_max:
+                continue
+            # added one replicate at a time, in replicate order, so the sums
+            # do not depend on how the replicates were batched
+            bounds = rec.final.offsets.tolist()
+            for b, (start, end) in enumerate(zip(bounds, bounds[1:])):
+                if start == end:  # extinct
+                    continue
+                states = rec.final.states[start:end]
+                hist[0] += np.bincount(states, minlength=n_states) / (end - start)
+                hist[1] += np.bincount(states, weights=rec.final.weights[start:end],
+                                       minlength=n_states) / rec.total_weight[b, n]
         hist /= max(np.count_nonzero(counts[:, n]), 1)  # mean over survivors
         results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
                                 weights[:, :h + 1], counts[:, :h + 1],

@@ -16,7 +16,13 @@ import numpy as np
 
 from .binning import BinPartition
 from .coarse import CoarseModel, build_coarse_model
-from .engine import RngStream, replicates, run_replicate, stationary_init_ensemble
+from .engine import (
+    RngStream,
+    empirical_estimate,
+    replicates,
+    run_we,
+    stationary_init_ensemble,
+)
 from .markov import Distribution, Observable, TransitionMatrix
 
 
@@ -115,32 +121,35 @@ def stationary_replicate_estimates(
     n_particles: int,
     zeta: Optional[Distribution] = None,
     threads: int = 1,
+    coarse_samples: int = 0,
 ) -> tuple[np.ndarray, CoarseModel, int]:
     """Run the stationary-average workflow and evaluate eta_n for several
     observables from the same replicates.
 
-    Builds an exact coarse model on K guided by ``f_guide``, starts each
-    replicate from the mu-preconditioned even-spread ensemble, and returns a
+    Builds a coarse model on K guided by ``f_guide`` (exact, or from
+    ``coarse_samples`` one-step samples), starts each replicate from the
+    mu-preconditioned even-spread ensemble, and returns a
     (reps x len(observables)) matrix of eta_n values, the coarse model, and
-    the number of extinct replicates. ``policy_factory(bins, model)`` builds
-    the selection policy.
+    the number of extinct replicates, whose eta is 0 for every observable.
+    ``policy_factory(bins, model)`` builds the selection policy.
     """
     n_states = K.n_states
     if zeta is None:
         zeta = Distribution(np.full(n_states, 1.0 / n_states))
-    model = build_coarse_model(K, bins, zeta, f_guide, horizon=max(n, 1))
+    model = build_coarse_model(K, bins, zeta, f_guide, max(n, 1), coarse_samples,
+                               rng.seed)
     init = stationary_init_ensemble(model.mu, bins, n_particles)
     policy = policy_factory(bins, model)
-    one = partial(run_replicate, K, f_guide, policy, init, n, rng, model.v)
+    one = partial(run_we, K, f_guide, policy, init, n, rng, v_table=model.v)
     out = np.zeros((reps, len(observables)))
     extinct = 0
-    for rep, rec in enumerate(replicates(one, reps, threads)):
-        if rec.extinct:
-            extinct += 1
-            continue  # eta is 0 for every observable by convention
-        final = rec.final
+    lo = 0
+    for rec in replicates(one, reps, threads):
+        hi = lo + len(rec.eta_f)
+        extinct += int(rec.extinct.sum())
         for k, obs in enumerate(observables):
-            out[rep, k] = final.weights @ obs.values[final.states]
+            out[lo:hi, k] = empirical_estimate(rec.final, obs)
+        lo = hi
     return out, model, extinct
 
 
@@ -174,12 +183,14 @@ def we_hill_mfpt(
     n_particles: int,
     zeta: Optional[Distribution] = None,
     threads: int = 1,
+    coarse_samples: int = 0,
 ) -> HillEstimate:
     """Estimate E^rho[tau_F] = 1/pi(F) on the source-sink chain with f = 1_F."""
     K = source_sink_kernel(spec)
     f = Observable.indicator(sorted(spec.sink), K.n_states)
     etas, _, extinct = stationary_replicate_estimates(
-        K, bins, policy_factory, f, [f], n, reps, rng, n_particles, zeta, threads
+        K, bins, policy_factory, f, [f], n, reps, rng, n_particles, zeta, threads,
+        coarse_samples,
     )
     etas = etas[:, 0]
     mean = float(etas.mean())
@@ -221,6 +232,7 @@ def we_hill_hitting(
     n_particles: int,
     zeta: Optional[Distribution] = None,
     threads: int = 1,
+    coarse_samples: int = 0,
 ) -> HittingEstimate:
     """Estimate a hitting probability from one set of replicates by evaluating
     eta_n(1_B) and eta_n(1_{A u B}) on the source-sink chain with F = A u B."""
@@ -233,7 +245,7 @@ def we_hill_hitting(
     f_b = Observable.indicator(B, K.n_states)
     etas, _, extinct = stationary_replicate_estimates(
         K, bins, policy_factory, f_ab, [f_b, f_ab], n, reps, rng, n_particles, zeta,
-        threads,
+        threads, coarse_samples,
     )
     mean_b = float(etas[:, 0].mean())
     mean_ab = float(etas[:, 1].mean())

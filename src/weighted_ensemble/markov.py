@@ -62,11 +62,26 @@ class TransitionMatrix:
             object.__setattr__(self, "_row_cumsums", c)
         return c
 
-    def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One step from each given state: draws one uniform per state, in
-        order, and inverts that state's row CDF."""
-        u = rng.random(states.size)
-        return (u[:, None] >= self.row_cumsums()[states]).sum(axis=1)
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One step from each given state, inverting that state's row CDF at
+        the uniform u in [0, 1) beside it: the first column j with
+        cumsum[j] > u, which is the count of columns with cumsum <= u.
+
+        Found by bisection, in O(log S) gathers per state rather than a
+        states x S comparison: a row's cumsums never decrease and its last
+        one is 1 > u.
+        """
+        cum = self.row_cumsums()
+        n = cum.shape[1]
+        flat = cum.ravel()
+        row = np.asarray(states, dtype=np.int64) * n
+        lo, hi = row, row + (n - 1)  # flat indices; the answer lies in [lo, hi]
+        for _ in range((n - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            right = flat[mid] <= u
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return lo - row
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,7 @@ def test_08_degeneracies(setup, init150):
     # (a) naive mode is bit-identical to plain independent chain simulation
     n = 10
     stream = RngStream(SEED, replicate=0)
-    rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, stream)
+    rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(SEED), [0])
     cum = setup.K.row_cumsums()
     states = init150.states.copy()
     etas = [float(init150.weights @ setup.f.values[states])]
@@ -341,7 +341,7 @@ def test_08_degeneracies(setup, init150):
         states = (u[:, None] >= cum[states]).sum(axis=1)
         etas.append(float(init150.weights @ setup.f.values[states]))
     naive_ok = np.array_equal(rec.final.states, states) and np.array_equal(
-        rec.eta_f, np.array(etas)
+        rec.eta_f[0], np.array(etas)
     )
 
     # (b) f constant: both conditional variance terms vanish every generation
@@ -349,7 +349,7 @@ def test_08_degeneracies(setup, init150):
     ones = Observable(np.ones(90))
     g = g_sequence(setup.K, ones, n)
     observe, mut, sel = doob_terms(g)
-    run_we(setup.K, ones, NaivePolicy(), init150, n, RngStream(SEED),
+    run_we(setup.K, ones, NaivePolicy(), init150, n, RngStream(SEED), [0],
            observe=observe)
     # the selection term is exactly zero (integer mean children counts); the
     # mutation term is zero up to the 1e-12 row-sum roundoff of K applied to
@@ -360,7 +360,7 @@ def test_08_degeneracies(setup, init150):
     # (c) stochastic rounding at integer means is deterministic
     rng = np.random.default_rng(1)
     round_ok = all(
-        np.all(stochastic_round(np.full(200, float(b)), rng) == b)
+        np.all(stochastic_round(np.full(200, float(b)), rng.random(200)) == b)
         for b in (0, 1, 2, 7)
     )
     passed = naive_ok and const_ok and round_ok

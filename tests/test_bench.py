@@ -24,10 +24,16 @@ def test_probe_traces_a_small_sweep(tmp_path):
     result = json.loads(report.read_text())
     assert Path(result["module"]).resolve().is_relative_to(ROOT / "src")
     layers = result["layers"]
-    assert layers["engine.mutate"]["particles"] > 0
-    # adaptive runs each horizon (1 + 2 generations); traditional and naive
-    # run once to the largest (2 each) and report horizon 1 from that run
-    assert layers["engine.run_we"]["generations"] == 5 * (1 + 2 + 2 + 2)
+    # the 5 replicates of a cell run as one batch: adaptive runs each horizon
+    # (1 + 2 generations); traditional and naive run once to the largest (2
+    # each) and report horizon 1 from that run
+    assert layers["engine.run_we"]["calls"] == 4
+    # the probe counts eta_f.size - 1 per batch record of 5 x (n + 1) values
+    assert layers["engine.run_we"]["generations"] == (5 * 2 - 1) + 3 * (5 * 3 - 1)
     assert layers["experiment.run_sweep_cell"]["calls"] == 3
-    # a select and a mutate stream per generation, the naive one mutate only
+    # per replicate, a select and a mutate stream per generation, the naive
+    # one mutate only
     assert layers["engine.rng_at"]["calls"] == 5 * (2 * (1 + 2 + 2) + 2)
+    # particles mutated over every generation and replicate of this config
+    # and seed, however the replicates are batched
+    assert layers["engine.mutate"]["particles"] == 5191

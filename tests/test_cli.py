@@ -157,12 +157,31 @@ class TestRun:
                                if row.split(b",")[1] == n.encode()]
         assert body(swept / "histograms.csv") == body(alone / "histograms.csv")
 
-    # at 40 replicates and 2 threads the worker chunks hold several
-    # replicates each, so a fold in any order but the replicate order shows
-    @pytest.mark.parametrize("reps, threads", [(10, 4), (40, 2)])
+    # at 40 and 70 replicates and 2 threads the workers run several batches
+    # each, the last one short, so a fold in any order but the replicate
+    # order shows
+    @pytest.mark.parametrize("reps, threads", [(10, 4), (40, 2), (70, 2)])
     def test_threads_do_not_change_results(self, tmp_path, reps, threads):
         cfg = write_config(tmp_path, **{**SMALL_RUN, "reps": str(reps)})
         assert_threads_do_not_change_outputs(tmp_path, "run", cfg, threads)
+
+
+    def test_coarse_samples_set_the_coarse_model(self, tmp_path):
+        """With coarse_samples > 0, run's v table is the one `coarse` writes
+        for the same config: p = 0 and p = n_max - 1 of coarse's v.csv."""
+        small = dict(mode="adaptive", horizons="1,3", reps="3", n_particles="60")
+
+        def run(command, **kv):
+            out = tmp_path / f"{command}{kv}"
+            cfg = write_config(tmp_path, **small, **kv)
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            return out
+
+        _, exact = read_csv(run("run", coarse_samples="0") / "v_snapshot.csv")
+        _, sampled = read_csv(run("run", coarse_samples="20000") / "v_snapshot.csv")
+        assert sampled != exact
+        _, table = read_csv(run("coarse", coarse_samples="20000") / "v.csv")
+        assert sampled == [row for row in table if row[0] in ("0", "2")]
 
 
 class TestDiagnose:
@@ -287,6 +306,15 @@ class TestExitCodes:
     def test_bad_mode_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, mode="bogus")
         assert cli.main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("where", ["flag", "config key"])
+    def test_negative_seed_is_config_error(self, tmp_path, where):
+        cfg = write_config(tmp_path, horizons="1", **({"seed": "-1"}
+                                                      if where == "config key" else {}))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 1
+        assert not out.exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent")]) == 1

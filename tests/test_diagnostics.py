@@ -94,7 +94,7 @@ class TestExpectedCSquared:
 
         beta = 1.7
         rng = np.random.default_rng(3)
-        draws = stochastic_round(np.full(300_000, beta), rng).astype(float)
+        draws = stochastic_round(np.full(300_000, beta), rng.random(300_000)).astype(float)
         exact = float(expected_c_squared(np.array([beta]))[0])
         se = (draws**2).std(ddof=1) / np.sqrt(draws.size)
         assert abs((draws**2).mean() - exact) <= 4 * se
@@ -190,7 +190,8 @@ class TestOptimalAllocation:
         from weighted_ensemble import TraditionalPolicy
 
         beta_trad = select(
-            init150, TraditionalPolicy(setup.bins, 5.0), rng=np.random.default_rng(0)
+            init150, TraditionalPolicy(setup.bins, 5.0),
+            u=np.random.default_rng(0).random(150),
         ).mean_children
         beta_opt = optimal_allocation(init150, g, p, float(beta_trad.sum()))
         var_opt = conditional_mutation_variance(init150, beta_opt, g, p)

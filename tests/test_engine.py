@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,8 @@ from weighted_ensemble import (
     stationary_init_ensemble,
     stochastic_round,
 )
-from weighted_ensemble.engine import largest_remainder, replicates
+from weighted_ensemble.engine import CHUNK, largest_remainder, replicates
+from weighted_ensemble.experiment import make_policy
 
 
 class TestRngStream:
@@ -58,10 +57,11 @@ class TestRngStream:
 
 class TestReplicates:
     def test_yields_in_replicate_order(self):
-        one = partial(pow, 3)
-        expected = [3**rep for rep in range(9)]
-        assert list(replicates(one, 9)) == expected
-        assert list(replicates(one, 9, threads=2)) == expected
+        reps = 2 * CHUNK + 6
+        expected = [list(range(lo, min(lo + CHUNK, reps)))
+                    for lo in range(0, reps, CHUNK)]
+        assert list(replicates(list, reps)) == expected
+        assert list(replicates(list, reps, threads=2)) == expected
 
 
 class TestEnsemble:
@@ -131,9 +131,9 @@ class TestInitEnsemble:
 
 class TestStationaryInitEnsemble:
     def test_even_spread_150_over_30(self, setup, model30, init150):
-        counts, weights = bin_totals(init150, setup.bins)
+        counts = np.bincount(setup.bins.bin_of[init150.states], minlength=30)
         assert np.all(counts == 5)
-        assert np.allclose(weights, model30.mu.weights)
+        assert np.allclose(bin_totals(init150, setup.bins), model30.mu.weights)
         # every particle in bin r carries mu_r / 5
         assert np.allclose(
             init150.weights, model30.mu.weights[setup.bins.bin_of[init150.states]] / 5
@@ -143,9 +143,8 @@ class TestStationaryInitEnsemble:
         bins = BinPartition(np.array([0, 1, 2]))
         mu = Distribution(np.array([0.5, 0.3, 0.2]))
         e = stationary_init_ensemble(mu, bins, 7)
-        counts, weights = bin_totals(e, bins)
-        assert list(counts) == [3, 2, 2]
-        assert np.allclose(weights, [0.5, 0.3, 0.2])
+        assert list(np.bincount(e.states, minlength=3)) == [3, 2, 2]
+        assert np.allclose(bin_totals(e, bins), [[0.5, 0.3, 0.2]])
         assert np.allclose(np.unique(e.weights), sorted({0.5 / 3, 0.15, 0.1}))
 
     def test_requires_at_least_one_particle_per_bin(self):
@@ -157,7 +156,7 @@ class TestStationaryInitEnsemble:
         bins = BinPartition(np.array([0, 1, 2]))
         mu = Distribution(np.array([0.75, 0.0, 0.25]))
         e = stationary_init_ensemble(mu, bins, 6)
-        counts, _ = bin_totals(e, bins)
+        counts = np.bincount(e.states, minlength=3)
         assert counts[1] == 0 and counts.sum() == 6
         assert np.all(e.weights > 0)
 
@@ -179,17 +178,21 @@ class TestStationaryInitEnsemble:
 class TestStochasticRound:
     def test_integer_is_deterministic(self):
         rng = np.random.default_rng(0)
-        assert np.all(stochastic_round(np.full(100, 3.0), rng) == 3)
-        assert np.all(stochastic_round(np.zeros(100), rng) == 0)
+        assert np.all(stochastic_round(np.full(100, 3.0), rng.random(100)) == 3)
+        assert np.all(stochastic_round(np.zeros(100), rng.random(100)) == 0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            stochastic_round(np.array([1.5, -0.1]), np.random.default_rng(0))
+            stochastic_round(np.array([1.5, -0.1]), np.full(2, 0.5))
+
+    def test_rejects_one_uniform_short(self):
+        with pytest.raises(ValueError):
+            stochastic_round(np.array([1.5, 0.5]), np.full(1, 0.5))
 
     def test_support_mean_and_second_moment(self):
         rng = np.random.default_rng(42)
         beta = 2.3
-        draws = stochastic_round(np.full(200_000, beta), rng)
+        draws = stochastic_round(np.full(200_000, beta), rng.random(200_000))
         assert set(np.unique(draws)) <= {2, 3}
         # binomial CI: sd of the indicator is sqrt(0.3*0.7)
         se = np.sqrt(0.3 * 0.7 / draws.size)
@@ -199,7 +202,7 @@ class TestStochasticRound:
 
     def test_sub_one_beta(self):
         rng = np.random.default_rng(7)
-        draws = stochastic_round(np.full(100_000, 0.4), rng)
+        draws = stochastic_round(np.full(100_000, 0.4), rng.random(100_000))
         assert set(np.unique(draws)) <= {0, 1}
         assert abs(draws.mean() - 0.4) <= 4 * np.sqrt(0.4 * 0.6 / draws.size)
 
@@ -208,47 +211,51 @@ class TestBinTotals:
     def test_hand_example(self):
         bins = BinPartition(np.array([0, 0, 1]))
         e = Ensemble(0, np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5]))
-        counts, weights = bin_totals(e, bins)
-        assert list(counts) == [2, 1]
-        assert np.allclose(weights, [0.5, 0.5])
+        assert np.allclose(bin_totals(e, bins), [[0.5, 0.5]])
 
     def test_empty(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.empty(0, np.int64), np.empty(0))
-        counts, weights = bin_totals(e, bins)
-        assert np.all(counts == 0) and np.all(weights == 0)
+        assert np.array_equal(bin_totals(e, bins), np.zeros((1, 2)))
+
+    def test_one_row_per_replicate(self):
+        # replicate 1 is extinct; bins are summed within each replicate only
+        bins = BinPartition(np.array([0, 0, 1]))
+        e = Ensemble(0, np.array([0, 2, 1, 1]), np.array([0.2, 0.8, 0.4, 0.6]),
+                     np.array([0, 2, 2, 4]))
+        assert np.allclose(bin_totals(e, bins), [[0.2, 0.8], [0.0, 0.0], [1.0, 0.0]])
 
 
 class TestAllocateTargets:
     def test_single_bin_gets_everything(self):
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(e, bins, np.array([1.0]), 10.0, 1.0)
+        t = allocate_targets(bin_totals(e, bins), np.array([1.0]), 10.0, 1.0)
         assert np.allclose(t, [10.0])
 
     def test_symmetric_case(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(e, bins, np.array([2.0, 2.0]), 10.0, 1.0)
+        t = allocate_targets(bin_totals(e, bins), np.array([2.0, 2.0]), 10.0, 1.0)
         assert np.allclose(t, [5.0, 5.0])
 
     def test_hand_example(self):
         bins = BinPartition(np.array([0, 1, 2]))
         e = Ensemble(0, np.array([0, 1, 2]), np.array([0.5, 0.25, 0.25]))
-        t = allocate_targets(e, bins, np.array([1.0, 4.0, 0.0]), 10.0, 1.0)
+        t = allocate_targets(bin_totals(e, bins), np.array([1.0, 4.0, 0.0]), 10.0, 1.0)
         assert np.allclose(t, [4.5, 4.5, 1.0])
 
     def test_all_zero_variance_gives_floor(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(e, bins, np.zeros(2), 10.0, 1.5)
+        t = allocate_targets(bin_totals(e, bins), np.zeros(2), 10.0, 1.5)
         assert np.allclose(t, [1.5, 1.5])
 
     def test_floor_bounds_enforced(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            allocate_targets(e, bins, np.ones(2), 10.0, 5.0)
+            allocate_targets(bin_totals(e, bins), np.ones(2), 10.0, 5.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -260,10 +267,18 @@ class TestAllocateTargets:
         v = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=R, max_size=R)))
         total = float(data.draw(st.floats(2.0 * R, 20.0 * R)))
         floor = float(data.draw(st.floats(0.1, 0.9)))
-        t = allocate_targets(e, bins, v, total, floor)
+        t = allocate_targets(bin_totals(e, bins), v, total, floor)
         assert np.all(t >= floor - 1e-12)
         if (np.sqrt(v) * e.weights).sum() > 0:
             assert abs(t.sum() - total) <= 1e-9
+
+    def test_rows_are_independent_replicates(self):
+        # the second replicate has v = 0 on its only occupied bin: floor only
+        w = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        v = np.array([1.0, 1.0, 0.0])
+        t = allocate_targets(w, v, 10.0, 1.0)
+        assert np.allclose(t, [[4.5, 4.5, 1.0], [1.0, 1.0, 1.0]])
+        assert np.array_equal(t[0], allocate_targets(w[0], v, 10.0, 1.0))
 
 
 class TestSelect:
@@ -280,13 +295,13 @@ class TestSelect:
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.75, 0.25]))
         policy = TraditionalPolicy(bins, 2.0)
-        out = select(e, policy, rng=np.random.default_rng(0))
+        out = select(e, policy, u=np.random.default_rng(0).random(2))
         assert np.allclose(out.mean_children, [1.5, 0.5])
         assert np.all(out.weights == 0.5)
 
     def test_traditional_beta_sums_to_target_per_bin(self, setup, init150):
         policy = TraditionalPolicy(setup.bins, 5.0)
-        beta = select(init150, policy, rng=np.random.default_rng(0)).mean_children
+        beta = select(init150, policy, u=np.random.default_rng(0).random(150)).mean_children
         b = setup.bins.bin_of[init150.states]
         sums = np.bincount(b, weights=beta, minlength=setup.bins.n_bins)
         assert np.allclose(sums, 5.0)
@@ -294,7 +309,7 @@ class TestSelect:
     def test_adaptive_needs_v(self, setup, init150):
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
         with pytest.raises(ValueError):
-            select(e=init150, policy=policy, rng=np.random.default_rng(0))
+            select(e=init150, policy=policy, u=np.random.default_rng(0).random(150))
 
     def test_selection_unbiased_for_weighted_sums(self):
         # E[sum_i w_hat_i g(xi_hat_i)] = sum_j w_j g(xi_j) for any g
@@ -307,7 +322,7 @@ class TestSelect:
         vals = np.array(
             [
                 float(out.weights @ g[out.states])
-                for out in (select(e, policy, rng=rng) for _ in range(20_000))
+                for out in (select(e, policy, u=rng.random(3)) for _ in range(20_000))
             ]
         )
         se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -318,8 +333,20 @@ class TestSelect:
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         policy = TraditionalPolicy(bins, 0.25)  # beta = 0.25, usually killed
         rng = np.random.default_rng(3)
-        outcomes = [select(e, policy, rng=rng).n_selected for _ in range(200)]
+        outcomes = [select(e, policy, u=rng.random(1)).n_selected for _ in range(200)]
         assert 0 in outcomes
+
+    def test_children_stay_with_their_replicate(self):
+        # two replicates of one bin each: 0.75 + 0.25 and 1.0, target 2;
+        # uniforms 0 take every larger count
+        bins = BinPartition(np.array([0, 0]))
+        e = Ensemble(0, np.array([0, 1, 1]), np.array([0.75, 0.25, 1.0]),
+                     np.array([0, 2, 3]))
+        out = select(e, TraditionalPolicy(bins, 2.0), u=np.zeros(3))
+        assert np.allclose(out.mean_children, [1.5, 0.5, 2.0])
+        assert list(out.children_count) == [2, 1, 2]
+        assert list(out.offsets) == [0, 3, 5]
+        assert np.allclose(out.weights, [0.5, 0.5, 0.5, 0.5, 0.5])
 
 
 class TestMutate:
@@ -327,7 +354,7 @@ class TestMutate:
         K = TransitionMatrix(np.eye(3))
         e = Ensemble(0, np.array([0, 2]), np.array([0.5, 0.5]))
         out = select(e, NaivePolicy())
-        e2 = mutate(out, K, np.random.default_rng(0))
+        e2 = mutate(out, K, np.random.default_rng(0).random(2))
         assert np.array_equal(e2.states, e.states)
         assert np.array_equal(e2.weights, e.weights)
         assert e2.generation == 1
@@ -343,13 +370,13 @@ class TestMutate:
             mean_children=np.empty(0),
             generation=4,
         )
-        e = mutate(out, two_state, np.random.default_rng(0))
+        e = mutate(out, two_state, np.empty(0))
         assert e.n_particles == 0 and e.generation == 5
 
     def test_transition_frequencies(self, two_state):
         e = Ensemble(0, np.zeros(100_000, np.int64), np.full(100_000, 1e-5))
         out = select(e, NaivePolicy())
-        e2 = mutate(out, two_state, np.random.default_rng(11))
+        e2 = mutate(out, two_state, np.random.default_rng(11).random(100_000))
         frac = (e2.states == 1).mean()
         assert abs(frac - 0.1) <= 4 * np.sqrt(0.1 * 0.9 / e.n_particles)
 
@@ -370,21 +397,24 @@ class TestEmpiricalEstimate:
 
 class TestRunWe:
     def test_horizon_zero_reads_initial_ensemble(self, setup, init150):
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 0, RngStream(0))
-        assert rec.eta_f[0] == pytest.approx(
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 0, RngStream(0), [0])
+        assert rec.eta_f[0, 0] == pytest.approx(
             float(init150.weights @ setup.f.values[init150.states])
         )
-        assert not rec.extinct
+        assert not rec.extinct.any()
 
     def test_naive_preserves_population_and_weights(self, setup, init150):
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 10, RngStream(2))
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 10, RngStream(2),
+                     range(3))
         assert np.all(rec.num_particles == 150)
         assert np.allclose(rec.total_weight, init150.total_weight)
 
     def test_bit_identical_reruns(self, setup, model30, init150):
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-        a = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), v_table=model30.v)
-        b = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), v_table=model30.v)
+        a = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), [0],
+                   v_table=model30.v)
+        b = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), [0],
+                   v_table=model30.v)
         assert np.array_equal(a.eta_f, b.eta_f)
         assert np.array_equal(a.final.states, b.final.states)
         assert np.array_equal(a.final.weights, b.final.weights)
@@ -392,7 +422,7 @@ class TestRunWe:
     def test_naive_matches_plain_independent_chains(self, setup, init150):
         n = 12
         stream = RngStream(123, replicate=5)
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, stream)
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(123), [5])
         # plain simulation of 150 independent walkers from the same stream
         cum = setup.K.row_cumsums()
         states = init150.states.copy()
@@ -400,25 +430,41 @@ class TestRunWe:
             u = stream.at(p, "mutate").random(states.size)
             states = (u[:, None] >= cum[states]).sum(axis=1)
         assert np.array_equal(rec.final.states, states)
-        assert rec.eta_f[n] == float(init150.weights @ setup.f.values[states])
+        assert rec.eta_f[0, n] == float(init150.weights @ setup.f.values[states])
 
     def test_adaptive_requires_v_table(self, setup, init150):
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
         with pytest.raises(ValueError):
-            run_we(setup.K, setup.f, policy, init150, 3, RngStream(0))
+            run_we(setup.K, setup.f, policy, init150, 3, RngStream(0), [0])
 
     def test_extinction_stops_run_and_zeroes_eta(self, two_state):
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         policy = TraditionalPolicy(bins, 0.1)
-        for rep in range(50):
-            rec = run_we(
-                two_state, Observable(np.ones(2)), policy, e, 5,
-                RngStream(0, replicate=rep),
-            )
-            if rec.extinct:
-                assert rec.tau_kill is not None
-                assert np.all(rec.eta_f[rec.tau_kill:] == 0.0)
-                break
-        else:
-            pytest.fail("no extinction observed with kill-heavy policy")
+        rec = run_we(two_state, Observable(np.ones(2)), policy, e, 5, RngStream(0),
+                     range(50))
+        assert rec.extinct.any(), "no extinction observed with kill-heavy policy"
+        for eta, num, extinct in zip(rec.eta_f, rec.num_particles, rec.extinct):
+            if extinct:
+                tau = int(np.argmin(num))
+                assert num[tau] == 0 and np.all(num[tau:] == 0)
+                assert np.all(eta[tau:] == 0.0)
+        # a batch that dies out entirely stops at the generation it did
+        dead = run_we(two_state, Observable(np.ones(2)), policy, e, 5, RngStream(0),
+                      np.flatnonzero(rec.num_particles[:, 1] == 0)[:3])
+        assert dead.tau_kill == 1 and dead.extinct.all()
+
+    @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+    def test_replicate_rows_do_not_depend_on_the_batch(self, setup, model30, init150,
+                                                       mode):
+        # rows 31 and 32 straddle the boundary of the driver's chunks
+        policy = make_policy(mode, setup.bins, 150)
+        wide = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4), range(70),
+                      v_table=model30.v)
+        pair = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4), [31, 32],
+                      v_table=model30.v)
+        for field in ("eta_f", "num_particles", "total_weight", "extinct"):
+            assert np.array_equal(getattr(wide, field)[31:33], getattr(pair, field))
+        lo, hi = wide.final.offsets[31], wide.final.offsets[33]
+        assert np.array_equal(wide.final.states[lo:hi], pair.final.states)
+        assert np.array_equal(wide.final.weights[lo:hi], pair.final.weights)

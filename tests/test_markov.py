@@ -53,6 +53,23 @@ class TestTransitionMatrix:
         assert np.all(cum[:, -1] == 1.0)
         assert np.allclose(cum[:, 0], [0.9, 0.2])
 
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 8, 9, 90, 300])
+    def test_step_matches_the_count_rule(self, n_states):
+        # the bisection returns the count of cumsums <= u, zero rows and
+        # uniforms that equal a cumsum exactly included
+        rng = np.random.default_rng(n_states)
+        m = rng.random((n_states, n_states)) ** 4
+        m[m < 0.3] = 0.0
+        m[:, -1] += 1e-9
+        K = TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+        cum = K.row_cumsums()
+        states = rng.integers(0, n_states, 4000)
+        u = rng.random(4000)
+        u[:1000] = cum[states[:1000], rng.integers(0, n_states, 1000)]
+        u[u >= 1.0] = 0.0
+        assert np.array_equal(K.step(states, u),
+                              (u[:, None] >= cum[states]).sum(axis=1))
+
 
 class TestDistributionObservable:
     def test_distribution_must_sum_to_one(self):
