@@ -23,7 +23,7 @@ from weighted_ensemble import (
     stationary,
     we_hill_mfpt,
 )
-from weighted_ensemble.experiment import three_well_setup
+from weighted_ensemble.config import ExperimentConfig
 
 
 def main() -> int:
@@ -34,7 +34,7 @@ def main() -> int:
     parser.add_argument("--particles", type=int, default=150)
     args = parser.parse_args()
 
-    setup = three_well_setup()
+    setup = ExperimentConfig().build_setup()  # the 90-state benchmark
     rho = Distribution.point_mass(0, 90)
     sink = list(range(80, 90))
     spec = SourceSinkSpec(setup.K, frozenset(sink), rho)
@@ -43,10 +43,10 @@ def main() -> int:
     pi = stationary(source_sink_kernel(spec))
     pi_f = float(pi.weights[sink].sum())
 
+    policy = AdaptivePolicy(setup.bins, float(args.particles), 1.0)
     est = we_hill_mfpt(
-        spec, setup.bins,
-        lambda bins, model: AdaptivePolicy(bins, float(args.particles), 1.0),
-        args.horizon, args.reps, RngStream(args.seed), args.particles,
+        spec, setup.bins, policy, args.horizon, args.reps, RngStream(args.seed),
+        args.particles,
     )
     z = (est.eta_mean - pi_f) / est.eta_se
     print(f"pi(F) estimate : {est.eta_mean:.4e} +- {est.eta_se:.1e} (z={z:+.2f})")

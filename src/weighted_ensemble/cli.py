@@ -13,12 +13,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import CoarseModel, build_coarse_model, compute_v
-from .config import ExperimentConfig, parse_state_set
+from .coarse import CoarseModel, build_coarse_model
+from .config import ExperimentConfig
 from .diagnostics import run_checks
 from .engine import RngStream, stationary_init_ensemble
-from .experiment import ChainSetup, make_policy, run_sweep_cell, stationary_reference
-from .hill import SourceSinkSpec, direct_mfpt, source_sink_kernel, we_hill_hitting, we_hill_mfpt
+from .experiment import ChainSetup, SweepResult, make_policy, run_sweep_cell
+from .hill import (
+    SourceSinkSpec,
+    direct_mfpt,
+    hitting_probability,
+    source_sink_kernel,
+    we_hill_hitting,
+    we_hill_mfpt,
+)
 from .markov import ConvergenceError, Distribution, second_eigenvalue_modulus, stationary
 from .serialize import (
     config_hash,
@@ -32,8 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
-
-ORACLE_SIZE_LIMIT = 10**4
 
 
 def _common_flags(sub: argparse.ArgumentParser):
@@ -64,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> tuple[ExperimentConfig, ChainSetup]:
+    """The config phase: the config with its flag overrides, checked, and the
+    chain setup it builds. Each error here is a config error."""
     if args.command == "coarse":
         for flag in ("reps", "threads", "mode"):
             if getattr(args, flag) is not None:
@@ -80,7 +87,11 @@ def _load_config(args) -> ExperimentConfig:
     )
     if args.command == "hill" and len(cfg.modes) > 1:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
-    return cfg
+    setup = cfg.build_setup()
+    if args.command == "hill":
+        for key in ("source_state", "sink_states", "hit_a", "hit_b"):
+            cfg.state_set(key, setup.K.n_states)
+    return cfg, setup
 
 
 def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> CoarseModel:
@@ -90,8 +101,8 @@ def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> Coar
                               cfg.coarse_samples, cfg.seed)
 
 
-def cmd_coarse(cfg: ExperimentConfig, out: Path, h: str) -> int:
-    model = coarse_model(cfg, cfg.build_setup(), max(cfg.horizons))
+def cmd_coarse(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
+    model = coarse_model(cfg, setup, max(cfg.horizons))
     write_matrix_csv(out / "P.csv", model.P, h)
     write_vector_csv(out / "u.csv", model.u, h)
     write_vector_csv(out / "mu.csv", model.mu.weights, h)
@@ -101,23 +112,38 @@ def cmd_coarse(cfg: ExperimentConfig, out: Path, h: str) -> int:
     return EXIT_OK
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
-    setup = cfg.build_setup()
-    model = coarse_model(cfg, setup, max(cfg.horizons) or 1)
+def histograms(res: SweepResult, n_states: int) -> np.ndarray:
+    """Count and weight fractions per state in each surviving replicate's final
+    ensemble, averaged over the survivors. Replicates are added one at a time,
+    in replicate order, so the sums do not depend on how they were batched."""
+    hist = np.zeros((2, n_states))
+    final = res.final
+    bounds = final.offsets.tolist()
+    for start, end, total in zip(bounds, bounds[1:], res.weight_traces[:, -1]):
+        if start == end:  # extinct
+            continue
+        states = final.states[start:end]
+        hist[0] += np.bincount(states, minlength=n_states) / (end - start)
+        hist[1] += np.bincount(states, weights=final.weights[start:end],
+                               minlength=n_states) / total
+    return hist / max(res.reps - res.extinct_count, 1)
+
+
+def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
+    n_max = max(cfg.horizons)
+    model = coarse_model(cfg, setup, n_max or 1)
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
-    pi_f = stationary_reference(setup)
+    pi_f = float(stationary(setup.K).weights @ setup.f.values)
+    n_states = setup.K.n_states
 
     summary_rows = []
     hist_rows = []
     extinct_total = 0
-    n_max = max(cfg.horizons)
     for mode in cfg.modes:
-        for res in run_sweep_cell(
-            setup, mode, cfg.horizons, cfg.reps, cfg.seed,
-            n_particles=cfg.n_particles, n_floor=cfg.n_floor,
-            per_bin_target=cfg.per_bin_target, model=model, init=init,
-            threads=cfg.threads,
-        ):
+        policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
+                             cfg.per_bin_target)
+        for res in run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
+                                  cfg.seed, model.v, cfg.threads):
             n = res.n
             extinct_total += res.extinct_count
             summary_rows.append((
@@ -134,10 +160,10 @@ def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
             write_rows(out / f"runs_{mode}_n{n}.csv",
                        ("replicate", "p", "eta_f", "total_weight",
                         "num_particles", "extinct"), run_rows, h)
-            if n == n_max:
-                for i in range(setup.K.n_states):
-                    hist_rows.append((mode, i + 1, res.hist_counts[i],
-                                      res.hist_weights[i]))
+            if res.final is not None:
+                count_frac, weight_frac = histograms(res, n_states)
+                hist_rows += [(mode, i + 1, count_frac[i], weight_frac[i])
+                              for i in range(n_states)]
             if res.extinct_count > 0.01 * cfg.reps:
                 print(f"warning: {res.extinct_count}/{cfg.reps} replicates went "
                       f"extinct in mode={mode}, n={n}", file=sys.stderr)
@@ -148,7 +174,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
     write_rows(out / "histograms.csv",
                ("mode", "i", "count_fraction", "weight_fraction"), hist_rows, h)
     # v tables at p = 0 and p = n_max - 1 (the figure-3 style snapshot)
-    v = compute_v(model.P, model.u, n_max) if n_max >= 1 else np.zeros((1, model.n_bins))
+    v = model.v if n_max >= 1 else np.zeros((1, model.n_bins))
     snap_rows = [(p, r + 1, v[p, r])
                  for p in ((0, n_max - 1) if n_max >= 1 else (0,))
                  for r in range(v.shape[1])]
@@ -159,8 +185,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, h: str) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: ExperimentConfig, out: Path, h: str) -> int:
-    setup = cfg.build_setup()
+def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     n = cfg.diag_horizon
     model = coarse_model(cfg, setup, max(n, 1))
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
@@ -184,49 +209,38 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, h: str) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_hill(cfg: ExperimentConfig, out: Path, h: str) -> int:
-    setup = cfg.build_setup()
+def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     n_states = setup.K.n_states
     base = setup.K
     rho = Distribution.point_mass(cfg.source_state - 1, n_states)
-    sink = parse_state_set(cfg.sink_states)
+    sink = cfg.state_set("sink_states", n_states)
     spec = SourceSinkSpec(base, frozenset(sink), rho)
+    policy = make_policy(cfg.modes[0], setup.bins, cfg.n_particles,
+                         cfg.n_floor, cfg.per_bin_target)
 
-    def policy_factory(bins, model):
-        return make_policy(cfg.modes[0], bins, cfg.n_particles,
-                           cfg.n_floor, cfg.per_bin_target)
-
-    est = we_hill_mfpt(spec, setup.bins, policy_factory, cfg.hill_horizon,
+    est = we_hill_mfpt(spec, setup.bins, policy, cfg.hill_horizon,
                        cfg.reps, RngStream(cfg.seed), cfg.n_particles,
                        threads=cfg.threads, coarse_samples=cfg.coarse_samples)
-    rows = []
-    if n_states <= ORACLE_SIZE_LIMIT:
-        oracle_mfpt = direct_mfpt(base, rho, sink)
-        pi = stationary(source_sink_kernel(spec))
-        oracle_pif = float(pi.weights[sink].sum())
-    else:
-        oracle_mfpt = float("nan")
-        oracle_pif = float("nan")
-    rows.append(("pi_F", est.eta_mean, oracle_pif, est.eta_se,
-                 est.invalid_replicates))
-    rows.append(("mfpt", est.mfpt, oracle_mfpt,
-                 est.eta_se / est.eta_mean**2, est.invalid_replicates))
+    oracle_mfpt = direct_mfpt(base, rho, sink)
+    pi = stationary(source_sink_kernel(spec))
+    oracle_pif = float(pi.weights[sink].sum())
+    rows = [
+        ("pi_F", est.eta_mean, oracle_pif, est.eta_se, est.invalid_replicates),
+        ("mfpt", est.mfpt, oracle_mfpt, est.eta_se / est.eta_mean**2,
+         est.invalid_replicates),
+    ]
     if cfg.hit_a and cfg.hit_b:
-        A = parse_state_set(cfg.hit_a)
-        B = parse_state_set(cfg.hit_b)
-        hit = we_hill_hitting(base, rho, A, B, setup.bins, policy_factory,
+        A = cfg.state_set("hit_a", n_states)
+        B = cfg.state_set("hit_b", n_states)
+        hit = we_hill_hitting(base, rho, A, B, setup.bins, policy,
                               cfg.hill_horizon, cfg.reps, RngStream(cfg.seed),
                               cfg.n_particles, threads=cfg.threads,
                               coarse_samples=cfg.coarse_samples)
-        if n_states <= ORACLE_SIZE_LIMIT:
-            pi_hit = stationary(source_sink_kernel(SourceSinkSpec(
-                base, frozenset(A) | frozenset(B), rho)))
-            from .hill import hitting_probability
-            oracle_hit = hitting_probability(pi_hit, A, B)
-        else:
-            oracle_hit = float("nan")
-        rows.append(("hitting_probability", hit.probability, oracle_hit,
-                     float("nan"), hit.extinct_replicates))
+        pi_hit = stationary(source_sink_kernel(SourceSinkSpec(
+            base, frozenset(A) | frozenset(B), rho)))
+        rows.append(("hitting_probability", hit.probability,
+                     hitting_probability(pi_hit, A, B), float("nan"),
+                     hit.extinct_replicates))
     write_rows(out / "hill.csv",
                ("quantity", "estimate", "oracle", "std_err", "invalid_replicates"),
                rows, h)
@@ -239,7 +253,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg, setup = _load_config(args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -254,7 +268,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_bytes(text.encode())
     try:
-        return handler(cfg, out, config_hash(text))
+        return handler(cfg, setup, out, config_hash(text))
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

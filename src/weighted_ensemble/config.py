@@ -126,6 +126,16 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+    def state_set(self, key: str, n_states: int) -> list[int]:
+        """The 0-indexed states of the 1-indexed state field ``key``; raises
+        ValueError unless each lies in 1..n_states."""
+        text = str(getattr(self, key))
+        states = parse_state_set(text)
+        if states and states[-1] >= n_states:
+            raise ValueError(f"{key} = {text} names a state above {n_states}, "
+                             "the chain's state count")
+        return states
+
     def build_setup(self) -> ChainSetup:
         """Materialize the chain, bins, observable, and sampling measure."""
         if self.chain == "three-well":
@@ -142,6 +152,6 @@ class ExperimentConfig:
             if f.n_states != n:
                 raise ValueError("observable vector length does not match chain")
         else:
-            f = Observable.indicator(parse_state_set(self.f_states), n)
+            f = Observable.indicator(self.state_set("f_states", n), n)
         zeta = Distribution(np.full(n, 1.0 / n))
         return ChainSetup(K=K, bins=bins, f=f, zeta=zeta, Q=Q)

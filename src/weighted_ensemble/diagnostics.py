@@ -136,6 +136,11 @@ def optimal_allocation(
     return total_target * score / denom
 
 
+def policy_name(policy: SelectionPolicy) -> str:
+    """The policy's mode name: adaptive, traditional or naive."""
+    return type(policy).__name__.removesuffix("Policy").lower()
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """One verification row; `value` is the MC side, `reference` the exact or
@@ -149,10 +154,6 @@ class CheckReport:
     std_err: float
     z: float
     passed: bool
-
-
-def _policy_name(policy: SelectionPolicy) -> str:
-    return type(policy).__name__.removesuffix("Policy").lower()
 
 
 def doob_terms(
@@ -232,7 +233,7 @@ def run_checks(
     m0 = float(init.weights @ gseq.g[0][init.states])
     vals, accum = doob_replicates(K, f, policy, init, gseq, reps, rng, v_table,
                                   threads)
-    name = _policy_name(policy)
+    name = policy_name(policy)
 
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(reps))

@@ -1,10 +1,12 @@
-"""Three-well experiment driver: setup, replicate sweeps, histograms.
+"""Replicate sweeps of the stationary-average workflow on a chain setup.
 
-The benchmark chain is the 90-state three-well landscape with resampling lag
-4, bins of width 3 (R = 30), observable f = indicator of states 28..33, and
-the stationary-average workflow started from the coarse-model preconditioned
-ensemble. Replicates can fan out over worker processes; results depend only
-on (seed, config), never on the worker count.
+A setup is a chain with its binning, observable and sampling measure: the
+90-state three-well benchmark of `run`, a chain read from CSV, or a
+source-sink chain of `hill`. `run_sweep_cell` is the one runner for all of
+them: every replicate starts from the same initial ensemble (the coarse
+model's mu-preconditioned spread), selects with one policy, and is read out at
+one or more horizons. Replicates can fan out over worker processes; results
+depend only on (seed, config), never on the worker count.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .binning import BinPartition
-from .coarse import CoarseModel, build_coarse_model, compute_v
 from .engine import (
     AdaptivePolicy,
     Ensemble,
@@ -25,15 +26,9 @@ from .engine import (
     TraditionalPolicy,
     replicates,
     run_we,
-    stationary_init_ensemble,
 )
-from .markov import (
-    Distribution,
-    Observable,
-    TransitionMatrix,
-    build_three_well_chain,
-    stationary,
-)
+from .diagnostics import policy_name
+from .markov import Distribution, Observable, TransitionMatrix
 
 MODES = ("adaptive", "traditional", "naive")
 
@@ -47,17 +42,6 @@ class ChainSetup:
     f: Observable
     zeta: Distribution
     Q: Optional[TransitionMatrix] = None  # one-step matrix when K is a lag power
-
-
-def three_well_setup(lag: int = 4, bin_width: int = 3,
-                     f_lo: int = 28, f_hi: int = 33) -> ChainSetup:
-    """The benchmark configuration; f_lo..f_hi are 1-indexed states."""
-    Q, K = build_three_well_chain(lag)
-    n = K.n_states
-    bins = BinPartition.from_width(n, bin_width)
-    f = Observable.indicator(range(f_lo - 1, f_hi), n)
-    zeta = Distribution(np.full(n, 1.0 / n))
-    return ChainSetup(K=K, bins=bins, f=f, zeta=zeta, Q=Q)
 
 
 def make_policy(
@@ -86,8 +70,7 @@ class SweepResult:
     traces: np.ndarray  # (reps, n+1) eta per generation
     weight_traces: np.ndarray  # (reps, n+1) total weight
     count_traces: np.ndarray  # (reps, n+1) particle counts, 0 from extinction on
-    hist_counts: Optional[np.ndarray] = None  # mean per-replicate count fractions
-    hist_weights: Optional[np.ndarray] = None  # mean per-replicate weight fractions
+    final: Optional[Ensemble] = None  # every replicate's last ensemble, largest n only
 
     def __post_init__(self):
         self.reps = self.traces.shape[0]
@@ -108,36 +91,40 @@ class SweepResult:
         return self.std / np.sqrt(self.reps)
 
 
+def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
+    """One ensemble holding the replicates of consecutive batches, in order."""
+    sizes = np.concatenate([e.sizes for e in finals])
+    return Ensemble(generation, np.concatenate([e.states for e in finals]),
+                    np.concatenate([e.weights for e in finals]),
+                    np.concatenate(([0], np.cumsum(sizes))))
+
+
 def run_sweep_cell(
     setup: ChainSetup,
-    mode: str,
+    init: Ensemble,
+    policy: SelectionPolicy,
     horizons: Sequence[int],
     reps: int,
     seed: int,
-    n_particles: int = 150,
-    n_floor: float = 1.0,
-    per_bin_target: float = 5.0,
-    model: Optional[CoarseModel] = None,
-    init: Optional[Ensemble] = None,
+    v_table: Optional[np.ndarray] = None,
     threads: int = 1,
 ) -> list[SweepResult]:
-    """Run one mode of the experiment; one result per horizon, in order.
+    """Run replicates 0..reps-1 of ``seed`` from ``init`` under one policy;
+    one result per horizon, in order.
 
-    The coarse model preconditions the initial ensemble for every mode; only
-    the adaptive mode also uses its v table during selection. That table is
-    recomputed for each horizon, so adaptive runs once per horizon. The other
-    modes never read the horizon and draw by (replicate, generation), so one
-    run to the largest horizon holds every shorter run as its prefix; their
-    cells are views into it. Histograms are kept for the largest horizon.
+    Only the adaptive policy reads ``v_table``, the coarse model's table for
+    some horizon H >= max(horizons). The table for a horizon n is the last n
+    rows of it (the same backward recursion, bit for bit), so adaptive runs
+    once per horizon. The other policies never read the horizon and draw by
+    (replicate, generation), so one run to the largest horizon holds every
+    shorter run as its prefix; their cells are views into it. The largest
+    horizon's cells also carry the final ensemble of every replicate.
     """
     n_max = max(horizons)
-    if model is None:
-        model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f,
-                                   horizon=max(n_max, 1))
-    if init is None:
-        init = stationary_init_ensemble(model.mu, setup.bins, n_particles)
-    policy = make_policy(mode, setup.bins, n_particles, n_floor, per_bin_target)
     adaptive = isinstance(policy, AdaptivePolicy)
+    rows = 0 if v_table is None else len(v_table)
+    if adaptive and n_max > rows:
+        raise ValueError(f"v table has {rows} rows, fewer than horizon {n_max}")
 
     # exact reference eta_0 K^p f for p = 0..n_max from the initial ensemble
     gn = setup.f.values.copy()
@@ -146,17 +133,17 @@ def run_sweep_cell(
         gn = setup.K.matrix @ gn
         exact.append(float(init.weights @ gn[init.states]))
 
-    n_states = setup.K.n_states
+    mode = policy_name(policy)
     results = []
     for cells in ([[n] for n in horizons] if adaptive else [horizons]):
         n = max(cells)
-        v_table = compute_v(model.P, model.u, n) if adaptive and n >= 1 else None
+        v_n = v_table[rows - n:] if adaptive and n >= 1 else None
         traces = np.empty((reps, n + 1))
         weights = np.empty((reps, n + 1))
         counts = np.empty((reps, n + 1), dtype=np.int64)
-        hist = np.zeros((2, n_states))  # count and weight fractions
+        finals = []
         one = partial(run_we, setup.K, setup.f, policy, init, n, RngStream(seed),
-                      v_table=v_table)
+                      v_table=v_n)
         lo = 0
         for rec in replicates(one, reps, threads):
             hi = lo + len(rec.eta_f)
@@ -164,27 +151,11 @@ def run_sweep_cell(
             weights[lo:hi] = rec.total_weight
             counts[lo:hi] = rec.num_particles
             lo = hi
-            if n < n_max:
-                continue
-            # added one replicate at a time, in replicate order, so the sums
-            # do not depend on how the replicates were batched
-            bounds = rec.final.offsets.tolist()
-            for b, (start, end) in enumerate(zip(bounds, bounds[1:])):
-                if start == end:  # extinct
-                    continue
-                states = rec.final.states[start:end]
-                hist[0] += np.bincount(states, minlength=n_states) / (end - start)
-                hist[1] += np.bincount(states, weights=rec.final.weights[start:end],
-                                       minlength=n_states) / rec.total_weight[b, n]
-        hist /= max(np.count_nonzero(counts[:, n]), 1)  # mean over survivors
+            if n == n_max:
+                finals.append(rec.final)
+        final = _merge(finals, n) if finals else None
         results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
                                 weights[:, :h + 1], counts[:, :h + 1],
-                                *(hist if h == n_max else ()))
+                                final if h == n_max else None)
                     for h in cells]
     return results
-
-
-def stationary_reference(setup: ChainSetup) -> float:
-    """pi(f) from the exact stationary solve of the chain kernel."""
-    pi = stationary(setup.K)
-    return float(pi.weights @ setup.f.values)

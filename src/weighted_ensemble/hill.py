@@ -9,20 +9,18 @@ Hill relation) and P^rho[tau_B < tau_A] = pi(B)/pi(A u B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .binning import BinPartition
-from .coarse import CoarseModel, build_coarse_model
+from .coarse import build_coarse_model
 from .engine import (
     RngStream,
+    SelectionPolicy,
     empirical_estimate,
-    replicates,
-    run_we,
     stationary_init_ensemble,
 )
+from .experiment import ChainSetup, SweepResult, run_sweep_cell
 from .markov import Distribution, Observable, TransitionMatrix
 
 
@@ -48,12 +46,6 @@ class SourceSinkSpec:
             raise ValueError("source distribution has mass on the sink set")
         object.__setattr__(self, "sink", sink)
 
-    @property
-    def sink_indicator(self) -> np.ndarray:
-        mask = np.zeros(self.base_kernel.n_states, dtype=bool)
-        mask[sorted(self.sink)] = True
-        return mask
-
 
 def source_sink_kernel(spec: SourceSinkSpec) -> TransitionMatrix:
     """K = K0 outside F; every row inside F is replaced by rho K0, i.e. the
@@ -61,7 +53,7 @@ def source_sink_kernel(spec: SourceSinkSpec) -> TransitionMatrix:
     K0 = spec.base_kernel.matrix
     restart_row = spec.source.weights @ K0
     K = K0.copy()
-    K[spec.sink_indicator] = restart_row
+    K[sorted(spec.sink)] = restart_row
     return TransitionMatrix(K)
 
 
@@ -109,48 +101,29 @@ def direct_mfpt(K0: TransitionMatrix, rho: Distribution, F) -> float:
     return float(rho.weights @ full)
 
 
-def stationary_replicate_estimates(
+def _stationary_cell(
     K: TransitionMatrix,
     bins: BinPartition,
-    policy_factory,
+    policy: SelectionPolicy,
     f_guide: Observable,
-    observables: Sequence[Observable],
     n: int,
     reps: int,
     rng: RngStream,
     n_particles: int,
-    zeta: Optional[Distribution] = None,
-    threads: int = 1,
-    coarse_samples: int = 0,
-) -> tuple[np.ndarray, CoarseModel, int]:
-    """Run the stationary-average workflow and evaluate eta_n for several
-    observables from the same replicates.
-
-    Builds a coarse model on K guided by ``f_guide`` (exact, or from
-    ``coarse_samples`` one-step samples), starts each replicate from the
-    mu-preconditioned even-spread ensemble, and returns a
-    (reps x len(observables)) matrix of eta_n values, the coarse model, and
-    the number of extinct replicates, whose eta is 0 for every observable.
-    ``policy_factory(bins, model)`` builds the selection policy.
-    """
-    n_states = K.n_states
-    if zeta is None:
-        zeta = Distribution(np.full(n_states, 1.0 / n_states))
+    threads: int,
+    coarse_samples: int,
+) -> SweepResult:
+    """Replicates 0..reps-1 of the stationary-average workflow on K to horizon
+    n, from the mu-preconditioned ensemble of the coarse model guided by
+    ``f_guide`` (exact, or from ``coarse_samples`` one-step samples) under the
+    uniform sampling measure."""
+    zeta = Distribution(np.full(K.n_states, 1.0 / K.n_states))
     model = build_coarse_model(K, bins, zeta, f_guide, max(n, 1), coarse_samples,
                                rng.seed)
     init = stationary_init_ensemble(model.mu, bins, n_particles)
-    policy = policy_factory(bins, model)
-    one = partial(run_we, K, f_guide, policy, init, n, rng, v_table=model.v)
-    out = np.zeros((reps, len(observables)))
-    extinct = 0
-    lo = 0
-    for rec in replicates(one, reps, threads):
-        hi = lo + len(rec.eta_f)
-        extinct += int(rec.extinct.sum())
-        for k, obs in enumerate(observables):
-            out[lo:hi, k] = empirical_estimate(rec.final, obs)
-        lo = hi
-    return out, model, extinct
+    setup = ChainSetup(K=K, bins=bins, f=f_guide, zeta=zeta)
+    return run_sweep_cell(setup, init, policy, (n,), reps, rng.seed, model.v,
+                          threads)[0]
 
 
 @dataclass(frozen=True)
@@ -176,35 +149,29 @@ class HillEstimate:
 def we_hill_mfpt(
     spec: SourceSinkSpec,
     bins: BinPartition,
-    policy_factory,
+    policy: SelectionPolicy,
     n: int,
     reps: int,
     rng: RngStream,
     n_particles: int,
-    zeta: Optional[Distribution] = None,
     threads: int = 1,
     coarse_samples: int = 0,
 ) -> HillEstimate:
     """Estimate E^rho[tau_F] = 1/pi(F) on the source-sink chain with f = 1_F."""
     K = source_sink_kernel(spec)
     f = Observable.indicator(sorted(spec.sink), K.n_states)
-    etas, _, extinct = stationary_replicate_estimates(
-        K, bins, policy_factory, f, [f], n, reps, rng, n_particles, zeta, threads,
-        coarse_samples,
-    )
-    etas = etas[:, 0]
-    mean = float(etas.mean())
-    if mean <= 0:
+    res = _stationary_cell(K, bins, policy, f, n, reps, rng, n_particles, threads,
+                           coarse_samples)
+    if res.mean <= 0:
         raise ValueError("mean eta_n(1_F) is not positive; cannot invert")
-    std = float(etas.std(ddof=1)) if reps > 1 else 0.0
     return HillEstimate(
-        eta_mean=mean,
-        eta_std=std,
-        eta_se=std / np.sqrt(reps),
-        mfpt=1.0 / mean,
-        replicate_etas=etas,
-        invalid_replicates=int((etas <= 0).sum()),
-        extinct_replicates=extinct,
+        eta_mean=res.mean,
+        eta_std=res.std,
+        eta_se=res.std_err,
+        mfpt=1.0 / res.mean,
+        replicate_etas=res.etas,
+        invalid_replicates=int((res.etas <= 0).sum()),
+        extinct_replicates=res.extinct_count,
     )
 
 
@@ -225,12 +192,11 @@ def we_hill_hitting(
     A,
     B,
     bins: BinPartition,
-    policy_factory,
+    policy: SelectionPolicy,
     n: int,
     reps: int,
     rng: RngStream,
     n_particles: int,
-    zeta: Optional[Distribution] = None,
     threads: int = 1,
     coarse_samples: int = 0,
 ) -> HittingEstimate:
@@ -243,10 +209,9 @@ def we_hill_hitting(
     K = source_sink_kernel(spec)
     f_ab = Observable.indicator(A + B, K.n_states)
     f_b = Observable.indicator(B, K.n_states)
-    etas, _, extinct = stationary_replicate_estimates(
-        K, bins, policy_factory, f_ab, [f_b, f_ab], n, reps, rng, n_particles, zeta,
-        threads, coarse_samples,
-    )
+    res = _stationary_cell(K, bins, policy, f_ab, n, reps, rng, n_particles,
+                           threads, coarse_samples)
+    etas = np.column_stack((empirical_estimate(res.final, f_b), res.etas))
     mean_b = float(etas[:, 0].mean())
     mean_ab = float(etas[:, 1].mean())
     if mean_ab <= 0:
@@ -256,5 +221,5 @@ def we_hill_hitting(
         eta_b_mean=mean_b,
         eta_ab_mean=mean_ab,
         replicate_etas=etas,
-        extinct_replicates=extinct,
+        extinct_replicates=res.extinct_count,
     )

@@ -15,6 +15,11 @@ import numpy as np
 from .markov import Observable, TransitionMatrix
 
 
+# largest chain a CSV may hold: its dense S x S matrix and the exact
+# stationary and first-passage solves on it stay within memory and time
+ORACLE_SIZE_LIMIT = 10**4
+
+
 def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -73,21 +78,50 @@ def _read_csv(path: Path) -> list[list[str]]:
                 if row and not row[0].startswith("#")]
 
 
-def read_matrix_csv(path: Path) -> TransitionMatrix:
+def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, list[float]]:
+    """The data rows of an i,value (width 1) or i,j,value (width 2) CSV: the
+    state count n, the largest i; each row's 0-indexed indices; its values.
+
+    Raises ValueError, naming the row, for an index outside 1..n or an index
+    that an earlier row already set, and for n above ORACLE_SIZE_LIMIT, before
+    anything of size n is allocated.
+    """
     rows = _read_csv(path)[1:]  # drop header
-    n = max(int(r[0]) for r in rows)
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    for row in rows:
+        if len(row) != width + 1:
+            raise ValueError(f"{path}: row {','.join(row)!r} needs {width + 1} fields")
+    index = np.array([int(t) for row in rows for t in row[:width]])
+    index = index.reshape(-1, width) - 1
+    n = int(index[:, 0].max()) + 1
+    if n > ORACLE_SIZE_LIMIT:
+        raise ValueError(f"{path} names state {n}; chains have at most "
+                         f"{ORACLE_SIZE_LIMIT} states")
+    outside = np.flatnonzero(((index < 0) | (index >= n)).any(axis=1))
+    if outside.size:
+        row = ",".join(rows[outside[0]])
+        raise ValueError(f"{path}: row {row!r} has an index outside 1..{n}")
+    flat = np.ravel_multi_index(tuple(index.T), (n,) * width)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][np.diff(flat[order]) == 0]
+    if repeats.size:
+        row = ",".join(rows[repeats.min()])
+        raise ValueError(f"{path}: row {row!r} repeats the index of an earlier row")
+    return n, index, [float(row[width]) for row in rows]
+
+
+def read_matrix_csv(path: Path) -> TransitionMatrix:
+    n, index, values = _read_indexed(path, 2)
     m = np.zeros((n, n))
-    for i, j, val in rows:
-        m[int(i) - 1, int(j) - 1] = float(val)
+    m[index[:, 0], index[:, 1]] = values
     return TransitionMatrix(m)
 
 
 def read_vector_csv(path: Path) -> np.ndarray:
-    rows = _read_csv(path)[1:]
-    n = max(int(r[0]) for r in rows)
+    n, index, values = _read_indexed(path, 1)
     v = np.zeros(n)
-    for i, val in rows:
-        v[int(i) - 1] = float(val)
+    v[index[:, 0]] = values
     return v
 
 

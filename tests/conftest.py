@@ -4,7 +4,7 @@ import pytest
 from weighted_ensemble import TransitionMatrix
 from weighted_ensemble.coarse import build_coarse_model
 from weighted_ensemble.engine import stationary_init_ensemble
-from weighted_ensemble.experiment import three_well_setup
+from weighted_ensemble.config import ExperimentConfig
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def two_state():
 
 @pytest.fixture(scope="session")
 def setup():
-    return three_well_setup()
+    return ExperimentConfig().build_setup()
 
 
 @pytest.fixture(scope="session")

@@ -103,7 +103,8 @@ def short_cells(setup, model30, init150):
         (mode, res.n): res
         for mode in ("adaptive", "traditional", "naive")
         for res in run_sweep_cell(
-            setup, mode, (1, 5), reps=2000, seed=SEED, model=model30, init=init150
+            setup, init150, make_policy(mode, setup.bins, 150), (1, 5), reps=2000,
+            seed=SEED, v_table=model30.v,
         )
     }
 
@@ -113,7 +114,8 @@ def sweep30(setup, model30, init150):
     """mode -> SweepResult at n = 30, 1000 replicates each."""
     return {
         mode: run_sweep_cell(
-            setup, mode, (30,), reps=1000, seed=SEED, model=model30, init=init150
+            setup, init150, make_policy(mode, setup.bins, 150), (30,), reps=1000,
+            seed=SEED, v_table=model30.v,
         )[0]
         for mode in ("adaptive", "traditional", "naive")
     }
@@ -123,12 +125,9 @@ def sweep30(setup, model30, init150):
 def hill_estimate(setup):
     rho = Distribution.point_mass(0, 90)
     spec = SourceSinkSpec(setup.K, frozenset(range(80, 90)), rho)
-
-    def policy_factory(bins, model):
-        return AdaptivePolicy(bins, 150.0, 1.0)
-
+    policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
     return we_hill_mfpt(
-        spec, setup.bins, policy_factory, HILL_HORIZON, 1000, RngStream(SEED), 150
+        spec, setup.bins, policy, HILL_HORIZON, 1000, RngStream(SEED), 150
     )
 
 

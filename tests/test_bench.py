@@ -31,6 +31,8 @@ def test_probe_traces_a_small_sweep(tmp_path):
     # the probe counts eta_f.size - 1 per batch record of 5 x (n + 1) values
     assert layers["engine.run_we"]["generations"] == (5 * 2 - 1) + 3 * (5 * 3 - 1)
     assert layers["experiment.run_sweep_cell"]["calls"] == 3
+    # one v table, the coarse model's, serves every horizon and the snapshot
+    assert layers["coarse.compute_v"]["calls"] == 1
     # per replicate, a select and a mutate stream per generation, the naive
     # one mutate only
     assert layers["engine.rng_at"]["calls"] == 5 * (2 * (1 + 2 + 2) + 2)

@@ -261,11 +261,16 @@ class TestHill:
         assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_results(self, tmp_path):
-        cfg = write_config(
-            tmp_path, mode="adaptive", hill_horizon="20", reps="40",
-            n_particles="60", horizons="1",
-        )
+        small = dict(mode="adaptive", hill_horizon="20", n_particles="60",
+                     horizons="1")
+        cfg = write_config(tmp_path, reps="40", **small)
         assert_threads_do_not_change_outputs(tmp_path, "hill", cfg, 2)
+        # the hitting estimate reads the final ensembles of all three batches
+        # of 70 replicates, merged in replicate order
+        hit = tmp_path / "hit"
+        hit.mkdir()
+        cfg = write_config(hit, reps="70", hit_a="11..30", hit_b="61..75", **small)
+        assert_threads_do_not_change_outputs(hit, "hill", cfg, 2)
 
     def test_three_state_hitting_probability(self, tmp_path):
         K0 = TransitionMatrix(
@@ -314,6 +319,37 @@ class TestExitCodes:
         flag = ["--seed", "-1"] if where == "flag" else []
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"chain": "nope"}),
+        ("run", {"bin_width": "7"}),
+        ("run", {"f_states": "95"}),
+        ("hill", {"source_state": "95"}),
+        ("hill", {"source_state": "0"}),
+        ("hill", {"hit_a": "1..10", "hit_b": "91"}),
+        # CSV files, given by their data rows: a 0 index that would wrap to
+        # the last state, a vector index 0, and a state above 10^4
+        ("run", {"chain": ["1,1,0.9", "1,2,0.1", "0,1,0.2", "2,2,0.8"],
+                 "bin_width": "1", "f_states": "2"}),
+        ("run", {"f_states": ["0,1.0", "90,0.0"]}),
+        ("run", {"chain": ["10001,1,1.0"]}),
+    ], ids=["chain", "bin_width", "f_states", "source_above", "source_zero",
+            "hit_b", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big"])
+    def test_bad_setup_input_is_config_error(self, tmp_path, capsys, command,
+                                             config):
+        values = {}
+        for key, value in config.items():
+            if isinstance(value, list):
+                path = tmp_path / f"{key}.csv"
+                header = "i,j,value" if key == "chain" else "i,value"
+                path.write_text("\n".join([header, *value]) + "\n")
+                value = f"csv:{path}"
+            values[key] = value
+        cfg = write_config(tmp_path, horizons="1", reps="2", **values)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path):

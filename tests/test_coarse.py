@@ -143,6 +143,12 @@ class TestComputeV:
             ref = np.array([P @ (w[n - p - 1] ** 2) - w[n - p] ** 2 for p in range(n)])
             assert np.array_equal(compute_v(model30.P, u, n), np.maximum(ref, 0.0))
 
+    def test_shorter_horizon_is_the_tail_of_a_longer_one(self, model30):
+        # the runner reads horizon n's table as the last n rows of the model's
+        table = compute_v(model30.P, model30.u, 30)
+        for n in range(1, 31):
+            assert np.array_equal(compute_v(model30.P, model30.u, n), table[30 - n:])
+
     def test_nonnegative_on_benchmark_model(self, model30):
         assert model30.v.shape == (30, 30)
         assert model30.v.min() >= 0.0

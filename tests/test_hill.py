@@ -134,16 +134,12 @@ class TestExactIdentities:
             direct_mfpt(K0, Distribution.point_mass(0, 2), [1])
 
 
-def traditional_factory(target=5.0):
-    return lambda bins, model: TraditionalPolicy(bins, target)
-
-
 class TestWeEstimators:
     def test_two_state_mfpt_estimate(self, two_state, two_state_spec):
         # the source-sink kernel is rank one, so eta relaxes in a single step
         bins = BinPartition(np.arange(2))
         est = we_hill_mfpt(
-            two_state_spec, bins, traditional_factory(10.0), 10, 300,
+            two_state_spec, bins, TraditionalPolicy(bins, 10.0), 10, 300,
             RngStream(0), 20,
         )
         assert abs(est.eta_mean - 0.1) <= 5 * est.eta_se
@@ -160,7 +156,8 @@ class TestWeEstimators:
         spec = SourceSinkSpec(K0, frozenset({1, 2}), rho)
         assert direct_mfpt(K0, rho, [1, 2]) == pytest.approx(1.0)
         bins = BinPartition(np.arange(3))
-        est = we_hill_mfpt(spec, bins, traditional_factory(), 5, 50, RngStream(1), 12)
+        est = we_hill_mfpt(spec, bins, TraditionalPolicy(bins, 5.0), 5, 50,
+                           RngStream(1), 12)
         # every particle sits inside F, so eta_n(1_F) is the total weight:
         # random under stochastic rounding but unbiased around 1
         assert abs(est.eta_mean - 1.0) <= 5 * est.eta_se
@@ -170,7 +167,7 @@ class TestWeEstimators:
         K0, rho = three_state_symmetric
         bins = BinPartition(np.arange(3))
         est = we_hill_hitting(
-            K0, rho, [0], [2], bins, traditional_factory(10.0), 8, 200,
+            K0, rho, [0], [2], bins, TraditionalPolicy(bins, 10.0), 8, 200,
             RngStream(2), 24,
         )
         se = est.replicate_etas[:, 0].std(ddof=1) / np.sqrt(200)
@@ -181,6 +178,6 @@ class TestWeEstimators:
         bins = BinPartition(np.arange(3))
         with pytest.raises(ValueError):
             we_hill_hitting(
-                K0, rho, [0], [0, 2], bins, traditional_factory(), 4, 10,
+                K0, rho, [0], [0, 2], bins, TraditionalPolicy(bins, 5.0), 4, 10,
                 RngStream(0), 6,
             )

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from weighted_ensemble import TransitionMatrix
 from weighted_ensemble.serialize import (
+    ORACLE_SIZE_LIMIT,
     config_hash,
     read_matrix_csv,
     read_vector_csv,
@@ -68,3 +70,46 @@ def test_identical_writes_are_byte_identical(tmp_path, two_state):
     write_matrix_csv(a, two_state, cfg_hash="x")
     write_matrix_csv(b, two_state, cfg_hash="x")
     assert a.read_bytes() == b.read_bytes()
+
+
+def write_csv(path, header, *rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("rows, match", [
+    (("1,1,1.0", "2,2,1.0", "0,1,1.0"), "row '0,1,1.0' has an index outside 1..2"),
+    (("1,1,1.0", "2,3,1.0"), "row '2,3,1.0' has an index outside 1..2"),
+    (("1,1,1.0", "2,-1,1.0"), "row '2,-1,1.0' has an index outside 1..2"),
+    (("1,1,0.5", "2,2,1.0", "1,1,0.5"), "row '1,1,0.5' repeats the index"),
+    (("1,1,1.0", "2,2"), "row '2,2' needs 3 fields"),
+    ((), "no data rows"),
+], ids=["index_0", "column_above_n", "negative", "repeat", "short_row", "empty"])
+def test_matrix_reader_rejects_bad_rows(tmp_path, rows, match):
+    path = write_csv(tmp_path / "K.csv", "i,j,value", *rows)
+    with pytest.raises(ValueError, match=match):
+        read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (("0,1.0", "2,0.0"), "row '0,1.0' has an index outside 1..2"),
+    (("1,1.0", "2,0.0", "1,0.5"), "row '1,0.5' repeats the index"),
+], ids=["index_0", "repeat"])
+def test_vector_reader_rejects_bad_rows(tmp_path, rows, match):
+    path = write_csv(tmp_path / "v.csv", "i,value", *rows)
+    with pytest.raises(ValueError, match=match):
+        read_vector_csv(path)
+
+
+def test_readers_reject_more_states_than_the_limit(tmp_path):
+    # rejected before the (n x n) matrix of 80 GB is allocated
+    row = f"{ORACLE_SIZE_LIMIT + 1},1,1.0"
+    with pytest.raises(ValueError, match=f"names state {ORACLE_SIZE_LIMIT + 1}"):
+        read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", row))
+    with pytest.raises(ValueError, match="at most"):
+        read_vector_csv(write_csv(tmp_path / "v.csv", "i,value", "100000,1.0"))
+
+
+def test_sparse_rows_leave_zeros(tmp_path):
+    path = write_csv(tmp_path / "K.csv", "i,j,value", "2,1,1.0", "1,2,1.0")
+    assert np.array_equal(read_matrix_csv(path).matrix, [[0.0, 1.0], [1.0, 0.0]])
