@@ -194,8 +194,9 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
     for mode in cfg.modes:
         policy = make_policy(mode, setup.bins, cfg.n_particles,
                              cfg.n_floor, cfg.per_bin_target)
-        for report in run_checks(setup.K, setup.f, policy, init, n, cfg.diag_reps,
-                                 RngStream(cfg.seed), model.v, cfg.threads):
+        [res] = run_sweep_cell(setup, init, policy, (n,), cfg.diag_reps, cfg.seed,
+                               model.v, cfg.threads, doob=True)
+        for report in run_checks(res):
             rows.append((report.check, report.n, report.policy, report.value,
                          report.reference, report.std_err, report.z,
                          report.passed))

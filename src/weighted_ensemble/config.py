@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .binning import BinPartition
+from .diagnostics import MIN_CHECK_REPS
 from .experiment import MODES, ChainSetup
 from .markov import Distribution, Observable, TransitionMatrix, build_three_well_chain
 from .serialize import observable_from_csv, read_matrix_csv
@@ -74,6 +75,10 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.diag_horizon < 0 or self.hill_horizon < 0:
+            raise ValueError("diag_horizon and hill_horizon must be nonnegative")
+        if self.diag_reps < MIN_CHECK_REPS:
+            raise ValueError(f"diag_reps must be >= {MIN_CHECK_REPS}")
 
     @property
     def modes(self) -> tuple[str, ...]:

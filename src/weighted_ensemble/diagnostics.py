@@ -5,27 +5,28 @@ E[M_n^2] decomposes into E[M_0^2] plus accumulated conditional variances from
 mutation and selection. On a finite chain every conditional term is computable
 exactly per generation, which makes these checks much sharper than pure Monte
 Carlo comparisons.
+
+This module holds the exact side: the backward recursion g_p = K^{n-p} f,
+the per-generation terms, and `doob_terms`, a `run_we` observer that
+accumulates them. It runs nothing itself: `experiment.run_sweep_cell(...,
+doob=True)` runs the replicates with that observer, and `run_checks` is the
+statistics on the cell it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .engine import (
-    Ensemble,
-    RngStream,
-    SelectionOutcome,
-    SelectionPolicy,
-    replicate_dots,
-    replicates,
-    run_we,
-)
+from .engine import Ensemble, SelectionOutcome, SelectionPolicy, replicate_dots
 from .markov import Observable, TransitionMatrix
 
+if TYPE_CHECKING:
+    from .experiment import SweepResult
+
 Z_THRESHOLD = 4.0
+MIN_CHECK_REPS = 100  # fewest replicates the z-checks are run on
 
 
 @dataclass(frozen=True)
@@ -175,79 +176,29 @@ def doob_terms(
     return observe, mut, sel
 
 
-def _doob_batch(K, f, policy, init, gseq, rng, v_table,
-                reps: range) -> tuple[np.ndarray, np.ndarray]:
-    observe, mut, sel = doob_terms(gseq, len(reps))
-    rec = run_we(K, f, policy, init, gseq.horizon, rng, reps, v_table=v_table,
-                 observe=observe)
-    # row sums add as numpy sums one replicate's vector
-    return rec.eta_f[:, gseq.horizon], mut.sum(axis=1) + sel.sum(axis=1)
-
-
-def doob_replicates(
-    K: TransitionMatrix,
-    f: Observable,
-    policy: SelectionPolicy,
-    init: Ensemble,
-    gseq: GSequence,
-    reps: int,
-    rng: RngStream,
-    v_table: Optional[np.ndarray] = None,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run replicates 0..reps-1 of ``rng`` to the horizon of ``gseq`` = K^{n-p} f.
-
-    Returns each replicate's eta_n(f) and its accumulated exact conditional
-    variance sum_p (mut_p + sel_p). M_0 is deterministic, so the mean of the
-    second array is unbiased for Var(eta_n f).
-    """
-    one = partial(_doob_batch, K, f, policy, init, gseq, rng, v_table)
-    etas, accum = zip(*replicates(one, reps, threads))
-    return np.concatenate(etas), np.concatenate(accum)
-
-
-def run_checks(
-    K: TransitionMatrix,
-    f: Observable,
-    policy: SelectionPolicy,
-    init: Ensemble,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    v_table: Optional[np.ndarray] = None,
-    threads: int = 1,
-) -> tuple[CheckReport, CheckReport]:
-    """Unbiasedness and second-moment (Doob) identity checks, both from one
-    run of each replicate.
+def run_checks(res: SweepResult) -> tuple[CheckReport, CheckReport]:
+    """Unbiasedness and second-moment (Doob) identity checks on one cell of
+    `experiment.run_sweep_cell(..., doob=True)`, both from the same replicates.
 
     Unbiasedness compares the replicate mean of eta_n(f) with the exact
-    eta_0 K^n f (the initial ensemble is fixed across replicates, so the
+    M_0 = eta_0 K^n f (the initial ensemble is fixed across replicates, so the
     reference is deterministic). The Doob identity compares E[M_n^2] with
     M_0^2 plus the accumulated exact conditional variance terms; both sides
     come from the same replicates, so it uses the standard error of the
     per-replicate difference.
     """
-    if reps < 100:
-        raise ValueError("need at least 100 replicates")
-    gseq = g_sequence(K, f, n)
-    m0 = float(init.weights @ gseq.g[0][init.states])
-    vals, accum = doob_replicates(K, f, policy, init, gseq, reps, rng, v_table,
-                                  threads)
-    name = policy_name(policy)
+    reps = res.reps
+    if reps < MIN_CHECK_REPS:
+        raise ValueError(f"need at least {MIN_CHECK_REPS} replicates")
+    if res.variance is None:
+        raise ValueError("the cell carries no Doob terms; run it with doob=True")
+    m0, n, vals, accum = res.exact, res.n, res.etas, res.variance
 
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(reps))
     z = (mean - m0) / se if se > 0 else 0.0
-    unbiased = CheckReport(
-        check="unbiasedness",
-        n=n,
-        policy=name,
-        value=mean,
-        reference=m0,
-        std_err=se,
-        z=float(z),
-        passed=bool(abs(z) <= Z_THRESHOLD),
-    )
+    unbiased = CheckReport("unbiasedness", n, res.mode, mean, m0, se, z,
+                           abs(z) <= Z_THRESHOLD)
 
     # squared one replicate at a time: numpy's array square can round the last
     # bit differently from the scalar power, and diagnostics.csv is compared
@@ -255,16 +206,7 @@ def run_checks(
     lhs = np.array([v**2 for v in vals])
     diff = lhs - (m0**2 + accum)
     se = float(diff.std(ddof=1) / np.sqrt(reps))
-    mean_diff = float(diff.mean())
-    z = mean_diff / se if se > 0 else 0.0
-    doob = CheckReport(
-        check="doob_identity",
-        n=n,
-        policy=name,
-        value=float(lhs.mean()),
-        reference=float(m0**2 + accum.mean()),
-        std_err=se,
-        z=float(z),
-        passed=bool(abs(z) <= Z_THRESHOLD),
-    )
+    z = float(diff.mean()) / se if se > 0 else 0.0
+    doob = CheckReport("doob_identity", n, res.mode, float(lhs.mean()),
+                       float(m0**2 + accum.mean()), se, z, abs(z) <= Z_THRESHOLD)
     return unbiased, doob

@@ -2,11 +2,13 @@
 
 A setup is a chain with its binning, observable and sampling measure: the
 90-state three-well benchmark of `run`, a chain read from CSV, or a
-source-sink chain of `hill`. `run_sweep_cell` is the one runner for all of
-them: every replicate starts from the same initial ensemble (the coarse
-model's mu-preconditioned spread), selects with one policy, and is read out at
-one or more horizons. Replicates can fan out over worker processes; results
-depend only on (seed, config), never on the worker count.
+source-sink chain of `hill`. `run_sweep_cell` is the one replicate runner
+behind `run`, `hill` and `diagnose`: every replicate starts from the same
+initial ensemble (the coarse model's mu-preconditioned spread), selects with
+one policy, and is read out at one or more horizons. On request it also
+accumulates each replicate's exact Doob terms, which `diagnose` checks.
+Replicates can fan out over worker processes; results depend only on
+(seed, config), never on the worker count.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .engine import (
     replicates,
     run_we,
 )
-from .diagnostics import policy_name
+from .diagnostics import GSequence, doob_terms, g_sequence, policy_name
 from .markov import Distribution, Observable, TransitionMatrix
 
 MODES = ("adaptive", "traditional", "naive")
@@ -71,6 +73,8 @@ class SweepResult:
     weight_traces: np.ndarray  # (reps, n+1) total weight
     count_traces: np.ndarray  # (reps, n+1) particle counts, 0 from extinction on
     final: Optional[Ensemble] = None  # every replicate's last ensemble, largest n only
+    # each replicate's sum_p (mut_p + sel_p), largest n of a doob=True call only
+    variance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.reps = self.traces.shape[0]
@@ -99,6 +103,20 @@ def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
                     np.concatenate(([0], np.cumsum(sizes))))
 
 
+def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
+           init: Ensemble, n: int, rng: RngStream, v_table: Optional[np.ndarray],
+           gseq: Optional[GSequence], reps: range):
+    """run_we on one batch of replicates. With ``gseq`` it observes the exact
+    Doob terms against it and also returns each replicate's sum_p (mut_p +
+    sel_p); without, that second value is None."""
+    if gseq is None:
+        return run_we(K, f, policy, init, n, rng, reps, v_table=v_table), None
+    observe, mut, sel = doob_terms(gseq, len(reps))
+    rec = run_we(K, f, policy, init, n, rng, reps, v_table=v_table, observe=observe)
+    # a row sum adds as the sum of that replicate's vector alone would
+    return rec, mut.sum(axis=1) + sel.sum(axis=1)
+
+
 def run_sweep_cell(
     setup: ChainSetup,
     init: Ensemble,
@@ -108,6 +126,7 @@ def run_sweep_cell(
     seed: int,
     v_table: Optional[np.ndarray] = None,
     threads: int = 1,
+    doob: bool = False,
 ) -> list[SweepResult]:
     """Run replicates 0..reps-1 of ``seed`` from ``init`` under one policy;
     one result per horizon, in order.
@@ -119,6 +138,12 @@ def run_sweep_cell(
     (replicate, generation), so one run to the largest horizon holds every
     shorter run as its prefix; their cells are views into it. The largest
     horizon's cells also carry the final ensemble of every replicate.
+
+    With ``doob``, the largest horizon's run observes the exact conditional
+    mutation and selection variance terms against K^{n-p} f, and its cells
+    carry each replicate's accumulated sum in ``variance`` instead of the
+    final ensembles. M_0 is deterministic, so the mean of ``variance`` is
+    unbiased for Var(eta_n f).
     """
     n_max = max(horizons)
     adaptive = isinstance(policy, AdaptivePolicy)
@@ -141,21 +166,26 @@ def run_sweep_cell(
         traces = np.empty((reps, n + 1))
         weights = np.empty((reps, n + 1))
         counts = np.empty((reps, n + 1), dtype=np.int64)
-        finals = []
-        one = partial(run_we, setup.K, setup.f, policy, init, n, RngStream(seed),
-                      v_table=v_n)
+        gseq = g_sequence(setup.K, setup.f, n) if doob and n == n_max else None
+        finals, variances = [], []
+        one = partial(_batch, setup.K, setup.f, policy, init, n, RngStream(seed),
+                      v_n, gseq)
         lo = 0
-        for rec in replicates(one, reps, threads):
+        for rec, variance in replicates(one, reps, threads):
             hi = lo + len(rec.eta_f)
             traces[lo:hi] = rec.eta_f
             weights[lo:hi] = rec.total_weight
             counts[lo:hi] = rec.num_particles
             lo = hi
-            if n == n_max:
+            if gseq is not None:
+                variances.append(variance)
+            elif n == n_max:
                 finals.append(rec.final)
         final = _merge(finals, n) if finals else None
+        variance = np.concatenate(variances) if variances else None
         results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
                                 weights[:, :h + 1], counts[:, :h + 1],
-                                final if h == n_max else None)
+                                final if h == n_max else None,
+                                variance if h == n_max else None)
                     for h in cells]
     return results

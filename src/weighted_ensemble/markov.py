@@ -36,11 +36,12 @@ class TransitionMatrix:
             raise ValueError("transition matrix has negative entries")
         rowsums = m.sum(axis=1)
         bad = np.abs(rowsums - 1.0)
-        if bad.max() > ROW_SUM_TOL:
-            raise ValueError(
-                f"row {int(bad.argmax()) + 1} sums to {rowsums[bad.argmax()]!r}, "
-                f"off by more than {ROW_SUM_TOL}"
-            )
+        # a NaN or inf entry makes its row sum non-finite, which fails this
+        # test (argmax finds the first NaN)
+        if not bad.max() <= ROW_SUM_TOL:
+            i = int(bad.argmax())
+            raise ValueError(f"row {i + 1} sums to {float(rowsums[i])!r}, "
+                             f"off by more than {ROW_SUM_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -96,8 +97,8 @@ class Distribution:
             raise ValueError("distribution must be a vector")
         if np.any(w < 0):
             raise ValueError("distribution has negative entries")
-        if abs(w.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"distribution sums to {w.sum()!r}, not 1")
+        if not abs(w.sum() - 1.0) <= ROW_SUM_TOL:  # NaN and inf fail too
+            raise ValueError(f"distribution sums to {float(w.sum())!r}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

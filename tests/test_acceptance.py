@@ -31,7 +31,6 @@ from weighted_ensemble import cli
 from weighted_ensemble.coarse import compute_v
 from weighted_ensemble.diagnostics import (
     conditional_mutation_variance,
-    doob_replicates,
     doob_terms,
     g_sequence,
     optimal_allocation,
@@ -50,7 +49,9 @@ EXACT_ETA0_KN_F = {
 }  # eta_0 K^n f from the deterministic initial ensemble, dense matrix powers
 MFPT_ORACLE = 1523054.6002034727  # E[tau_{81..90}] from state 1, linear solve
 PI_SINK = 6.565733733541416e-07  # pi(F) of the source-sink chain
-HILL_HORIZON = 500  # relaxation horizon calibrated so |bias| < sampling error
+# not a relaxation horizon: the exact target of a horizon-500 run,
+# eta_0 K^500 1_F, is 1.43 pi(F), so test_07 does not bound the bias
+HILL_HORIZON = 500
 
 SEED = 0
 Z_MAX = 4.0
@@ -71,22 +72,6 @@ def exact_naive_std(setup, init: Ensemble, n: int) -> float:
     mean_per_state = Kn @ setup.f.values
     var_per_state = Kn @ (setup.f.values**2) - mean_per_state**2
     return float(np.sqrt(init.weights**2 @ var_per_state[init.states]))
-
-
-def doob_replay(setup, model, init: Ensemble, mode: str, n: int, seed: int,
-                reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rerun replicates 0..reps-1 of RngStream(seed) with the Doob-term observer.
-
-    Returns each replicate's final eta_n(f) and its accumulated exact
-    conditional variance sum_p (mut_p + sel_p). M_0 is deterministic, so the
-    mean of the second array is unbiased for Var(eta_n f) (the second-moment
-    identity of test_04).
-    """
-    return doob_replicates(
-        setup.K, setup.f, make_policy(mode, setup.bins, 150), init,
-        g_sequence(setup.K, setup.f, n), reps, RngStream(seed),
-        v_table=compute_v(model.P, model.u, n),
-    )
 
 
 def std_from_variance_terms(acc: np.ndarray) -> tuple[float, float]:
@@ -111,11 +96,12 @@ def short_cells(setup, model30, init150):
 
 @pytest.fixture(scope="module")
 def sweep30(setup, model30, init150):
-    """mode -> SweepResult at n = 30, 1000 replicates each."""
+    """mode -> SweepResult at n = 30, 1000 replicates each, with each
+    replicate's accumulated Doob terms."""
     return {
         mode: run_sweep_cell(
             setup, init150, make_policy(mode, setup.bins, 150), (30,), reps=1000,
-            seed=SEED, v_table=model30.v,
+            seed=SEED, v_table=model30.v, doob=True,
         )[0]
         for mode in ("adaptive", "traditional", "naive")
     }
@@ -155,7 +141,7 @@ def test_02_stationary_convergence(sweep30):
     assert passed
 
 
-def test_03_variance_ordering(setup, model30, init150, sweep30):
+def test_03_variance_ordering(setup, init150, sweep30):
     """std(adaptive) < std(traditional) < std(naive) for eta_30(f), each gap
     wider than 3 standard errors.
 
@@ -165,10 +151,9 @@ def test_03_variance_ordering(setup, model30, init150, sweep30):
     gate uses estimators that are unbiased for the variance instead:
 
     - naive: the exact std in closed form;
-    - adaptive and traditional: the `sweep30` replicates are replayed with the
-      Doob-term observer (bit-identity with `sweep30` is asserted), and the std
-      is sqrt of the mean accumulated exact conditional variance, with a
-      delta-method standard error.
+    - adaptive and traditional: sqrt of the mean accumulated exact
+      conditional variance of the `sweep30` replicates (their Doob terms,
+      observed as they ran), with a delta-method standard error.
 
     False-alarm rate (the ordering holds but the gate fails), sized on the
     traditional per-replicate term X >= 0 of seed-0 replicates 0..24999: mean
@@ -197,24 +182,19 @@ def test_03_variance_ordering(setup, model30, init150, sweep30):
     n = 30
     stds = {"naive": exact_naive_std(setup, init150, n)}
     ses = {}
-    replay_ok = True
     for mode in ("adaptive", "traditional"):
-        etas, acc = doob_replay(
-            setup, model30, init150, mode, n, SEED, sweep30[mode].reps
-        )
-        replay_ok &= np.array_equal(etas, sweep30[mode].etas)
-        stds[mode], ses[mode] = std_from_variance_terms(acc)
+        stds[mode], ses[mode] = std_from_variance_terms(sweep30[mode].variance)
     gap_at = stds["traditional"] - stds["adaptive"]
     gap_tn = stds["naive"] - stds["traditional"]
     need_at = 3 * np.hypot(ses["adaptive"], ses["traditional"])
     need_tn = 3 * ses["traditional"]  # the naive std is exact
-    passed = replay_ok and gap_at > need_at and gap_tn > need_tn
+    passed = gap_at > need_at and gap_tn > need_tn
     sample = {m: sweep30[m].std for m in sweep30}
     report(
         3, "variance ordering", passed,
         f"std adaptive={stds['adaptive']:.2e} traditional={stds['traditional']:.2e} "
         f"naive(exact)={stds['naive']:.2e}; gaps {gap_at:.2e}>{need_at:.2e}? "
-        f"{gap_tn:.2e}>{need_tn:.2e}? replays bit-identical={replay_ok}; "
+        f"{gap_tn:.2e}>{need_tn:.2e}? "
         f"sample stds (not gated) adaptive={sample['adaptive']:.2e} "
         f"traditional={sample['traditional']:.2e} naive={sample['naive']:.2e}",
     )
@@ -231,10 +211,15 @@ def test_03_supplement_ordering_with_powered_estimators(setup, init150, model30)
     """
     n = 30
     naive_std = exact_naive_std(setup, init150, n)
-    _, acc_a = doob_replay(setup, model30, init150, "adaptive", n, SEED + 1, 1000)
-    _, acc_t = doob_replay(setup, model30, init150, "traditional", n, SEED + 1, 3000)
-    adapt_std, se_a = std_from_variance_terms(acc_a)
-    trad_std, se_t = std_from_variance_terms(acc_t)
+
+    def variance(mode, reps):
+        return run_sweep_cell(
+            setup, init150, make_policy(mode, setup.bins, 150), (n,), reps,
+            SEED + 1, model30.v, doob=True,
+        )[0].variance
+
+    adapt_std, se_a = std_from_variance_terms(variance("adaptive", 1000))
+    trad_std, se_t = std_from_variance_terms(variance("traditional", 3000))
     print(
         f"\nstd estimates: adaptive={adapt_std:.3e} (se {se_a:.1e}) < "
         f"traditional={trad_std:.3e} (se {se_t:.1e}) < exact naive={naive_std:.3e}"
@@ -245,10 +230,11 @@ def test_03_supplement_ordering_with_powered_estimators(setup, init150, model30)
 
 def test_04_doob_identity(setup, model30, init150):
     policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-    v5 = compute_v(model30.P, model30.u, 5)
-    _, rep = run_checks(
-        setup.K, setup.f, policy, init150, 5, 5000, RngStream(SEED), v_table=v5
-    )
+    # the runner reads the last 5 rows of model30.v: the horizon-5 table
+    assert np.array_equal(model30.v[-5:], compute_v(model30.P, model30.u, 5))
+    [res] = run_sweep_cell(setup, init150, policy, (5,), 5000, SEED, model30.v,
+                           doob=True)
+    _, rep = run_checks(res)
     report(
         4, "second-moment identity", rep.passed,
         f"E[M_n^2]={rep.value:.4e} rhs={rep.reference:.4e} z={rep.z:+.2f}",

@@ -220,10 +220,10 @@ class TestDiagnose:
         assert_threads_do_not_change_outputs(tmp_path, "diagnose", cfg, 2)
 
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
-        def broken(K, f, policy, init, n, reps, rng, v_table=None, threads=1):
+        def broken(res):
             return (
-                CheckReport("unbiasedness", n, "naive", 1.0, 0.0, 0.1, 10.0, False),
-                CheckReport("doob_identity", n, "naive", 1.0, 1.0, 0.1, 0.0, True),
+                CheckReport("unbiasedness", res.n, "naive", 1.0, 0.0, 0.1, 10.0, False),
+                CheckReport("doob_identity", res.n, "naive", 1.0, 1.0, 0.1, 0.0, True),
             )
 
         monkeypatch.setattr(cli, "run_checks", broken)
@@ -334,8 +334,14 @@ class TestExitCodes:
                  "bin_width": "1", "f_states": "2"}),
         ("run", {"f_states": ["0,1.0", "90,0.0"]}),
         ("run", {"chain": ["10001,1,1.0"]}),
+        ("run", {"chain": ["1,1,0.9", "1,2,0.1", "2,1,0.2", "2,2,nan"],
+                 "bin_width": "1", "f_states": "2"}),
+        ("diagnose", {"diag_reps": "99"}),
+        ("diagnose", {"diag_horizon": "-1"}),
+        ("hill", {"hill_horizon": "-3"}),
     ], ids=["chain", "bin_width", "f_states", "source_above", "source_zero",
-            "hit_b", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big"])
+            "hit_b", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
+            "csv_chain_nan", "diag_reps", "diag_horizon", "hill_horizon"])
     def test_bad_setup_input_is_config_error(self, tmp_path, capsys, command,
                                              config):
         values = {}

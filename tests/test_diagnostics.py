@@ -7,7 +7,6 @@ from weighted_ensemble import (
     Ensemble,
     NaivePolicy,
     Observable,
-    RngStream,
     TraditionalPolicy,
     TransitionMatrix,
     init_ensemble,
@@ -22,6 +21,7 @@ from weighted_ensemble.diagnostics import (
     run_checks,
     selection_variance_term,
 )
+from weighted_ensemble.experiment import ChainSetup, run_sweep_cell
 
 
 @pytest.fixture
@@ -199,31 +199,41 @@ class TestOptimalAllocation:
         assert var_opt < var_trad
 
 
+def checks(setup, policy, init, n, reps, seed):
+    """run_checks on the cell of run_sweep_cell(..., doob=True) at horizon n."""
+    [res] = run_sweep_cell(setup, init, policy, (n,), reps, seed, doob=True)
+    return run_checks(res)
+
+
+@pytest.fixture
+def two_state_setup(two_state, f01):
+    return ChainSetup(K=two_state, bins=BinPartition(np.arange(2)), f=f01,
+                      zeta=Distribution(np.array([0.5, 0.5])))
+
+
 class TestChecks:
     def test_unbiasedness_requires_reps(self, setup, init150):
         with pytest.raises(ValueError):
-            run_checks(setup.K, setup.f, NaivePolicy(), init150, 1, 10, RngStream(0))
+            checks(setup, NaivePolicy(), init150, 1, 10, 0)
 
-    def test_unbiasedness_naive_small(self, two_state, f01):
+    def test_unbiasedness_naive_small(self, two_state_setup):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 20)
-        report, _ = run_checks(two_state, f01, NaivePolicy(), init, 3, 500, RngStream(1))
+        report, _ = checks(two_state_setup, NaivePolicy(), init, 3, 500, 1)
         assert report.passed and report.check == "unbiasedness"
 
-    def test_doob_identity_horizon_zero_is_exact(self, two_state, f01):
+    def test_doob_identity_horizon_zero_is_exact(self, two_state_setup):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
-        _, report = run_checks(two_state, f01, NaivePolicy(), init, 0, 200, RngStream(2))
+        _, report = checks(two_state_setup, NaivePolicy(), init, 0, 200, 2)
         assert report.passed and report.check == "doob_identity"
         assert report.value == pytest.approx(report.reference)
 
-    def test_doob_identity_single_walker(self, two_state, f01):
+    def test_doob_identity_single_walker(self, two_state_setup):
         init = init_ensemble(Distribution.point_mass(0, 2), 1)
-        _, report = run_checks(two_state, f01, NaivePolicy(), init, 4, 2000, RngStream(3))
+        _, report = checks(two_state_setup, NaivePolicy(), init, 4, 2000, 3)
         assert report.passed
 
-    def test_doob_identity_traditional_policy(self, two_state, f01):
-        bins = BinPartition(np.arange(2))
+    def test_doob_identity_traditional_policy(self, two_state_setup):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
-        _, report = run_checks(
-            two_state, f01, TraditionalPolicy(bins, 5.0), init, 4, 2000, RngStream(4)
-        )
+        policy = TraditionalPolicy(two_state_setup.bins, 5.0)
+        _, report = checks(two_state_setup, policy, init, 4, 2000, 4)
         assert report.passed

@@ -41,6 +41,11 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[0.9, 0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="row 2 sums to"):
+            TransitionMatrix(np.array([[0.9, 0.1], [0.2, bad]]))
+
     def test_row_sum_tolerance_is_tight(self):
         ok = np.array([[0.5 + 5e-13, 0.5], [0.5, 0.5]])  # inside 1e-12
         TransitionMatrix(ok)
@@ -75,6 +80,11 @@ class TestDistributionObservable:
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):
             Distribution(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="not 1"):
+            Distribution(np.array([0.5, bad]))
 
     def test_point_mass(self):
         d = Distribution.point_mass(2, 4)
