@@ -7,10 +7,12 @@ Mutation evolves each selected particle independently under the chain kernel.
 
 Independent replicates run in batches: one flat particle array holds every
 replicate of a batch, sorted by replicate, and each stage makes one pass over
-it per generation. Each replicate still draws its own uniforms, from its own
-stream, and every per-replicate sum adds in the order a batch of one would,
-so a replicate's results do not depend on which batch it ran in. Batches of
-at most `CHUNK` replicates go through one driver, `replicates`.
+it per generation. A batch, not a replicate, is the unit of randomness: each
+(generation, purpose) draws the uniforms of the whole particle array from one
+stream keyed by the batch's first replicate, so a replicate's trajectory
+depends on the batch it ran in. Every per-replicate sum still adds in the
+order a batch of one would. Batches of at most `CHUNK` replicates go through
+one driver, `replicates`.
 """
 from __future__ import annotations
 
@@ -26,7 +28,10 @@ from .markov import Distribution, Observable, TransitionMatrix
 _PURPOSES = {"init": 0, "select": 1, "mutate": 2, "coarse": 3}
 
 # replicates per batch: numpy call overhead is shared by the batch, while its
-# temporaries grow with it; throughput is flat from about this size up
+# temporaries grow with it; throughput is flat from about this size up. Part
+# of the stream definition: `replicates` cuts batches 0..CHUNK-1,
+# CHUNK..2*CHUNK-1, ... and each draws from its first replicate's stream, so
+# changing it changes every output byte.
 CHUNK = 32
 
 
@@ -34,21 +39,24 @@ CHUNK = 32
 class RngStream:
     """Reproducible random stream keyed by (seed, replicate, generation, purpose).
 
-    Draws depend only on the key, never on execution order or thread count, so
-    parallel replicates reproduce exactly.
+    A counter-based Philox generator (Salmon et al., "Parallel random numbers:
+    as easy as 1, 2, 3", SC'11): its key is derived from the seed once, and
+    ``at(p, purpose)`` starts its 256-bit counter at [0, replicate, p,
+    purpose id]. Philox advances word 0, the draw index, so streams of
+    different (replicate, generation, purpose) never overlap. Draws depend
+    only on the key, never on execution order or thread count.
     """
 
     seed: int
     replicate: int = 0
 
-    def for_replicate(self, replicate: int) -> "RngStream":
-        return RngStream(self.seed, replicate)
+    @cached_property
+    def key(self) -> np.ndarray:
+        return np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
 
     def at(self, generation: int, purpose: str) -> np.random.Generator:
-        key = (self.replicate, generation, _PURPOSES[purpose])
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        )
+        counter = [0, self.replicate, generation, _PURPOSES[purpose]]
+        return np.random.Generator(np.random.Philox(key=self.key, counter=counter))
 
 
 def _offsets(offsets: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -64,7 +72,7 @@ def replicate_dots(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     """a[lo:hi] @ b[lo:hi] for each replicate's slice of two flat arrays.
 
     One dot per replicate, not one vectorised sum: BLAS adds in its own order,
-    and a replicate's value must not depend on the batch it ran in.
+    and a replicate's value must be the dot of its particles alone.
     """
     bounds = offsets.tolist()
     return np.array([a[lo:hi] @ b[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
@@ -412,14 +420,6 @@ class RunRecord:
     final: Ensemble
 
 
-def _uniforms(streams: list[RngStream], sizes: np.ndarray, p: int,
-              purpose: str) -> np.ndarray:
-    """Each replicate's own uniforms for (generation p, purpose), one per
-    particle, concatenated in replicate order; an extinct replicate draws none."""
-    draws = [s.at(p, purpose).random(k) for s, k in zip(streams, sizes.tolist()) if k]
-    return np.concatenate(draws) if draws else np.empty(0)
-
-
 def run_we(
     K: TransitionMatrix,
     f: Observable,
@@ -433,9 +433,10 @@ def run_we(
 ) -> RunRecord:
     """Run the select -> mutate loop for n generations on a batch of replicates.
 
-    Every replicate starts from ``init`` and replicate r draws from
-    ``rng.for_replicate(r)``, so its row does not depend on the rest of
-    ``reps``. For the adaptive policy, ``v_table`` must hold the
+    Every replicate starts from ``init``. The batch draws each generation's
+    uniforms, one per particle in particle order, from the stream of
+    ``rng.seed`` and its first replicate ``reps[0]``, so its rows depend on
+    the whole of ``reps``. For the adaptive policy, ``v_table`` must hold the
     per-generation, per-bin variance proxies with at least n rows. An extinct
     replicate has eta 0 from then on by convention; the loop stops when the
     whole batch is. ``observe(p, ensemble, outcome)``, if given, is called at
@@ -453,8 +454,8 @@ def run_we(
         if v_table.shape[0] < n:
             raise ValueError(f"v table has {v_table.shape[0]} rows, need {n}")
     naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
-    streams = [rng.for_replicate(r) for r in reps]
-    B = len(streams)
+    B = len(reps)
+    stream = RngStream(rng.seed, int(reps[0]) if B else 0)
     eta = np.zeros((B, n + 1))
     num = np.zeros((B, n + 1), dtype=np.int64)
     tot = np.zeros((B, n + 1))
@@ -472,11 +473,11 @@ def run_we(
         if p == n:
             break
         v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
-        u = None if naive else _uniforms(streams, num[:, p], p, "select")
+        u = None if naive else stream.at(p, "select").random(e.n_particles)
         outcome = select(e, policy, v_p, u)
         if observe is not None:
             observe(p, e, outcome)
-        e = mutate(outcome, K, _uniforms(streams, np.diff(outcome.offsets), p, "mutate"))
+        e = mutate(outcome, K, stream.at(p, "mutate").random(outcome.n_selected))
     return RunRecord(
         eta_f=eta,
         num_particles=num,
@@ -490,14 +491,31 @@ def run_we(
 T = TypeVar("T")
 
 
+_worker_one: Optional[Callable[[range], object]] = None
+
+
+def _install(one: Callable[[range], object]) -> None:
+    global _worker_one
+    _worker_one = one
+
+
+def _call_installed(chunk: range):
+    return _worker_one(chunk)
+
+
 def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterator[T]:
     """Yield one(chunk) for consecutive chunks of replicates 0..reps-1, each
     of at most CHUNK replicates, in replicate order.
 
     The chunks do not depend on the thread count. With threads > 1 the calls
-    run in that many worker processes, forked from a single-threaded server
-    that has imported this module (the forkserver start method), so ``one``
-    must pickle: a functools.partial of a module-level function.
+    run in that many worker processes, and each worker receives ``one`` once,
+    when it starts, then only chunks, so a large argument (a dense chain, and
+    the row cumsums it caches) reaches a worker and is built there once, not
+    once per chunk. Workers fork from this process, sharing its memory, when
+    it runs no other thread. Otherwise forking is unsafe, and they fork from a
+    single-threaded server that has imported this module (the forkserver
+    start method), so ``one`` must pickle: a functools.partial of a
+    module-level function.
     Callers fold the results in the order given, so every output depends only
     on what ``one`` computes, never on the thread count.
     """
@@ -507,9 +525,14 @@ def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterat
         return
     # imported here: a single-process run does not pay for loading them
     import multiprocessing
+    import threading
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([__name__])
-    with ProcessPoolExecutor(min(threads, len(chunks)), mp_context=context) as pool:
-        yield from pool.map(one, chunks)
+    if threading.active_count() == 1:
+        context = multiprocessing.get_context("fork")
+    else:
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+    with ProcessPoolExecutor(min(threads, len(chunks)), mp_context=context,
+                             initializer=_install, initargs=(one,)) as pool:
+        yield from pool.map(_call_installed, chunks)

@@ -135,9 +135,10 @@ def run_sweep_cell(
     some horizon H >= max(horizons). The table for a horizon n is the last n
     rows of it (the same backward recursion, bit for bit), so adaptive runs
     once per horizon. The other policies never read the horizon and draw by
-    (replicate, generation), so one run to the largest horizon holds every
-    shorter run as its prefix; their cells are views into it. The largest
-    horizon's cells also carry the final ensemble of every replicate.
+    (batch, generation), with batches that do not depend on the horizon, so
+    one run to the largest horizon holds every shorter run as its prefix;
+    their cells are views into it. The largest horizon's cells also carry
+    the final ensemble of every replicate.
 
     With ``doob``, the largest horizon's run observes the exact conditional
     mutation and selection variance terms against K^{n-p} f, and its cells

@@ -157,24 +157,24 @@ def test_03_variance_ordering(setup, init150, sweep30):
 
     False-alarm rate (the ordering holds but the gate fails), sized on the
     traditional per-replicate term X >= 0 of seed-0 replicates 0..24999: mean
-    mu = 1.59e-8 (std 1.26e-4), median 0.09 mu, CV 4-15 in blocks of 1000.
+    mu = 1.49e-8 (std 1.22e-4), median 0.09 mu, CV 3-16 in blocks of 1000.
     The adaptive term (CV 0.8) and the exact naive std barely move. The gate
     can fail in two ways, both through X:
 
     - too few hits: at sample CVs up to 10 the first gap closes only if
-      mean(X) <= 0.14 mu. With Y = min(X, 5 mu) <= X, E[Y] = 0.47 mu and
+      mean(X) <= 0.12 mu. With Y = min(X, 5 mu) <= X, E[Y] = 0.48 mu and
       E[Y^2] = 1.3 mu^2, the lower-tail bound for a mean of non-negative
       terms, P(mean(Y) <= E[Y] - t) <= exp(-n t^2 / (2 E[Y^2])), puts this
       below 1e-18 at n = 1000 (untruncated, at the per-replicate CV of 6:
       exp(-n (0.86 mu)^2 / (2 * 37 mu^2)) = 4e-5);
-    - one dominant hit: a single X above 650-1650 mu (depending on the rest
+    - one dominant hit: a single X above 740-2400 mu (depending on the rest
       of the sample) makes the delta-method SE about half the estimate and
-      closes the first gap (the second needs about 4500 mu). One replicate
-      in 25000 reached 806 mu, and its block still passed. Hill fits of the
-      top 8-40 order statistics (tail index 1.6-2.6) put this at 0.5-2% per
-      1000-replicate draw.
+      closes the first gap (the second needs about 4700 mu). The largest of
+      the 25000 replicates reached 661 mu. Hill fits of the top 8-40 order
+      statistics (tail index 1.6-1.9) put this at 0.3-3% per 1000-replicate
+      draw.
 
-    All 25 blocks of 1000 pass. The false-alarm rate is thus about 1-2% per
+    All 25 blocks of 1000 pass. The false-alarm rate is thus about 1-3% per
     independent seed, nearly all of it a single dominant traditional
     replicate; if new random streams make this test fail, look for one
     before suspecting bias.

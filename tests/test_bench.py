@@ -33,9 +33,9 @@ def test_probe_traces_a_small_sweep(tmp_path):
     assert layers["experiment.run_sweep_cell"]["calls"] == 3
     # one v table, the coarse model's, serves every horizon and the snapshot
     assert layers["coarse.compute_v"]["calls"] == 1
-    # per replicate, a select and a mutate stream per generation, the naive
-    # one mutate only
-    assert layers["engine.rng_at"]["calls"] == 5 * (2 * (1 + 2 + 2) + 2)
+    # per batch, a select and a mutate stream per generation, the naive one
+    # mutate only
+    assert layers["engine.rng_at"]["calls"] == 2 * (1 + 2 + 2) + 2
     # particles mutated over every generation and replicate of this config
-    # and seed, however the replicates are batched
-    assert layers["engine.mutate"]["particles"] == 5191
+    # and seed
+    assert layers["engine.mutate"]["particles"] == 5165

@@ -1,3 +1,6 @@
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from weighted_ensemble import (
     stochastic_round,
 )
 from weighted_ensemble.engine import CHUNK, largest_remainder, replicates
-from weighted_ensemble.experiment import make_policy
+from weighted_ensemble.experiment import make_policy, run_sweep_cell
 
 
 class TestRngStream:
@@ -41,10 +44,24 @@ class TestRngStream:
         a = s.at(2, "mutate").random(5)
         b = s.at(2, "select").random(5)
         c = s.at(3, "mutate").random(5)
-        d = s.for_replicate(4).at(2, "mutate").random(5)
+        d = RngStream(7, 4).at(2, "mutate").random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize("purpose,purpose_id",
+                             [("init", 0), ("select", 1), ("mutate", 2), ("coarse", 3)])
+    def test_known_answer(self, purpose, purpose_id):
+        # the stream definition: a Philox key from the seed and the counter
+        # [draw index, replicate, generation, purpose id]
+        key = np.random.SeedSequence(11).generate_state(2, np.uint64)
+        philox = np.random.Philox(key=key, counter=[0, 32, 7, purpose_id])
+        expected = np.random.Generator(philox).random(10)
+        g = RngStream(11, 32).at(7, purpose)
+        assert np.array_equal(g.random(10), expected)
+        # Philox advanced word 0 only: 10 draws take 3 blocks of 4 words
+        counter = g.bit_generator.state["state"]["counter"]
+        assert counter.tolist() == [3, 32, 7, purpose_id]
 
     def test_order_independent(self):
         s = RngStream(1)
@@ -55,6 +72,24 @@ class TestRngStream:
         assert np.array_equal(late_then_early[1], early_then_late[0])
 
 
+_unpickled = 0  # per process: how often a _Payload was unpickled in it
+
+
+def _revive() -> "_Payload":
+    global _unpickled
+    _unpickled += 1
+    return _Payload()
+
+
+class _Payload:
+    def __reduce__(self):
+        return _revive, ()
+
+
+def _times_unpickled(payload: _Payload, chunk: range) -> int:
+    return _unpickled
+
+
 class TestReplicates:
     def test_yields_in_replicate_order(self):
         reps = 2 * CHUNK + 6
@@ -62,6 +97,24 @@ class TestReplicates:
                     for lo in range(0, reps, CHUNK)]
         assert list(replicates(list, reps)) == expected
         assert list(replicates(list, reps, threads=2)) == expected
+
+    @pytest.mark.parametrize("other_thread", [False, True],
+                             ids=["fork", "forkserver"])
+    def test_a_worker_receives_the_batch_function_once(self, other_thread):
+        # six chunks on two workers: a worker that received the function with
+        # every chunk would unpickle it up to six times
+        one = partial(_times_unpickled, _Payload())
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if other_thread:
+            thread.start()
+        try:
+            counts = list(replicates(one, 6 * CHUNK, threads=2))
+        finally:
+            stop.set()
+            if other_thread:
+                thread.join()
+        assert len(counts) == 6 and max(counts) <= 1
 
 
 class TestEnsemble:
@@ -454,17 +507,34 @@ class TestRunWe:
                       np.flatnonzero(rec.num_particles[:, 1] == 0)[:3])
         assert dead.tau_kill == 1 and dead.extinct.all()
 
-    @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
-    def test_replicate_rows_do_not_depend_on_the_batch(self, setup, model30, init150,
-                                                       mode):
-        # rows 31 and 32 straddle the boundary of the driver's chunks
+    @pytest.mark.parametrize("mode", ["traditional", "naive"])
+    def test_batch_draws_its_first_replicates_stream(self, setup, init150, mode):
+        # each (generation, purpose) draws the first M uniforms of the stream
+        # of replicate 32, the batch's first, for its M particles
         policy = make_policy(mode, setup.bins, 150)
-        wide = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4), range(70),
-                      v_table=model30.v)
-        pair = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4), [31, 32],
-                      v_table=model30.v)
-        for field in ("eta_f", "num_particles", "total_weight", "extinct"):
-            assert np.array_equal(getattr(wide, field)[31:33], getattr(pair, field))
-        lo, hi = wide.final.offsets[31], wide.final.offsets[33]
-        assert np.array_equal(wide.final.states[lo:hi], pair.final.states)
-        assert np.array_equal(wide.final.weights[lo:hi], pair.final.weights)
+        rec = run_we(setup.K, setup.f, policy, init150, 3, RngStream(6), range(32, 40))
+        stream = RngStream(6, 32)
+        e = Ensemble(0, np.tile(init150.states, 8), np.tile(init150.weights, 8),
+                     np.arange(9) * 150)
+        for p in range(3):
+            u = None if mode == "naive" else stream.at(p, "select").random(e.n_particles)
+            outcome = select(e, policy, None, u)
+            e = mutate(outcome, setup.K, stream.at(p, "mutate").random(outcome.n_selected))
+        assert np.array_equal(rec.final.offsets, e.offsets)
+        assert np.array_equal(rec.final.states, e.states)
+        assert np.array_equal(rec.final.weights, e.weights)
+
+    @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+    def test_sweep_rows_are_run_we_on_their_chunk(self, setup, model30, init150, mode):
+        # 70 replicates run as the driver's chunks 0..31, 32..63 and 64..69
+        policy = make_policy(mode, setup.bins, 150)
+        [cell] = run_sweep_cell(setup, init150, policy, (6,), 70, 4, model30.v)
+        chunk = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4),
+                       range(32, 64), v_table=model30.v[-6:])
+        for field, rows in (("eta_f", cell.traces), ("num_particles", cell.count_traces),
+                            ("total_weight", cell.weight_traces),
+                            ("extinct", cell.extinct_flags)):
+            assert np.array_equal(rows[32:64], getattr(chunk, field))
+        lo, hi = cell.final.offsets[32], cell.final.offsets[64]
+        assert np.array_equal(cell.final.states[lo:hi], chunk.final.states)
+        assert np.array_equal(cell.final.weights[lo:hi], chunk.final.weights)

@@ -15,10 +15,11 @@ def test_final_merges_the_batches_in_replicate_order(setup, init150):
     assert final.n_replicates == 70
     assert np.array_equal(empirical_estimate(final, setup.f), full.etas)
     assert np.array_equal(final.sizes, full.count_traces[:, -1])
-    pair = run_we(setup.K, setup.f, policy, init150, 4, RngStream(3), [31, 32]).final
-    lo, hi = final.offsets[31], final.offsets[33]
-    assert np.array_equal(final.states[lo:hi], pair.states)
-    assert np.array_equal(final.weights[lo:hi], pair.weights)
+    chunk = run_we(setup.K, setup.f, policy, init150, 4, RngStream(3),
+                   range(32, 64)).final
+    lo, hi = final.offsets[32], final.offsets[64]
+    assert np.array_equal(final.states[lo:hi], chunk.states)
+    assert np.array_equal(final.weights[lo:hi], chunk.weights)
 
 
 def test_adaptive_needs_a_v_table_as_long_as_its_horizons(setup, model30, init150):
@@ -55,11 +56,14 @@ def test_doob_readout_keeps_the_etas(doob_cells, mode):
 def test_doob_variance_is_the_observer_row_sums(setup, model30, init150,
                                                 doob_cells, mode):
     policy = make_policy(mode, setup.bins, 150)
-    observe, mut, sel = doob_terms(g_sequence(setup.K, setup.f, 4), 40)
-    run_we(setup.K, setup.f, policy, init150, 4, RngStream(5), range(40),
-           v_table=model30.v[-4:], observe=observe)
-    expected = mut.sum(axis=1) + sel.sum(axis=1)
-    assert np.array_equal(doob_cells[mode][1].variance, expected)
+    gseq = g_sequence(setup.K, setup.f, 4)
+    expected = []
+    for chunk in (range(0, 32), range(32, 40)):  # the driver's two batches
+        observe, mut, sel = doob_terms(gseq, len(chunk))
+        run_we(setup.K, setup.f, policy, init150, 4, RngStream(5), chunk,
+               v_table=model30.v[-4:], observe=observe)
+        expected.append(mut.sum(axis=1) + sel.sum(axis=1))
+    assert np.array_equal(doob_cells[mode][1].variance, np.concatenate(expected))
 
 
 def test_doob_variance_does_not_depend_on_threads(setup, model30, init150,
