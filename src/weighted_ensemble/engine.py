@@ -17,7 +17,7 @@ one driver, `replicates`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -33,6 +33,30 @@ _PURPOSES = {"init": 0, "select": 1, "mutate": 2, "coarse": 3}
 # CHUNK..2*CHUNK-1, ... and each draws from its first replicate's stream, so
 # changing it changes every output byte.
 CHUNK = 32
+
+
+def _key_seed(key: np.ndarray) -> "np.random.bit_generator.ISeedSequence":
+    """A seed sequence that answers Philox's one request, two uint64 words,
+    with the given key. ``Philox(key=...)`` first builds a throwaway
+    OS-entropy ``SeedSequence()``; seeded with this, it builds none."""
+    return _key_seed_type()(key)
+
+
+@cache
+def _key_seed_type() -> type:
+    # defined on first use: its base class's package, numpy.random, takes
+    # about 20 ms to import; instances pickle through _key_seed
+    class KeySeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+        def __reduce__(self):
+            return _key_seed, (self.key,)
+
+    return KeySeed
 
 
 @dataclass(frozen=True)
@@ -55,8 +79,10 @@ class RngStream:
         return np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
 
     def at(self, generation: int, purpose: str) -> np.random.Generator:
+        """A new generator at the start of the (generation, purpose) stream."""
         counter = [0, self.replicate, generation, _PURPOSES[purpose]]
-        return np.random.Generator(np.random.Philox(key=self.key, counter=counter))
+        return np.random.Generator(np.random.Philox(_key_seed(self.key),
+                                                    counter=counter))
 
 
 def _offsets(offsets: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -510,8 +536,8 @@ def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterat
     The chunks do not depend on the thread count. With threads > 1 the calls
     run in that many worker processes, and each worker receives ``one`` once,
     when it starts, then only chunks, so a large argument (a dense chain, and
-    the row cumsums it caches) reaches a worker and is built there once, not
-    once per chunk. Workers fork from this process, sharing its memory, when
+    the sampling tables it caches) reaches a worker and is built there once,
+    not once per chunk. Workers fork from this process, sharing its memory, when
     it runs no other thread. Otherwise forking is unsafe, and they fork from a
     single-threaded server that has imported this module (the forkserver
     start method), so ``one`` must pickle: a functools.partial of a

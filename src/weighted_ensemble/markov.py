@@ -22,7 +22,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic kernel on a finite state space."""
+    """Row-stochastic kernel on a finite state space; `step` samples one move
+    per particle from its inverse-CDF tables (`CdfTables`)."""
 
     matrix: np.ndarray = field(repr=False)
 
@@ -49,40 +50,129 @@ class TransitionMatrix:
     def n_states(self) -> int:
         return self.matrix.shape[0]
 
-    def row_cumsums(self) -> np.ndarray:
-        """Per-row cumulative sums, used for inverse-CDF sampling of one step.
+    def cdf_tables(self) -> "CdfTables":
+        """The inverse-CDF tables that `step` samples from.
 
         Built on the first call, not at construction, so kernels that are only
-        solved never hold the extra S x S array; cached read-only after that.
+        solved never hold them; cached read-only after that.
         """
-        c = self.__dict__.get("_row_cumsums")
-        if c is None:
-            c = np.cumsum(self.matrix, axis=1)
-            c[:, -1] = 1.0
-            c.setflags(write=False)
-            object.__setattr__(self, "_row_cumsums", c)
-        return c
+        t = self.__dict__.get("_cdf_tables")
+        if t is None:
+            t = CdfTables.of(self.matrix)
+            object.__setattr__(self, "_cdf_tables", t)
+        return t
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One step from each given state, inverting that state's row CDF at
-        the uniform u in [0, 1) beside it: the first column j with
-        cumsum[j] > u, which is the count of columns with cumsum <= u.
+        the uniform u in [0, 1) beside it: the first column with a positive
+        entry whose cumsum exceeds u.
 
-        Found by bisection, in O(log S) gathers per state rather than a
-        states x S comparison: a row's cumsums never decrease and its last
-        one is 1 > u.
+        The guide bucket of u, floor(u G), brackets the answer's slot among
+        the row's positive entries (`CdfTables`), and a binary search with
+        halving steps closes the bracket in `CdfTables.rounds` gathers per
+        state: one on the package's chains, against log2 S for a search of
+        the full row.
         """
-        cum = self.row_cumsums()
-        n = cum.shape[1]
-        flat = cum.ravel()
-        row = np.asarray(states, dtype=np.int64) * n
-        lo, hi = row, row + (n - 1)  # flat indices; the answer lies in [lo, hi]
-        for _ in range((n - 1).bit_length()):
-            mid = (lo + hi) >> 1
-            right = flat[mid] <= u
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        return lo - row
+        t = self.cdf_tables()
+        buckets = t.guide.shape[1] - 1
+        s = np.asarray(states, dtype=np.int64)
+        u = np.asarray(u, dtype=float)
+        guide, cum = t.guide.ravel(), t.cumsums.ravel()
+        # u * buckets is exact, as buckets is a power of two
+        k = s * (buckets + 1) + (u * buckets).astype(np.int64)
+        row = s * t.cumsums.shape[1]
+        lo = row + guide[k]  # flat slot indices; the answer lies in [lo, hi]
+        if t.rounds > 1:
+            # a probe past hi reads a cumsum above u, so clamping it is exact
+            hi = row + guide[k + 1]
+            for r in range(t.rounds - 1, 0, -1):
+                lo += (cum[np.minimum(lo + ((1 << r) - 1), hi)] <= u) * (1 << r)
+        lo += cum[lo] <= u
+        return t.columns.ravel()[lo].astype(np.int64)
+
+
+# most guide buckets per row; rows that still have two cumsums in one bucket
+# at this size search a wider bracket
+MAX_GUIDE_BUCKETS = 1024
+
+# matrix entries per pass when building CdfTables: each of the build's
+# temporaries stays within a few MB at any state count
+_BUILD_ENTRIES = 1 << 20
+
+
+@dataclass(frozen=True)
+class CdfTables:
+    """Each row's CDF over its positive entries, with a guide table that
+    narrows each inverse-CDF search to a bracket of one or two slots
+    (Chen & Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, III.2.4).
+
+    Row i's c_i positive columns, in order, are ``columns[i, :c_i]`` and
+    their cumulative sums ``cumsums[i, :c_i]``, both padded to W, the
+    largest c_i. The sums are the sequential ones of `np.cumsum` over the
+    full row, clamped to 1.0 and pinned to exactly 1.0 at the last positive
+    entry, so u < 1 never reaches a zero-probability column; the padding is
+    1.0 too. With G guide buckets (a power of two, at most
+    `MAX_GUIDE_BUCKETS`), ``guide[i, k]`` counts row i's cumsums <= k/G for
+    k < G, and ``guide[i, G]`` those < 1: the slot of u in [k/G, (k+1)/G)
+    lies in [guide[i, k], guide[i, k + 1]]. G is the smallest size that
+    gives every bracket at most two slots, and ``rounds`` halving steps (at
+    least one) close the widest bracket.
+
+    Memory: about (8 + 2) S W bytes of cumsums and columns plus 2 S (G + 1)
+    bytes of guide (columns and guide use the narrowest unsigned type that
+    holds S - 1 and W). The build reads the matrix in blocks of rows, so
+    no temporary is larger than the tables or about 2^20 entries.
+    """
+
+    columns: np.ndarray
+    cumsums: np.ndarray
+    guide: np.ndarray
+    rounds: int
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "CdfTables":
+        n = m.shape[0]
+        step = max(1, _BUILD_ENTRIES // n)
+        blocks = [slice(i, i + step) for i in range(0, n, step)]
+        count = np.concatenate([np.count_nonzero(m[b], axis=1) for b in blocks])
+        width = int(count.max())
+        columns = np.zeros((n, width), np.min_scalar_type(n - 1))
+        cumsums = np.zeros((n, width))
+        for b in blocks:
+            flat = np.flatnonzero(m[b] > 0)
+            filled = np.arange(width) < count[b, None]  # row-major, like flat
+            cumsums[b][filled] = m[b].ravel()[flat]
+            columns[b][filled] = flat % n
+        # the sequential sums of the full row: adding the skipped zeros is exact
+        np.cumsum(cumsums, axis=1, out=cumsums)
+        np.minimum(cumsums, 1.0, out=cumsums)
+        cumsums[np.arange(width) >= count[:, None] - 1] = 1.0
+        # a cumsum below 1 goes in guide column ceil(cumsum * G). A row with
+        # k of them needs G >= k, and a size that separates a row's cumsums
+        # still does when doubled
+        most = int(np.count_nonzero(cumsums < 1.0, axis=1).max())
+        buckets = min(MAX_GUIDE_BUCKETS, 1 << max(most - 1, 0).bit_length())
+        for b in blocks:
+            inner = cumsums[b, 1:] < 1.0
+            while buckets < MAX_GUIDE_BUCKETS:
+                col = np.ceil(cumsums[b] * buckets)
+                if not np.any((col[:, 1:] == col[:, :-1]) & inner):
+                    break
+                buckets *= 2
+        guide = np.zeros((n, buckets + 1), np.min_scalar_type(width))
+        widest = 0
+        for b in blocks:
+            c = cumsums[b]
+            col = np.ceil(c * buckets).astype(np.int64)
+            col += np.arange(c.shape[0])[:, None] * (buckets + 1)
+            hits = np.bincount(col[c < 1.0], minlength=guide[b].size)
+            widest = max(widest, int(hits.max()))
+            guide[b] = np.cumsum(hits.reshape(-1, buckets + 1), axis=1)
+        rounds = max(1, widest.bit_length())
+        for a in (columns, cumsums, guide):
+            a.setflags(write=False)
+        return cls(columns, cumsums, guide, rounds)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ from .markov import Observable, TransitionMatrix
 
 
 # largest chain a CSV may hold: its dense S x S matrix and the exact
-# stationary and first-passage solves on it stay within memory and time
+# stationary and first-passage solves on it stay within memory and time. The
+# sampler's tables (markov.CdfTables) add about (8 + 2) S W + 2 S (G + 1)
+# bytes, W the most positive entries in a row and G <= 1024 guide buckets
 ORACLE_SIZE_LIMIT = 10**4
 
 

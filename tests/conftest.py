@@ -7,6 +7,23 @@ from weighted_ensemble.engine import stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
 
 
+def _dense_cdf(m: np.ndarray) -> np.ndarray:
+    # every row's full cumsums, clamped to 1 and pinned to 1 from its last
+    # positive entry on: TransitionMatrix.step(s, u) must be the count of row
+    # s's entries <= u, which is a column with a positive entry
+    cum = np.minimum(np.cumsum(m, axis=1), 1.0)
+    last = m.shape[1] - 1 - np.argmax(m[:, ::-1] > 0, axis=1)
+    cum[np.arange(m.shape[1]) >= last[:, None]] = 1.0
+    return cum
+
+
+@pytest.fixture(scope="session")
+def dense_cdf():
+    """The dense reference for inverse-CDF sampling, built from the matrix
+    alone: (u[:, None] >= dense_cdf(K.matrix)[states]).sum(axis=1)."""
+    return _dense_cdf
+
+
 @pytest.fixture(scope="session")
 def two_state():
     return TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))

@@ -313,12 +313,12 @@ def test_07_hill_relation(two_state, hill_estimate):
     assert passed
 
 
-def test_08_degeneracies(setup, init150):
+def test_08_degeneracies(setup, init150, dense_cdf):
     # (a) naive mode is bit-identical to plain independent chain simulation
     n = 10
     stream = RngStream(SEED, replicate=0)
     rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(SEED), [0])
-    cum = setup.K.row_cumsums()
+    cum = dense_cdf(setup.K.matrix)
     states = init150.states.copy()
     etas = [float(init150.weights @ setup.f.values[states])]
     for p in range(n):

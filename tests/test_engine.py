@@ -1,3 +1,4 @@
+import pickle
 import threading
 from functools import partial
 
@@ -62,6 +63,27 @@ class TestRngStream:
         # Philox advanced word 0 only: 10 draws take 3 blocks of 4 words
         counter = g.bit_generator.state["state"]["counter"]
         assert counter.tolist() == [3, 32, 7, purpose_id]
+
+    def test_at_reads_no_entropy_and_returns_independent_generators(
+            self, monkeypatch):
+        # each call seeds Philox from the stream's cached key, never from a
+        # fresh OS-entropy SeedSequence, and starts a new generator
+        s = RngStream(3, 64)
+        expected = np.random.Generator(
+            np.random.Philox(key=s.key, counter=[0, 64, 2, 2])).random(5)
+
+        def no_entropy(*args):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        a, b = s.at(2, "mutate"), s.at(2, "mutate")
+        assert np.array_equal(a.random(5), expected)
+        assert np.array_equal(b.random(5), expected)
+        assert not np.array_equal(a.random(5), expected)
+        # and a generator still pickles, seed sequence included (numpy's
+        # unpickling builds a SeedSequence first)
+        monkeypatch.undo()
+        assert np.array_equal(pickle.loads(pickle.dumps(b)).random(5), b.random(5))
 
     def test_order_independent(self):
         s = RngStream(1)
@@ -472,12 +494,13 @@ class TestRunWe:
         assert np.array_equal(a.final.states, b.final.states)
         assert np.array_equal(a.final.weights, b.final.weights)
 
-    def test_naive_matches_plain_independent_chains(self, setup, init150):
+    def test_naive_matches_plain_independent_chains(self, setup, init150,
+                                                    dense_cdf):
         n = 12
         stream = RngStream(123, replicate=5)
         rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(123), [5])
         # plain simulation of 150 independent walkers from the same stream
-        cum = setup.K.row_cumsums()
+        cum = dense_cdf(setup.K.matrix)
         states = init150.states.copy()
         for p in range(n):
             u = stream.at(p, "mutate").random(states.size)

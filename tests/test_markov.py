@@ -14,6 +14,8 @@ from weighted_ensemble import (
     second_eigenvalue_modulus,
     stationary,
 )
+from weighted_ensemble import markov
+from weighted_ensemble.markov import CdfTables
 
 
 def random_chain(draw_floats, n):
@@ -54,26 +56,88 @@ class TestTransitionMatrix:
             TransitionMatrix(bad)
 
     def test_row_cumsums_end_at_one(self, two_state):
-        cum = two_state.row_cumsums()
+        cum = two_state.cdf_tables().cumsums
         assert np.all(cum[:, -1] == 1.0)
         assert np.allclose(cum[:, 0], [0.9, 0.2])
 
+    def test_never_steps_to_a_zero_probability_state(self):
+        # row 6 of the three-well K sums to 0.9999999999999999 at its last
+        # positive entry, state 10; the CDF is pinned to 1 there
+        _, K = build_three_well_chain()
+        assert np.cumsum(K.matrix[5])[9] == 0.9999999999999999
+        assert K.step([5], [0.9999999999999999]).tolist() == [9]
+        t = K.cdf_tables()
+        last = (K.matrix > 0).sum(axis=1) - 1
+        assert np.all(t.cumsums[np.arange(90), last] == 1.0)
+        assert np.array_equal(t.columns[np.arange(90), last],
+                              89 - np.argmax(K.matrix[:, ::-1] > 0, axis=1))
+
+    def test_guide_brackets_hold_at_most_two_slots(self):
+        # the smallest guide that leaves one halving step: 128 buckets on the
+        # three-well K, whose rows have at most 9 positive entries
+        _, K = build_three_well_chain()
+        t = K.cdf_tables()
+        assert t.cumsums.shape == (90, 9) and t.guide.shape == (90, 129)
+        assert t.rounds == 1 and np.diff(t.guide, axis=1).max() == 1
+        # cumsums 1/3 and 2/3 below 1: two buckets separate them
+        uniform = TransitionMatrix(np.full((3, 3), 1 / 3)).cdf_tables()
+        assert uniform.guide.tolist() == [[0, 1, 2]] * 3
+
+    def test_tables_do_not_depend_on_the_build_block(self, monkeypatch):
+        # the build reads the matrix a block of rows at a time
+        _, K = build_three_well_chain()
+        whole = CdfTables.of(K.matrix)
+        monkeypatch.setattr(markov, "_BUILD_ENTRIES", 200)  # 2 rows a block
+        blocked = CdfTables.of(K.matrix)
+        for name in ("columns", "cumsums", "guide", "rounds"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
     @pytest.mark.parametrize("n_states", [1, 2, 3, 8, 9, 90, 300])
-    def test_step_matches_the_count_rule(self, n_states):
-        # the bisection returns the count of cumsums <= u, zero rows and
+    def test_step_matches_the_count_rule(self, n_states, dense_cdf):
+        # the sampler returns the count of cumsums <= u, zero rows and
         # uniforms that equal a cumsum exactly included
         rng = np.random.default_rng(n_states)
         m = rng.random((n_states, n_states)) ** 4
         m[m < 0.3] = 0.0
         m[:, -1] += 1e-9
         K = TransitionMatrix(m / m.sum(axis=1, keepdims=True))
-        cum = K.row_cumsums()
+        cum = dense_cdf(K.matrix)
         states = rng.integers(0, n_states, 4000)
         u = rng.random(4000)
         u[:1000] = cum[states[:1000], rng.integers(0, n_states, 1000)]
         u[u >= 1.0] = 0.0
-        assert np.array_equal(K.step(states, u),
-                              (u[:, None] >= cum[states]).sum(axis=1))
+        ends = K.step(states, u)
+        assert np.array_equal(ends, (u[:, None] >= cum[states]).sum(axis=1))
+        assert np.all(K.matrix[states, ends] > 0)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 9, 90, 300])
+    def test_step_matches_the_count_rule_at_every_breakpoint(self, n_states,
+                                                             dense_cdf):
+        # rows with leading and trailing zeros, a fully dense row and a row
+        # whose tiny entries share one guide bucket even at its largest size;
+        # u at every guide boundary k/G, every cumsum and the float below each
+        rng = np.random.default_rng(n_states)
+        m = rng.random((n_states, n_states)) ** 4
+        m[m < 0.3] = 0.0
+        for i in range(n_states):
+            lo, hi = np.sort(rng.integers(0, n_states, 2))
+            m[i, :lo] = m[i, hi + 1:] = 0.0
+            m[i, rng.integers(lo, hi + 1)] += 0.1
+        m[0] = rng.random(n_states) + 0.1
+        m[-1, : n_states // 2] = 1e-9
+        K = TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+        if n_states == 300:
+            assert K.cdf_tables().rounds > 1  # the halving steps are exercised
+        cum = dense_cdf(K.matrix)
+        buckets = K.cdf_tables().guide.shape[1] - 1
+        for s, row in enumerate(cum):
+            u = np.concatenate([np.arange(buckets) / buckets, row,
+                                np.nextafter(row, 0.0)])
+            u = u[u < 1.0]
+            ends = K.step(np.full(u.size, s), u)
+            # a row's cumsums never decrease: the count of those <= u
+            assert np.array_equal(ends, np.searchsorted(row, u, side="right"))
+            assert np.all(K.matrix[s, ends] > 0)
 
 
 class TestDistributionObservable:
