@@ -29,7 +29,6 @@ from .engine import (
 from .hill import (
     SourceSinkSpec,
     direct_mfpt,
-    general_hill_average,
     hitting_probability,
     source_sink_kernel,
     we_hill_hitting,
@@ -40,8 +39,6 @@ from .markov import (
     Distribution,
     Observable,
     TransitionMatrix,
-    apply_left,
-    apply_right,
     build_three_well_chain,
     power,
     second_eigenvalue_modulus,

@@ -44,12 +44,15 @@ def build_coarse_exact(
     if np.any(mass <= 0):
         bad = int(np.argmin(mass)) + 1
         raise ValueError(f"bin {bad} has zero sampling mass under zeta")
-    member = bins.membership_matrix()  # states x bins
-    # P_rs = sum_{x in B^r} zeta(x) sum_{y in B^s} K(x,y) / zeta(B^r)
-    flow = member.T @ (zeta.weights[:, None] * K.matrix) @ member
-    P = flow / mass[:, None]
-    u = (member.T @ (zeta.weights * f.values)) / mass
-    return TransitionMatrix(P / P.sum(axis=1, keepdims=True)), u
+    # P_rs = sum_{x in B^r} zeta(x) sum_{y in B^s} K(x,y) / zeta(B^r): one
+    # bincount over the (bin of x, bin of y) pairs that K's entries join
+    x, y, k = K.entries()
+    pairs, slot = np.unique(bins.bin_of[x] * R + bins.bin_of[y], return_inverse=True)
+    rows = pairs // R
+    flow = np.bincount(slot, weights=zeta.weights[x] * k) / mass[rows]
+    flow /= np.bincount(rows, weights=flow, minlength=R)[rows]
+    u = np.bincount(bins.bin_of, weights=zeta.weights * f.values, minlength=R) / mass
+    return TransitionMatrix.from_entries(R, rows, pairs % R, flow), u
 
 
 def build_coarse_mc(
@@ -75,18 +78,17 @@ def build_coarse_mc(
     ends = K.step(starts, rng.random(starts.size))
     sb = bins.bin_of[starts]
     eb = bins.bin_of[ends]
-    counts = np.zeros((R, R))
-    np.add.at(counts, (sb, eb), 1.0)
-    visits = counts.sum(axis=1)
+    visits = np.bincount(sb, minlength=R)
     if np.any(visits == 0):
         bad = int(np.argmin(visits)) + 1
         raise ValueError(
             f"bin {bad} received no samples; increase the sample budget"
         )
-    P = counts / visits[:, None]
+    pairs, counts = np.unique(sb * R + eb, return_counts=True)
+    rows = pairs // R
     u_num = np.bincount(sb, weights=f.values[starts], minlength=R)
     u = u_num / visits
-    return TransitionMatrix(P), u
+    return TransitionMatrix.from_entries(R, rows, pairs % R, counts / visits[rows]), u
 
 
 def compute_v(P: TransitionMatrix, u: np.ndarray, n: int) -> np.ndarray:

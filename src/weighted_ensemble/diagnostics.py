@@ -46,23 +46,30 @@ class GSequence:
         return self.g.shape[0] - 1
 
 
+def backward(K: TransitionMatrix, f: Observable, n: int) -> np.ndarray:
+    """The backward recursion g[n] = f, g[p] = K g[p+1]: g[p] = K^{n-p} f for
+    p = 0..n, as an (n+1, states) array."""
+    if n < 0:
+        raise ValueError("horizon must be >= 0")
+    g = np.empty((n + 1, K.n_states))
+    g[n] = f.values
+    for p in range(n - 1, -1, -1):
+        g[p] = K.apply(g[p + 1])
+    return g
+
+
 def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
-    """Backward recursion g[n] = f, g[p] = K g[p+1].
+    """`backward` plus the local variances of its steps.
 
     Serves both the fine chain and, through `coarse.compute_v`, the coarse
     model's variance-proxy table. A local variance below -1e-10 violates
     Jensen and signals a bug in K or f, so it raises ValueError.
     """
-    if n < 0:
-        raise ValueError("horizon must be >= 0")
+    g = backward(K, f, n)
     m = K.n_states
-    g = np.empty((n + 1, m))
-    g[n] = f.values
-    for p in range(n - 1, -1, -1):
-        g[p] = K.matrix @ g[p + 1]
     kg2 = np.empty((n, m))
     for p in range(n):
-        kg2[p] = K.matrix @ (g[p + 1] ** 2)
+        kg2[p] = K.apply(g[p + 1] ** 2)
     local_var = kg2 - g[:n] ** 2
     if local_var.size and local_var.min() < -1e-10:
         raise ValueError(

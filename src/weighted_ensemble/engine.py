@@ -159,10 +159,6 @@ class Ensemble:
         return np.array([self.weights[lo:hi].sum()
                          for lo, hi in zip(bounds, bounds[1:])])
 
-    def empirical_distribution(self, n_states: int) -> Distribution:
-        w = np.bincount(self.states, weights=self.weights, minlength=n_states)
-        return Distribution(w / w.sum())
-
 
 @dataclass(frozen=True)
 class NaivePolicy:
@@ -245,29 +241,13 @@ def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def init_ensemble(
-    initial: Distribution,
-    n0: int,
-    placement: str = "stratified",
-    rng: Optional[np.random.Generator] = None,
-) -> Ensemble:
-    """Initial population of n0 particles with equal weights 1/n0.
-
-    `sampled` draws states i.i.d. from `initial`; `stratified` assigns
-    deterministic per-state counts matching n0 * initial by largest remainder.
-    """
+def init_ensemble(initial: Distribution, n0: int) -> Ensemble:
+    """Initial population of n0 particles with equal weights 1/n0, with
+    deterministic per-state counts matching n0 * initial by largest remainder."""
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    if placement == "sampled":
-        if rng is None:
-            raise ValueError("sampled placement needs an rng")
-        states = rng.choice(initial.n_states, size=n0, p=initial.weights)
-        states = np.sort(states)
-    elif placement == "stratified":
-        counts = largest_remainder(n0 * initial.weights, n0)
-        states = np.repeat(np.arange(initial.n_states), counts)
-    else:
-        raise ValueError(f"unknown placement {placement!r}")
+    counts = largest_remainder(n0 * initial.weights, n0)
+    states = np.repeat(np.arange(initial.n_states), counts)
     return Ensemble(0, states, np.full(n0, 1.0 / n0))
 
 
@@ -278,16 +258,16 @@ def stationary_init_ensemble(
     vector: each bin gets ~N/R particles, each carrying mu_r / (count in bin).
 
     Bins with zero coarse mass (possible on source-sink chains, whose sink
-    interior is transient) receive no particles: a zero-weight particle would
-    never be selected and is not allowed. Mass at most 1e-12 of the largest,
-    the roundoff that `markov.stationary` leaves on such bins, counts as zero.
+    interior is transient: `markov.stationary` gives it exactly 0) receive
+    no particles: a zero-weight particle would never be selected and is not
+    allowed.
     """
     R = bins.n_bins
     if n_particles < R:
         raise ValueError(f"need at least {R} particles so no bin is empty")
     if mu.n_states != R:
         raise ValueError("mu must be a distribution over bins")
-    quotas = np.where(mu.weights > 1e-12 * mu.weights.max(), n_particles / R, 0.0)
+    quotas = np.where(mu.weights > 0, n_particles / R, 0.0)
     scale = n_particles / quotas.sum()
     per_bin = largest_remainder(quotas * scale, n_particles)
     states = []
@@ -535,7 +515,7 @@ def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterat
 
     The chunks do not depend on the thread count. With threads > 1 the calls
     run in that many worker processes, and each worker receives ``one`` once,
-    when it starts, then only chunks, so a large argument (a dense chain, and
+    when it starts, then only chunks, so a large argument (a chain, and
     the sampling tables it caches) reaches a worker and is built there once,
     not once per chunk. Workers fork from this process, sharing its memory, when
     it runs no other thread. Otherwise forking is unsafe, and they fork from a

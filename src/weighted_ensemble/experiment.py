@@ -29,7 +29,7 @@ from .engine import (
     replicates,
     run_we,
 )
-from .diagnostics import GSequence, doob_terms, g_sequence, policy_name
+from .diagnostics import GSequence, backward, doob_terms, g_sequence, policy_name
 from .markov import Distribution, Observable, TransitionMatrix
 
 MODES = ("adaptive", "traditional", "naive")
@@ -152,12 +152,10 @@ def run_sweep_cell(
     if adaptive and n_max > rows:
         raise ValueError(f"v table has {rows} rows, fewer than horizon {n_max}")
 
-    # exact reference eta_0 K^p f for p = 0..n_max from the initial ensemble
-    gn = setup.f.values.copy()
-    exact = [float(init.weights @ gn[init.states])]
-    for _ in range(n_max):
-        gn = setup.K.matrix @ gn
-        exact.append(float(init.weights @ gn[init.states]))
+    # exact reference eta_0 K^h f = eta_0 g[n_max - h] from the initial ensemble
+    g_max = g_sequence(setup.K, setup.f, n_max) if doob else None
+    g = backward(setup.K, setup.f, n_max) if g_max is None else g_max.g
+    exact = [float(init.weights @ g_h[init.states]) for g_h in g[::-1]]
 
     mode = policy_name(policy)
     results = []
@@ -167,7 +165,7 @@ def run_sweep_cell(
         traces = np.empty((reps, n + 1))
         weights = np.empty((reps, n + 1))
         counts = np.empty((reps, n + 1), dtype=np.int64)
-        gseq = g_sequence(setup.K, setup.f, n) if doob and n == n_max else None
+        gseq = g_max if n == n_max else None
         finals, variances = [], []
         one = partial(_batch, setup.K, setup.f, policy, init, n, RngStream(seed),
                       v_n, gseq)

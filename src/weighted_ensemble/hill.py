@@ -21,7 +21,13 @@ from .engine import (
     stationary_init_ensemble,
 )
 from .experiment import ChainSetup, SweepResult, run_sweep_cell
-from .markov import Distribution, Observable, TransitionMatrix
+from .markov import (
+    Distribution,
+    Observable,
+    TransitionMatrix,
+    reaches,
+    solve_identity_minus,
+)
 
 
 @dataclass(frozen=True)
@@ -50,21 +56,19 @@ class SourceSinkSpec:
 def source_sink_kernel(spec: SourceSinkSpec) -> TransitionMatrix:
     """K = K0 outside F; every row inside F is replaced by rho K0, i.e. the
     chain restarts at rho immediately after entering the sink."""
-    K0 = spec.base_kernel.matrix
-    restart_row = spec.source.weights @ K0
-    K = K0.copy()
-    K[sorted(spec.sink)] = restart_row
-    return TransitionMatrix(K)
-
-
-def general_hill_average(pi: Distribution, g: Observable, F) -> float:
-    """pi(g) / pi(F) = E^rho[sum over one renewal cycle of g]."""
-    mask = np.zeros(pi.n_states, dtype=bool)
-    mask[list(F)] = True
-    pf = float(pi.weights[mask].sum())
-    if pf <= 0:
-        raise ValueError("pi(F) = 0; the sink is never visited")
-    return float(pi.weights @ g.values) / pf
+    K0 = spec.base_kernel
+    n = K0.n_states
+    restart = K0.push(spec.source.weights)
+    cols = np.flatnonzero(restart)
+    sink = np.array(sorted(spec.sink))
+    rows, ends, probs = K0.entries()
+    keep = ~np.isin(rows, sink)
+    return TransitionMatrix.from_entries(
+        n,
+        np.concatenate((rows[keep], np.repeat(sink, cols.size))),
+        np.concatenate((ends[keep], np.tile(cols, sink.size))),
+        np.concatenate((probs[keep], np.tile(restart[cols], sink.size))),
+    )
 
 
 def hitting_probability(pi: Distribution, A, B) -> float:
@@ -81,21 +85,22 @@ def hitting_probability(pi: Distribution, A, B) -> float:
 
 def direct_mfpt(K0: TransitionMatrix, rho: Distribution, F) -> float:
     """Exact mean first-passage time E^rho[tau_F] by the absorbing-chain linear
-    solve t = 1 + K0_restricted t on the complement of F."""
+    solve t = 1 + K0_restricted t on the complement of F
+    (`markov.solve_identity_minus`)."""
     n = K0.n_states
     mask = np.zeros(n, dtype=bool)
     mask[list(F)] = True
     if rho.weights[mask].sum() > 0:
         raise ValueError("rho has mass on F")
+    if not reaches(K0, np.flatnonzero(mask)).all():
+        raise ValueError("F is unreachable from some state")
     outside = ~mask
-    sub = K0.matrix[np.ix_(outside, outside)]
+    pos = np.cumsum(outside) - 1
+    rows, cols, probs = K0.entries()
+    inner = outside[rows] & outside[cols]
     m = int(outside.sum())
-    try:
-        t = np.linalg.solve(np.eye(m) - sub, np.ones(m))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("F is unreachable from some state (singular system)") from exc
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("F is unreachable from some state (invalid solution)")
+    t = solve_identity_minus(m, pos[rows[inner]], pos[cols[inner]], probs[inner],
+                             np.ones(m))
     full = np.zeros(n)
     full[outside] = t
     return float(rho.weights @ full)

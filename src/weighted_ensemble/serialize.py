@@ -7,19 +7,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .markov import Observable, TransitionMatrix
 
 
-# largest chain a CSV may hold: its dense S x S matrix and the exact
-# stationary and first-passage solves on it stay within memory and time. The
-# sampler's tables (markov.CdfTables) add about (8 + 2) S W + 2 S (G + 1)
-# bytes, W the most positive entries in a row and G <= 1024 guide buckets
-ORACLE_SIZE_LIMIT = 10**4
+# most nonzero entries a CSV may list, and most slots of a chain's padded
+# ELL rows (markov.TransitionMatrix): 16 bytes a slot, plus 8 of sampling
+# tables (markov.CdfTables), so a chain takes at most about 24 MB. A chain
+# needs a positive entry per state, so it has at most this many states too
+NONZERO_LIMIT = 10**6
 
 
 def config_hash(text: str) -> str:
@@ -52,7 +53,8 @@ def write_rows(
 
 
 def write_matrix_csv(path: Path, K: TransitionMatrix, cfg_hash: Optional[str] = None):
-    m = K.matrix
+    """Every i,j entry of a (small, coarse) kernel, zeros included."""
+    m = K.to_dense()
     rows = (
         (i + 1, j + 1, m[i, j])
         for i in range(m.shape[0])
@@ -74,50 +76,96 @@ def write_v_table_csv(path: Path, v: np.ndarray, cfg_hash: Optional[str] = None)
     write_rows(path, ("p", "r", "value"), rows, cfg_hash)
 
 
-def _read_csv(path: Path) -> list[list[str]]:
+# data lines parsed per numpy call: a chain's file is read in slices of this
+# size, so reading holds one slice of text at a time
+_CHUNK_LINES = 1 << 16
+
+
+def _data_lines(path: Path) -> Iterator[str]:
+    """The lines of a CSV after its comment lines, blank lines and header."""
     with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh)
-                if row and not row[0].startswith("#")]
+        lines = (line for line in fh if line.strip() and not line.startswith("#"))
+        next(lines, None)
+        yield from lines
 
 
-def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, list[float]]:
-    """The data rows of an i,value (width 1) or i,j,value (width 2) CSV: the
-    state count n, the largest i; each row's 0-indexed indices; its values.
+def _row_text(path: Path, k: int) -> str:
+    """Data row k of a CSV, as written."""
+    return next(islice(_data_lines(path), k, None)).rstrip("\r\n")
 
-    Raises ValueError, naming the row, for an index outside 1..n or an index
-    that an earlier row already set, and for n above ORACLE_SIZE_LIMIT, before
-    anything of size n is allocated.
-    """
-    rows = _read_csv(path)[1:]  # drop header
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
+
+def _parse(path: Path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's width integer indices and its value, by numpy's parser; by
+    the csv module's where that one fails, which also reads quoted fields and
+    names a row with the wrong number of fields."""
+    try:
+        dtype = [(f"i{k}", np.int64) for k in range(width)] + [("value", float)]
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        index = np.column_stack([table[f"i{k}"] for k in range(width)])
+        return index, table["value"]
+    except ValueError:
+        rows = list(csv.reader(lines))
     for row in rows:
         if len(row) != width + 1:
             raise ValueError(f"{path}: row {','.join(row)!r} needs {width + 1} fields")
-    index = np.array([int(t) for row in rows for t in row[:width]])
-    index = index.reshape(-1, width) - 1
+    index = np.array([[int(t) for t in row[:width]] for row in rows], dtype=np.int64)
+    return index, np.array([float(row[width]) for row in rows])
+
+
+def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The data rows of an i,value (width 1) or i,j,value (width 2) CSV: the
+    state count n, the largest i; each row's 0-indexed indices; its values.
+
+    Raises ValueError, naming the row, for a row with the wrong field count,
+    for the nonzero value that passes NONZERO_LIMIT, for an index outside
+    1..n and for an index that an earlier row already set; and for n above
+    NONZERO_LIMIT. Each check comes before anything of size n is allocated.
+    """
+    indices, values = [], []
+    nonzero = 0
+    lines = _data_lines(path)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        index, value = _parse(path, chunk, width)
+        nz = np.flatnonzero(value != 0.0)
+        if nonzero + nz.size > NONZERO_LIMIT:
+            row = chunk[nz[NONZERO_LIMIT - nonzero]].rstrip("\r\n")
+            raise ValueError(f"{path}: row {row!r} is nonzero entry "
+                             f"{NONZERO_LIMIT + 1}; a CSV holds at most {NONZERO_LIMIT}")
+        nonzero += nz.size
+        indices.append(index)
+        values.append(value)
+    if not values:
+        raise ValueError(f"{path} has no data rows")
+    index = np.concatenate(indices) - 1
     n = int(index[:, 0].max()) + 1
-    if n > ORACLE_SIZE_LIMIT:
+    if n > NONZERO_LIMIT:
         raise ValueError(f"{path} names state {n}; chains have at most "
-                         f"{ORACLE_SIZE_LIMIT} states")
+                         f"{NONZERO_LIMIT} states")
     outside = np.flatnonzero(((index < 0) | (index >= n)).any(axis=1))
     if outside.size:
-        row = ",".join(rows[outside[0]])
+        row = _row_text(path, outside[0])
         raise ValueError(f"{path}: row {row!r} has an index outside 1..{n}")
     flat = np.ravel_multi_index(tuple(index.T), (n,) * width)
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][np.diff(flat[order]) == 0]
     if repeats.size:
-        row = ",".join(rows[repeats.min()])
+        row = _row_text(path, repeats.min())
         raise ValueError(f"{path}: row {row!r} repeats the index of an earlier row")
-    return n, index, [float(row[width]) for row in rows]
+    return n, index, np.concatenate(values)
 
 
 def read_matrix_csv(path: Path) -> TransitionMatrix:
+    """The kernel of an i,j,value CSV, built in ELL rows without any n x n
+    array. Raises ValueError, naming the state, when its widest row would pad
+    the rows to more than NONZERO_LIMIT slots."""
     n, index, values = _read_indexed(path, 2)
-    m = np.zeros((n, n))
-    m[index[:, 0], index[:, 1]] = values
-    return TransitionMatrix(m)
+    count = np.bincount(index[values != 0.0, 0], minlength=n)
+    widest = int(count.argmax())
+    if n * int(count[widest]) > NONZERO_LIMIT:
+        raise ValueError(f"{path}: state {widest + 1} has {count[widest]} nonzero "
+                         f"entries; padded to that many, the {n} rows would hold "
+                         f"more than {NONZERO_LIMIT}")
+    return TransitionMatrix.from_entries(n, index[:, 0], index[:, 1], values)
 
 
 def read_vector_csv(path: Path) -> np.ndarray:

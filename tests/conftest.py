@@ -20,13 +20,30 @@ def _dense_cdf(m: np.ndarray) -> np.ndarray:
 @pytest.fixture(scope="session")
 def dense_cdf():
     """The dense reference for inverse-CDF sampling, built from the matrix
-    alone: (u[:, None] >= dense_cdf(K.matrix)[states]).sum(axis=1)."""
+    alone: (u[:, None] >= dense_cdf(K.to_dense())[states]).sum(axis=1)."""
     return _dense_cdf
+
+
+def _general_hill_average(pi, g, F) -> float:
+    # pi(g) / pi(F) = E^rho[sum over one renewal cycle of g]: the Hill
+    # relation for a general observable on a source-sink chain's pi
+    mask = np.zeros(pi.n_states, dtype=bool)
+    mask[list(F)] = True
+    pf = float(pi.weights[mask].sum())
+    if pf <= 0:
+        raise ValueError("pi(F) = 0; the sink is never visited")
+    return float(pi.weights @ g.values) / pf
+
+
+@pytest.fixture(scope="session")
+def general_hill_average():
+    """pi(g) / pi(F) for a stationary pi, an observable g and a sink F."""
+    return _general_hill_average
 
 
 @pytest.fixture(scope="session")
 def two_state():
-    return TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    return TransitionMatrix.from_dense(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from weighted_ensemble import (
     SourceSinkSpec,
     TransitionMatrix,
     direct_mfpt,
-    general_hill_average,
     hitting_probability,
     run_we,
     source_sink_kernel,
@@ -68,7 +67,7 @@ def exact_naive_std(setup, init: Ensemble, n: int) -> float:
     Naive walkers are independent chains from the fixed initial ensemble, so
     Var(eta_n f) = sum_i w_i^2 [K^n f^2 - (K^n f)^2](x_i).
     """
-    Kn = np.linalg.matrix_power(setup.K.matrix, n)
+    Kn = np.linalg.matrix_power(setup.K.to_dense(), n)
     mean_per_state = Kn @ setup.f.values
     var_per_state = Kn @ (setup.f.values**2) - mean_per_state**2
     return float(np.sqrt(init.weights**2 @ var_per_state[init.states]))
@@ -272,7 +271,7 @@ def test_05_optimal_allocation_grid_search(two_state):
 
 def test_06_variance_proxy_nonnegativity(model30):
     # recompute the proxy table without clamping to observe raw roundoff
-    P, u, n = model30.P.matrix, model30.u, 30
+    P, u, n = model30.P.to_dense(), model30.u, 30
     w = [u]
     for _ in range(n):
         w.append(P @ w[-1])
@@ -284,7 +283,7 @@ def test_06_variance_proxy_nonnegativity(model30):
     assert passed
 
 
-def test_07_hill_relation(two_state, hill_estimate):
+def test_07_hill_relation(two_state, hill_estimate, general_hill_average):
     # two-state spec: both exact routes give mean first-passage time 10
     rho2 = Distribution.point_mass(0, 2)
     pi2 = stationary(source_sink_kernel(SourceSinkSpec(two_state, frozenset({1}), rho2)))
@@ -293,7 +292,7 @@ def test_07_hill_relation(two_state, hill_estimate):
     exact_ok = abs(hill2 - 10.0) <= 1e-10 and abs(direct2 - 10.0) <= 1e-10
 
     # three-state symmetric spec: hitting probability is exactly 1/2
-    K3 = TransitionMatrix(
+    K3 = TransitionMatrix.from_dense(
         np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
     )
     rho3 = Distribution.point_mass(1, 3)
@@ -318,7 +317,7 @@ def test_08_degeneracies(setup, init150, dense_cdf):
     n = 10
     stream = RngStream(SEED, replicate=0)
     rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(SEED), [0])
-    cum = dense_cdf(setup.K.matrix)
+    cum = dense_cdf(setup.K.to_dense())
     states = init150.states.copy()
     etas = [float(init150.weights @ setup.f.values[states])]
     for p in range(n):

@@ -23,7 +23,7 @@ class TestBuildCoarseExact:
         bins = BinPartition(np.arange(2))
         f = Observable(np.array([0.3, -1.2]))
         P, u = build_coarse_exact(two_state, bins, uniform(2), f)
-        assert np.allclose(P.matrix, two_state.matrix)
+        assert np.allclose(P.to_dense(), two_state.to_dense())
         assert np.allclose(u, f.values)
 
     def test_constant_f_gives_constant_u(self, setup):
@@ -35,7 +35,7 @@ class TestBuildCoarseExact:
         bins = BinPartition(np.zeros(2, np.int64))
         f = Observable(np.array([0.0, 1.0]))
         P, u = build_coarse_exact(two_state, bins, uniform(2), f)
-        assert np.allclose(P.matrix, [[1.0]])
+        assert np.allclose(P.to_dense(), [[1.0]])
         assert np.allclose(u, [0.5])
 
     def test_zero_mass_bin_is_an_error(self, two_state):
@@ -62,18 +62,18 @@ class TestBuildCoarseMC:
             np.random.default_rng(0),
         )
         visits = total / 2  # stratified: half the budget starts in each bin
-        ci = 3 * np.sqrt(np.maximum(P.matrix * (1 - P.matrix), 1e-12) / visits)
-        assert np.all(np.abs(Pm.matrix - P.matrix) <= ci)
+        ci = 3 * np.sqrt(np.maximum(P.to_dense() * (1 - P.to_dense()), 1e-12) / visits)
+        assert np.all(np.abs(Pm.to_dense() - P.to_dense()) <= ci)
         assert np.allclose(um, u)  # u is deterministic given stratified starts
 
     def test_permutation_kernel_exact_after_one_sample_per_state(self):
-        K = TransitionMatrix(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
+        K = TransitionMatrix.from_dense(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
         bins = BinPartition(np.arange(3))
         P, _ = build_coarse_mc(
             K, bins, uniform(3), Observable(np.zeros(3)), 3,
             np.random.default_rng(0),
         )
-        assert np.allclose(P.matrix, K.matrix)
+        assert np.allclose(P.to_dense(), K.to_dense())
 
     def test_indicator_of_bin_gives_unit_u(self, setup):
         f = Observable.indicator(setup.bins.states_in(4), 90)
@@ -100,7 +100,7 @@ class TestBuildCoarseMC:
                 setup.K, setup.bins, setup.zeta, setup.f, total,
                 np.random.default_rng(2),
             )
-            errs.append(np.abs(Pm.matrix - exact.matrix).max())
+            errs.append(np.abs(Pm.to_dense() - exact.to_dense()).max())
         # 100x more samples should shrink the error roughly 10x; allow slack
         assert errs[1] < errs[0] / 3
 
@@ -124,7 +124,7 @@ class TestComputeV:
         bins = BinPartition(np.arange(90))
         P, u = build_coarse_exact(setup.K, bins, setup.zeta, setup.f)
         v = compute_v(P, u, n)
-        K = setup.K.matrix
+        K = setup.K.to_dense()
         g = np.empty((n + 1, 90))
         g[n] = setup.f.values
         for p in range(n - 1, -1, -1):
@@ -134,13 +134,15 @@ class TestComputeV:
             assert np.abs(v[p] - np.maximum(exact, 0.0)).max() <= 1e-10
 
     def test_bit_identical_to_vector_recursion(self, model30):
-        # w_k = P^k u forward, then v[p] = P w_{n-p-1}^2 - w_{n-p}^2, clamped
-        P, u = model30.P.matrix, model30.u
+        # w_k = P^k u forward, then v[p] = P w_{n-p-1}^2 - w_{n-p}^2, clamped,
+        # with the kernel's own product
+        P, u = model30.P, model30.u
         for n in (1, 5, 30):
             w = [u]
             for _ in range(n):
-                w.append(P @ w[-1])
-            ref = np.array([P @ (w[n - p - 1] ** 2) - w[n - p] ** 2 for p in range(n)])
+                w.append(P.apply(w[-1]))
+            ref = np.array([P.apply(w[n - p - 1] ** 2) - w[n - p] ** 2
+                            for p in range(n)])
             assert np.array_equal(compute_v(model30.P, u, n), np.maximum(ref, 0.0))
 
     def test_shorter_horizon_is_the_tail_of_a_longer_one(self, model30):
@@ -160,12 +162,12 @@ class TestCoarseStationary:
         assert np.allclose(mu.weights, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_doubly_stochastic_is_uniform(self):
-        P = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        P = TransitionMatrix.from_dense(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert np.allclose(stationary(P).weights, [0.5, 0.5])
 
     def test_benchmark_mu_is_fixed_point(self, model30):
         mu = model30.mu.weights
-        assert np.abs(mu @ model30.P.matrix - mu).max() <= 1e-12
+        assert np.abs(mu @ model30.P.to_dense() - mu).max() <= 1e-12
         assert mu.sum() == pytest.approx(1.0)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from weighted_ensemble.config import ExperimentConfig, parse_state_set
@@ -71,3 +72,35 @@ class TestExperimentConfig:
         setup = cfg.build_setup()
         assert setup.K.n_states == 2 and setup.bins.n_bins == 2
         assert list(setup.f.values) == [0.0, 1.0]
+
+
+def test_csv_chain_set_up_and_solved_in_sparse_memory(tmp_path):
+    # a 3000-state chain of bandwidth 4: its dense matrix alone would take
+    # 72 MB; reading it, its coarse model and its stationary solve stay in
+    # ELL rows and blocks of the band
+    import tracemalloc
+
+    from weighted_ensemble.coarse import build_coarse_model
+    from weighted_ensemble.markov import stationary
+
+    n, band = 3000, 4
+    rng = np.random.default_rng(0)
+    i = np.repeat(np.arange(n), 2 * band + 1)
+    j = i + np.tile(np.arange(-band, band + 1), n)
+    keep = (j >= 0) & (j < n)
+    i, j = i[keep], j[keep]
+    p = rng.uniform(0.5, 1.0, i.size)
+    p /= np.bincount(i, weights=p)[i]
+    path = tmp_path / "K.csv"
+    path.write_text("i,j,value\n" + "".join(
+        f"{a + 1},{b + 1},{v!r}\n" for a, b, v in zip(i.tolist(), j.tolist(), p.tolist())))
+    cfg = ExperimentConfig(chain=f"csv:{path}", bin_width=30, f_states="940..1100")
+    tracemalloc.start()
+    try:
+        setup = cfg.build_setup()
+        build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon=20)
+        stationary(setup.K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -47,7 +47,7 @@ class TestGSequence:
         n = 7
         g = g_sequence(setup.K, setup.f, n)
         nu0 = np.full(90, 1 / 90)
-        exact = nu0 @ np.linalg.matrix_power(setup.K.matrix, n) @ setup.f.values
+        exact = nu0 @ np.linalg.matrix_power(setup.K.to_dense(), n) @ setup.f.values
         assert abs(float(nu0 @ g.g[0]) - exact) <= 1e-12
 
     def test_local_var_nonnegative(self, setup):
@@ -57,7 +57,7 @@ class TestGSequence:
 
 class TestMutationVarianceTerm:
     def test_identity_kernel_gives_zero(self, f01):
-        K = TransitionMatrix(np.eye(2))
+        K = TransitionMatrix.from_dense(np.eye(2))
         g = g_sequence(K, f01, 2)
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
         out = select(e, NaivePolicy())
@@ -121,7 +121,7 @@ class TestSelectionVarianceTerm:
 
     def test_half_beta_hand_value(self, f01):
         # one particle, w = 1, beta = 0.5, g_p = 1 -> E[C^2]/beta^2 - 1 = 1
-        K = TransitionMatrix(np.eye(2))
+        K = TransitionMatrix.from_dense(np.eye(2))
         g = g_sequence(K, Observable(np.array([1.0, 0.0])), 1)
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         assert selection_variance_term(e, np.array([0.5]), g, 0) == pytest.approx(1.0)

@@ -90,7 +90,7 @@ def children_laws(beta: np.ndarray):
 def exact_laws(policy, init, horizon: int):
     """The law of the ensemble at generations 0..horizon, and for each n the
     sum over p < n of E[mut_p + sel_p] taken with g = K^{n-p} f."""
-    gs = [g_sequence(TransitionMatrix(K), Observable(F), n) for n in range(horizon + 1)]
+    gs = [g_sequence(TransitionMatrix.from_dense(K), Observable(F), n) for n in range(horizon + 1)]
     law = {init: 1.0}
     laws = [law]
     doob = np.zeros(horizon + 1)

@@ -10,7 +10,6 @@ from weighted_ensemble import (
     TraditionalPolicy,
     TransitionMatrix,
     direct_mfpt,
-    general_hill_average,
     hitting_probability,
     source_sink_kernel,
     stationary,
@@ -26,7 +25,7 @@ def two_state_spec(two_state):
 
 @pytest.fixture
 def three_state_symmetric():
-    K0 = TransitionMatrix(
+    K0 = TransitionMatrix.from_dense(
         np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
     )
     return K0, Distribution.point_mass(1, 3)
@@ -49,52 +48,54 @@ class TestSourceSinkSpec:
 class TestSourceSinkKernel:
     def test_two_state_rows(self, two_state_spec):
         K = source_sink_kernel(two_state_spec)
-        assert np.allclose(K.matrix, [[0.9, 0.1], [0.9, 0.1]])
+        assert np.allclose(K.to_dense(), [[0.9, 0.1], [0.9, 0.1]])
 
     def test_sink_rows_equal_restart_distribution(self, two_state_spec):
         # inside F the next-step law is rho K0
         K = source_sink_kernel(two_state_spec)
-        restart = two_state_spec.source.weights @ two_state_spec.base_kernel.matrix
-        assert np.allclose(K.matrix[1], restart)
+        restart = two_state_spec.source.weights @ two_state_spec.base_kernel.to_dense()
+        assert np.allclose(K.to_dense()[1], restart)
 
     def test_point_source_copies_source_row(self, setup):
         rho = Distribution.point_mass(0, 90)
         spec = SourceSinkSpec(setup.K, frozenset(range(80, 90)), rho)
         K = source_sink_kernel(spec)
-        assert np.allclose(K.matrix[85], setup.K.matrix[0])
-        assert np.allclose(K.matrix[:80], setup.K.matrix[:80])
+        assert np.allclose(K.to_dense()[85], setup.K.to_dense()[0])
+        assert np.allclose(K.to_dense()[:80], setup.K.to_dense()[:80])
 
 
 class TestExactIdentities:
-    def test_general_average_of_sink_indicator_is_one(self, two_state_spec):
+    def test_general_average_of_sink_indicator_is_one(self, two_state_spec,
+                                                     general_hill_average):
         pi = stationary(source_sink_kernel(two_state_spec))
         g = Observable.indicator([1], 2)
         assert general_hill_average(pi, g, {1}) == pytest.approx(1.0)
 
-    def test_two_state_mfpt_is_ten(self, two_state, two_state_spec):
+    def test_two_state_mfpt_is_ten(self, two_state, two_state_spec,
+                                   general_hill_average):
         pi = stationary(source_sink_kernel(two_state_spec))
         hill = general_hill_average(pi, Observable(np.ones(2)), {1})
         direct = direct_mfpt(two_state, Distribution.point_mass(0, 2), [1])
         assert abs(hill - 10.0) <= 1e-10
         assert abs(direct - 10.0) <= 1e-10
 
-    def test_hill_consistency_on_random_chain(self):
+    def test_hill_consistency_on_random_chain(self, general_hill_average):
         rng = np.random.default_rng(12)
         m = rng.random((4, 4)) + 0.05
-        K0 = TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+        K0 = TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True))
         rho = Distribution.point_mass(0, 4)
         spec = SourceSinkSpec(K0, frozenset({3}), rho)
         pi = stationary(source_sink_kernel(spec))
         hill = general_hill_average(pi, Observable(np.ones(4)), {3})
         assert abs(hill - direct_mfpt(K0, rho, [3])) <= 1e-10
 
-    def test_renewal_identity_for_general_observable(self):
+    def test_renewal_identity_for_general_observable(self, general_hill_average):
         # E^rho[sum_{p<=tau_F} 1_A(X_p)] = pi(A)/pi(F), right side from the
         # stationary solve, left side from an absorbing-chain linear solve
         rng = np.random.default_rng(5)
         m = rng.random((4, 4)) + 0.05
         K0m = m / m.sum(axis=1, keepdims=True)
-        K0 = TransitionMatrix(K0m)
+        K0 = TransitionMatrix.from_dense(K0m)
         rho = Distribution.point_mass(1, 4)
         F, A = [3], [0]
         pi = stationary(source_sink_kernel(SourceSinkSpec(K0, frozenset(F), rho)))
@@ -125,11 +126,11 @@ class TestExactIdentities:
             hitting_probability(pi, [0], [0, 1])
 
     def test_direct_mfpt_one_step_case(self):
-        K0 = TransitionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        K0 = TransitionMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.5]]))
         assert direct_mfpt(K0, Distribution.point_mass(0, 2), [1]) == pytest.approx(1.0)
 
     def test_direct_mfpt_unreachable_sink_errors(self):
-        K0 = TransitionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        K0 = TransitionMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             direct_mfpt(K0, Distribution.point_mass(0, 2), [1])
 
@@ -148,7 +149,7 @@ class TestWeEstimators:
 
     def test_degenerate_one_step_sink(self):
         # from the source every step lands in F, so tau_F = 1 and pi(F) = 1
-        K0 = TransitionMatrix(
+        K0 = TransitionMatrix.from_dense(
             np.array([[0.0, 0.5, 0.5], [1, 1, 1], [1, 1, 1]], dtype=float) /
             np.array([[1.0], [3.0], [3.0]])
         )

@@ -3,7 +3,7 @@ import pytest
 
 from weighted_ensemble import TransitionMatrix
 from weighted_ensemble.serialize import (
-    ORACLE_SIZE_LIMIT,
+    NONZERO_LIMIT,
     config_hash,
     read_matrix_csv,
     read_vector_csv,
@@ -35,17 +35,17 @@ def test_matrix_round_trip(tmp_path, two_state):
     path = tmp_path / "K.csv"
     write_matrix_csv(path, two_state, cfg_hash="00")
     back = read_matrix_csv(path)
-    assert np.array_equal(back.matrix, two_state.matrix)
+    assert np.array_equal(back.to_dense(), two_state.to_dense())
     # 1-indexed on disk
     assert path.read_text().splitlines()[2].startswith("1,1,")
 
 
 def test_matrix_round_trip_is_byte_exact_for_awkward_floats(tmp_path):
     m = np.array([[1 / 3, 2 / 3], [0.1 + 0.2, 1.0 - (0.1 + 0.2)]])
-    K = TransitionMatrix(m / m.sum(axis=1, keepdims=True))
+    K = TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True))
     path = tmp_path / "K.csv"
     write_matrix_csv(path, K)
-    assert np.array_equal(read_matrix_csv(path).matrix, K.matrix)
+    assert np.array_equal(read_matrix_csv(path).to_dense(), K.to_dense())
 
 
 def test_vector_round_trip(tmp_path):
@@ -102,14 +102,40 @@ def test_vector_reader_rejects_bad_rows(tmp_path, rows, match):
 
 
 def test_readers_reject_more_states_than_the_limit(tmp_path):
-    # rejected before the (n x n) matrix of 80 GB is allocated
-    row = f"{ORACLE_SIZE_LIMIT + 1},1,1.0"
-    with pytest.raises(ValueError, match=f"names state {ORACLE_SIZE_LIMIT + 1}"):
+    # rejected before any array of n states is allocated: a chain needs a
+    # positive entry per state, so it has at most NONZERO_LIMIT states
+    row = f"{NONZERO_LIMIT + 1},1,1.0"
+    with pytest.raises(ValueError, match=f"names state {NONZERO_LIMIT + 1}"):
         read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", row))
     with pytest.raises(ValueError, match="at most"):
-        read_vector_csv(write_csv(tmp_path / "v.csv", "i,value", "100000,1.0"))
+        read_vector_csv(write_csv(tmp_path / "v.csv", "i,value",
+                                  f"{NONZERO_LIMIT + 1},1.0"))
+
+
+def test_matrix_reader_rejects_one_nonzero_past_the_limit(tmp_path):
+    # the reader stops at the first nonzero entry past the limit and names
+    # its row; a zero entry does not count
+    k = np.arange(NONZERO_LIMIT + 1)
+    rows = [f"{i},{j},0.5" for i, j in zip((k // 1000 + 1).tolist(),
+                                           (k % 1000 + 1).tolist())]
+    last = rows[-1]
+    path = write_csv(tmp_path / "K.csv", "i,j,value", "5000,5000,0.0", *rows)
+    with pytest.raises(ValueError, match=f"row '{last}' is nonzero entry "
+                                         f"{NONZERO_LIMIT + 1}"):
+        read_matrix_csv(path)
+
+
+def test_matrix_reader_rejects_rows_padded_past_the_limit(tmp_path):
+    # ELL rows are padded to the widest row: 1001 states, one of them with
+    # 1000 entries, would take 1001 x 1000 slots
+    n = NONZERO_LIMIT // 1000 + 1
+    wide = [f"1,{j},{1 / (n - 1)!r}" for j in range(2, n + 1)]
+    rest = [f"{i},1,1.0" for i in range(2, n + 1)]
+    path = write_csv(tmp_path / "K.csv", "i,j,value", *wide, *rest)
+    with pytest.raises(ValueError, match=f"state 1 has {n - 1} nonzero entries"):
+        read_matrix_csv(path)
 
 
 def test_sparse_rows_leave_zeros(tmp_path):
     path = write_csv(tmp_path / "K.csv", "i,j,value", "2,1,1.0", "1,2,1.0")
-    assert np.array_equal(read_matrix_csv(path).matrix, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(read_matrix_csv(path).to_dense(), [[0.0, 1.0], [1.0, 0.0]])
