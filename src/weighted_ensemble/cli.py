@@ -114,18 +114,22 @@ def cmd_coarse(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> i
 
 def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     """Count and weight fractions per state in each surviving replicate's final
-    ensemble, averaged over the survivors. Replicates are added one at a time,
-    in replicate order, so the sums do not depend on how they were batched."""
-    hist = np.zeros((2, n_states))
+    ensemble, averaged over the survivors.
+
+    One bincount over the occupied (replicate, state) pairs for counts and one
+    for weights, each pair scaled by its replicate's size or total weight; a
+    third adds the pairs of each state in replicate order. Extinct replicates
+    own no pair. Only occupied pairs are kept: a (replicates x states) array
+    would take megabytes on a large chain.
+    """
     final = res.final
-    bounds = final.offsets.tolist()
-    for start, end, total in zip(bounds, bounds[1:], res.weight_traces[:, -1]):
-        if start == end:  # extinct
-            continue
-        states = final.states[start:end]
-        hist[0] += np.bincount(states, minlength=n_states) / (end - start)
-        hist[1] += np.bincount(states, weights=final.weights[start:end],
-                               minlength=n_states) / total
+    pairs, pair_of = np.unique(final.replicate_of * n_states + final.states,
+                               return_inverse=True)
+    replicate, state = np.divmod(pairs, n_states)
+    counts = np.bincount(pair_of) / final.sizes[replicate]
+    weights = np.bincount(pair_of, final.weights) / res.weight_traces[replicate, -1]
+    hist = np.stack([np.bincount(state, counts, n_states),
+                     np.bincount(state, weights, n_states)])
     return hist / max(res.reps - res.extinct_count, 1)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .engine import Ensemble, SelectionOutcome, SelectionPolicy, replicate_dots
+from .engine import Ensemble, SelectionOutcome, SelectionPolicy
 from .markov import Observable, TransitionMatrix
 
 if TYPE_CHECKING:
@@ -86,8 +86,8 @@ def mutation_variance_term(
     particles, per replicate: sum_i w_i^2 [K g_{p+1}^2 - g_p^2](xi_i)."""
     if not 0 <= p <= g.horizon - 1:
         raise ValueError("p must satisfy 0 <= p <= n-1")
-    return replicate_dots(selected.offsets, selected.weights**2,
-                          g.local_var[p][selected.states])
+    w = selected.weights
+    return selected.replicate_sums(w**2 * g.local_var[p][selected.states])
 
 
 def expected_c_squared(beta: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def selection_variance_term(
     if e.n_particles and np.any(beta <= 0):
         raise ValueError("beta must be positive for every occupied particle")
     ratio = expected_c_squared(beta) / beta**2 - 1.0
-    return replicate_dots(e.offsets, e.weights**2 * ratio, g.g[p][e.states] ** 2)
+    return e.replicate_sums(e.weights**2 * ratio * g.g[p][e.states] ** 2)
 
 
 def conditional_mutation_variance(
@@ -207,10 +207,7 @@ def run_checks(res: SweepResult) -> tuple[CheckReport, CheckReport]:
     unbiased = CheckReport("unbiasedness", n, res.mode, mean, m0, se, z,
                            abs(z) <= Z_THRESHOLD)
 
-    # squared one replicate at a time: numpy's array square can round the last
-    # bit differently from the scalar power, and diagnostics.csv is compared
-    # byte for byte across versions
-    lhs = np.array([v**2 for v in vals])
+    lhs = vals**2
     diff = lhs - (m0**2 + accum)
     se = float(diff.std(ddof=1) / np.sqrt(reps))
     z = float(diff.mean()) / se if se > 0 else 0.0

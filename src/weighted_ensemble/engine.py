@@ -10,9 +10,10 @@ replicate of a batch, sorted by replicate, and each stage makes one pass over
 it per generation. A batch, not a replicate, is the unit of randomness: each
 (generation, purpose) draws the uniforms of the whole particle array from one
 stream keyed by the batch's first replicate, so a replicate's trajectory
-depends on the batch it ran in. Every per-replicate sum still adds in the
-order a batch of one would. Batches of at most `CHUNK` replicates go through
-one driver, `replicates`.
+depends on the batch it ran in. Every per-replicate sum is one `bincount`
+over the batch, which adds in particle order, so it depends only on (seed,
+config), never on the thread count. Batches of at most `CHUNK` replicates go
+through one driver, `replicates`.
 """
 from __future__ import annotations
 
@@ -88,25 +89,41 @@ class RngStream:
 def _offsets(offsets: Optional[np.ndarray], n: int) -> np.ndarray:
     """Validated replicate offsets of n flat particles; None means one replicate."""
     o = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.int64)
-    if o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != n or np.any(np.diff(o) < 0):
+    if o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != n or (o[1:] < o[:-1]).any():
         raise ValueError("offsets must rise from 0 to the particle count")
     o.setflags(write=False)
     return o
 
 
-def replicate_dots(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[lo:hi] @ b[lo:hi] for each replicate's slice of two flat arrays.
+class _Replicates:
+    """Flat per-particle arrays of a batch, sorted by replicate and cut by
+    ``offsets``: replicate b owns the particles ``offsets[b]:offsets[b + 1]``."""
 
-    One dot per replicate, not one vectorised sum: BLAS adds in its own order,
-    and a replicate's value must be the dot of its particles alone.
-    """
-    bounds = offsets.tolist()
-    return np.array([a[lo:hi] @ b[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-                    dtype=float)
+    offsets: np.ndarray
+
+    @property
+    def n_replicates(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Particles per replicate."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @cached_property
+    def replicate_of(self) -> np.ndarray:
+        """Batch index of the replicate each particle belongs to."""
+        return np.repeat(np.arange(self.n_replicates), self.sizes)
+
+    def replicate_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of a per-particle array over each replicate's particles, 0 for
+        an extinct replicate: one bincount, which adds in particle order."""
+        return np.bincount(self.replicate_of, weights=values,
+                           minlength=self.n_replicates)
 
 
 @dataclass(frozen=True)
-class Ensemble:
+class Ensemble(_Replicates):
     """Particle populations of a batch of replicates at one generation: states
     and strictly positive weights.
 
@@ -125,7 +142,8 @@ class Ensemble:
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("states and weights must be matching vectors")
-        if s.size and (np.any(w <= 0) or not np.all(np.isfinite(w))):
+        # false for NaN as well: min and max propagate it
+        if s.size and not (w.min() > 0 and w.max() < np.inf):
             raise ValueError("particle weights must be positive and finite")
         s.setflags(write=False)
         w.setflags(write=False)
@@ -139,25 +157,9 @@ class Ensemble:
         return self.states.shape[0]
 
     @property
-    def n_replicates(self) -> int:
-        return self.offsets.size - 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Particles per replicate."""
-        return np.diff(self.offsets)
-
-    @cached_property
-    def replicate_of(self) -> np.ndarray:
-        """Batch index of the replicate each particle belongs to."""
-        return np.repeat(np.arange(self.n_replicates), self.sizes)
-
-    @property
     def total_weight(self) -> np.ndarray:
-        """Total weight per replicate, each summed as numpy sums one vector."""
-        bounds = self.offsets.tolist()
-        return np.array([self.weights[lo:hi].sum()
-                         for lo, hi in zip(bounds, bounds[1:])])
+        """Total weight per replicate, added in particle order (`replicate_sums`)."""
+        return self.replicate_sums(self.weights)
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
 
 
 @dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(_Replicates):
     """Result of one selection step over a batch.
 
     ``parent_of[i]`` is the index into the parent ensemble of selected particle
@@ -328,11 +330,9 @@ def allocate_targets(
     if not 0 < n_floor < total_target / R:
         raise ValueError("floor must lie in (0, N/R)")
     v_p = np.asarray(v_p, dtype=float)
-    if np.any(v_p < 0):
+    if v_p.min() < 0:
         raise ValueError("variance proxies must be nonnegative")
     score = np.sqrt(v_p) * bin_weight
-    # summed along rows, so each replicate's denominator adds in the order
-    # numpy sums one vector
     denom = score.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         targets = (total_target - n_floor * R) * score / denom + n_floor
@@ -411,7 +411,7 @@ def mutate(s: SelectionOutcome, K: TransitionMatrix, u: np.ndarray) -> Ensemble:
 
 def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
     """eta_p(f) = sum_j w_j f(xi_j) per replicate; 0 for an extinct one."""
-    return replicate_dots(e.offsets, e.weights, f.values[e.states])
+    return e.replicate_sums(e.weights * f.values[e.states])
 
 
 @dataclass
@@ -459,6 +459,8 @@ def run_we(
         v_table = np.asarray(v_table, dtype=float)
         if v_table.shape[0] < n:
             raise ValueError(f"v table has {v_table.shape[0]} rows, need {n}")
+        if v_table[:n].min() < 0:  # raised here, before any sampling
+            raise ValueError("variance proxies must be nonnegative")
     naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
     B = len(reps)
     stream = RngStream(rng.seed, int(reps[0]) if B else 0)

@@ -113,7 +113,6 @@ def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
         return run_we(K, f, policy, init, n, rng, reps, v_table=v_table), None
     observe, mut, sel = doob_terms(gseq, len(reps))
     rec = run_we(K, f, policy, init, n, rng, reps, v_table=v_table, observe=observe)
-    # a row sum adds as the sum of that replicate's vector alone would
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 
 

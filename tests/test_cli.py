@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from weighted_ensemble import TransitionMatrix, cli
+from weighted_ensemble import Ensemble, TransitionMatrix, cli
 from weighted_ensemble.diagnostics import CheckReport
+from weighted_ensemble.experiment import SweepResult
 from weighted_ensemble.serialize import write_matrix_csv
 
 
@@ -167,6 +168,22 @@ class TestRun:
         cfg = write_config(tmp_path, **{**SMALL_RUN, "reps": str(reps)})
         assert_threads_do_not_change_outputs(tmp_path, "run", cfg, threads)
 
+    def test_histograms_match_a_loop_over_survivors(self):
+        # replicate 1 is extinct; the others add in replicate order
+        rng = np.random.default_rng(3)
+        offsets = np.array([0, 4, 4, 9, 15])
+        final = Ensemble(2, rng.integers(0, 5, 15), rng.uniform(0.1, 1.0, 15), offsets)
+        totals, sizes = final.total_weight, final.sizes
+        res = SweepResult("naive", 2, 0.0, np.zeros((4, 3)),
+                          np.repeat(totals[:, None], 3, axis=1),
+                          np.repeat(sizes[:, None], 3, axis=1), final)
+        want = np.zeros((2, 5))
+        for b in np.flatnonzero(sizes):
+            states = final.states[offsets[b]:offsets[b + 1]]
+            weights = final.weights[offsets[b]:offsets[b + 1]]
+            want[0] += np.bincount(states, minlength=5) / sizes[b]
+            want[1] += np.bincount(states, weights=weights, minlength=5) / totals[b]
+        assert np.array_equal(cli.histograms(res, 5), want / 3)
 
     def test_coarse_samples_set_the_coarse_model(self, tmp_path):
         """With coarse_samples > 0, run's v table is the one `coarse` writes

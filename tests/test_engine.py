@@ -1,3 +1,4 @@
+import math
 import pickle
 import threading
 from functools import partial
@@ -29,6 +30,11 @@ from weighted_ensemble import (
     source_sink_kernel,
     stationary_init_ensemble,
     stochastic_round,
+)
+from weighted_ensemble.diagnostics import (
+    g_sequence,
+    mutation_variance_term,
+    selection_variance_term,
 )
 from weighted_ensemble.engine import CHUNK, largest_remainder, replicates
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
@@ -153,6 +159,65 @@ class TestEnsemble:
     def test_empty_is_allowed(self):
         e = Ensemble(3, np.empty(0, np.int64), np.empty(0))
         assert e.n_particles == 0 and e.total_weight == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_each_bad_weight(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Ensemble(0, np.array([0, 1, 2]), np.array([0.5, bad, 0.25]))
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 2, 4], [1, 2, 4], [0, 2, 3]],
+                             ids=["falls", "not_from_0", "not_to_count"])
+    def test_rejects_bad_offsets(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            Ensemble(0, np.arange(4), np.full(4, 0.25), np.array(offsets))
+
+
+class TestReplicateSums:
+    """Every per-replicate sum against math.fsum over that replicate's slice,
+    on a batch whose middle replicate is extinct."""
+
+    OFFSETS = np.array([0, 7, 7, 19, 30])
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(12)
+        n = int(self.OFFSETS[-1])
+        return Ensemble(2, rng.integers(0, 6, n), rng.uniform(0.01, 1.0, n),
+                        self.OFFSETS)
+
+    @pytest.fixture
+    def chain(self):
+        rng = np.random.default_rng(13)
+        m = rng.uniform(size=(6, 6))
+        return (TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True)),
+                Observable(rng.uniform(size=6)))
+
+    def check(self, got, per_particle, offsets=OFFSETS):
+        bounds = offsets.tolist()
+        want = [math.fsum(per_particle[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert got.shape == (4,)
+        assert got[1] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_empirical_estimate_and_total_weight(self, batch, chain):
+        _, f = chain
+        self.check(empirical_estimate(batch, f), batch.weights * f.values[batch.states])
+        self.check(batch.total_weight, batch.weights)
+
+    def test_doob_terms(self, batch, chain):
+        K, f = chain
+        g = g_sequence(K, f, 3)
+        bins = BinPartition(np.array([0, 0, 1, 1, 2, 2]))
+        u = np.random.default_rng(14).random(batch.n_particles)
+        out = select(batch, TraditionalPolicy(bins, 2.5), u=u)
+        assert out.offsets[2] == out.offsets[1]  # still extinct
+        self.check(mutation_variance_term(out, g, 1),
+                   out.weights**2 * g.local_var[1][out.states], out.offsets)
+        beta = out.mean_children
+        low = np.floor(beta)
+        ratio = low**2 + (2 * low + 1) * (beta - low)  # E[C^2]
+        self.check(selection_variance_term(batch, beta, g, 1),
+                   batch.weights**2 * (ratio / beta**2 - 1.0) * g.g[1][batch.states] ** 2)
 
 
 class TestLargestRemainder:
@@ -502,6 +567,17 @@ class TestRunWe:
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
         with pytest.raises(ValueError):
             run_we(setup.K, setup.f, policy, init150, 3, RngStream(0), [0])
+
+    def test_negative_v_raises_before_sampling(self, setup, model30, init150):
+        # the negative entry sits in the last row the run reads
+        v = model30.v[-6:].copy()
+        v[-1, 3] = -1e-3
+        observed = []
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_we(setup.K, setup.f, AdaptivePolicy(setup.bins, 150.0, 1.0), init150,
+                   6, RngStream(0), [0], v_table=v,
+                   observe=lambda p, e, outcome: observed.append(p))
+        assert observed == []
 
     def test_extinction_stops_run_and_zeroes_eta(self, two_state):
         bins = BinPartition(np.array([0, 0]))
