@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .hill import (
 )
 from .markov import ConvergenceError, Distribution, second_eigenvalue_modulus, stationary
 from .serialize import (
+    BLOCK_ROWS,
+    array_rows,
     config_hash,
     write_matrix_csv,
     write_rows,
@@ -133,6 +137,22 @@ def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     return hist / max(res.reps - res.extinct_count, 1)
 
 
+def run_rows(res: SweepResult) -> Iterator[tuple]:
+    """The rows of runs_<mode>_n<n>.csv, one per replicate and generation:
+    (replicate, p, eta_f, total_weight, num_particles, extinct), converted
+    to Python cells by tolist() a block of replicates at a time."""
+    reps, width = res.traces.shape
+    step = max(1, BLOCK_ROWS // width)
+    for lo in range(0, reps, step):
+        block = slice(lo, lo + step)
+        for rep, etas, weights, counts, extinct in zip(
+                range(lo, reps), res.traces[block].tolist(),
+                res.weight_traces[block].tolist(), res.count_traces[block].tolist(),
+                res.extinct_flags[block].tolist()):
+            yield from zip(repeat(rep), range(width), etas, weights, counts,
+                           repeat(extinct))
+
+
 def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     n_max = max(cfg.horizons)
     model = coarse_model(cfg, setup, n_max or 1)
@@ -154,20 +174,13 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
                 mode, n, cfg.reps, res.mean, res.std, res.std_err,
                 res.exact, pi_f, res.extinct_count,
             ))
-            run_rows = (
-                (rep, p, eta, weight, count, bool(extinct))
-                for rep, (etas, weights, counts, extinct) in enumerate(zip(
-                    res.traces, res.weight_traces, res.count_traces,
-                    res.extinct_flags))
-                for p, (eta, weight, count) in enumerate(zip(etas, weights, counts))
-            )
             write_rows(out / f"runs_{mode}_n{n}.csv",
                        ("replicate", "p", "eta_f", "total_weight",
-                        "num_particles", "extinct"), run_rows, h)
+                        "num_particles", "extinct"), run_rows(res), h)
             if res.final is not None:
-                count_frac, weight_frac = histograms(res, n_states)
-                hist_rows += [(mode, i + 1, count_frac[i], weight_frac[i])
-                              for i in range(n_states)]
+                count_frac, weight_frac = histograms(res, n_states).tolist()
+                hist_rows += zip(repeat(mode), range(1, n_states + 1), count_frac,
+                                 weight_frac)
             if res.extinct_count > 0.01 * cfg.reps:
                 print(f"warning: {res.extinct_count}/{cfg.reps} replicates went "
                       f"extinct in mode={mode}, n={n}", file=sys.stderr)
@@ -179,10 +192,10 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
                ("mode", "i", "count_fraction", "weight_fraction"), hist_rows, h)
     # v tables at p = 0 and p = n_max - 1 (the figure-3 style snapshot)
     v = model.v if n_max >= 1 else np.zeros((1, model.n_bins))
-    snap_rows = [(p, r + 1, v[p, r])
-                 for p in ((0, n_max - 1) if n_max >= 1 else (0,))
-                 for r in range(v.shape[1])]
-    write_rows(out / "v_snapshot.csv", ("p", "r", "value"), snap_rows, h)
+    snap = np.array([0, n_max - 1] if n_max >= 1 else [0])
+    p, r = np.repeat(snap, v.shape[1]), np.tile(np.arange(1, v.shape[1] + 1), snap.size)
+    write_rows(out / "v_snapshot.csv", ("p", "r", "value"),
+               array_rows(p, r, v[snap].ravel()), h)
     write_rows(out / "extinctions.csv", ("total_extinct_replicates",),
                [(extinct_total,)], h)
     print(f"run results written to {out}")

@@ -333,10 +333,10 @@ def allocate_targets(
     if v_p.min() < 0:
         raise ValueError("variance proxies must be nonnegative")
     score = np.sqrt(v_p) * bin_weight
-    denom = score.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        targets = (total_target - n_floor * R) * score / denom + n_floor
-    return np.where(denom == 0, n_floor, targets)
+    total = score.sum(axis=-1, keepdims=True)
+    # where the total is 0 every score is 0 too, and dividing by 1 gives the floor
+    denom = np.where(total == 0, 1.0, total)
+    return (total_target - n_floor * R) * score / denom + n_floor
 
 
 def _mean_children_and_child_weights(
@@ -353,8 +353,7 @@ def _mean_children_and_child_weights(
         if v_p is None:
             raise ValueError("adaptive policy needs the per-bin variance proxies v_p")
         targets = allocate_targets(bin_weight, v_p, policy.total_target, policy.n_floor)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        omega_bar = bin_weight / targets  # only meaningful for occupied bins
+    omega_bar = bin_weight / targets  # targets are positive; read for occupied bins
     child_weight = omega_bar.ravel()[e.replicate_of * bins.n_bins + bins.bin_of[e.states]]
     beta = e.weights / child_weight
     return beta, child_weight

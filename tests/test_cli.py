@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from weighted_ensemble import Ensemble, TransitionMatrix, cli
+from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
-from weighted_ensemble.experiment import SweepResult
+from weighted_ensemble.engine import stationary_init_ensemble
+from weighted_ensemble.experiment import SweepResult, make_policy, run_sweep_cell
 from weighted_ensemble.serialize import write_matrix_csv
 
 
@@ -159,6 +161,36 @@ class TestRun:
             assert own[1:] == [row for row in summary[1:]
                                if row.split(b",")[1] == n.encode()]
         assert body(swept / "histograms.csv") == body(alone / "histograms.csv")
+
+    def test_written_floats_read_back_bit_for_bit(self, tmp_path):
+        """The eta_f and total_weight columns of each runs file and both
+        fraction columns of histograms.csv parse back to the very floats of
+        a sweep run by hand on the same config and seed."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, **{**SMALL_RUN, "seed": "7"})
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = ExperimentConfig.from_file(cfg_path)
+        setup = cfg.build_setup()
+        model = cli.coarse_model(cfg, setup, max(cfg.horizons))
+        init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
+        _, hist_body = read_csv(out / "histograms.csv")
+
+        def column(body, k):
+            return np.array([float(row[k]) for row in body])
+
+        for mode in cfg.modes:
+            policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
+                                 cfg.per_bin_target)
+            results = run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
+                                     cfg.seed, model.v, cfg.threads)
+            for res in results:
+                _, body = read_csv(out / f"runs_{mode}_n{res.n}.csv")
+                assert np.array_equal(column(body, 2), res.traces.ravel())
+                assert np.array_equal(column(body, 3), res.weight_traces.ravel())
+            want = cli.histograms(results[-1], setup.K.n_states)
+            rows = [row for row in hist_body if row[0] == mode]
+            assert np.array_equal(column(rows, 2), want[0])
+            assert np.array_equal(column(rows, 3), want[1])
 
     # at 40 and 70 replicates and 2 threads the workers run several batches
     # each, the last one short, so a fold in any order but the replicate

@@ -378,8 +378,9 @@ class TestAllocateTargets:
     def test_all_zero_variance_gives_floor(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(bin_totals(e, bins), np.zeros(2), 10.0, 1.5)
-        assert np.allclose(t, [1.5, 1.5])
+        with np.errstate(all="raise"):
+            t = allocate_targets(bin_totals(e, bins), np.zeros(2), 10.0, 1.5)
+        assert np.array_equal(t, [[1.5, 1.5]])
 
     def test_floor_bounds_enforced(self):
         bins = BinPartition(np.array([0, 1]))
@@ -406,8 +407,10 @@ class TestAllocateTargets:
         # the second replicate has v = 0 on its only occupied bin: floor only
         w = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         v = np.array([1.0, 1.0, 0.0])
-        t = allocate_targets(w, v, 10.0, 1.0)
-        assert np.allclose(t, [[4.5, 4.5, 1.0], [1.0, 1.0, 1.0]])
+        with np.errstate(all="raise"):
+            t = allocate_targets(w, v, 10.0, 1.0)
+        assert np.allclose(t[0], [4.5, 4.5, 1.0])
+        assert np.array_equal(t[1], [1.0, 1.0, 1.0])
         assert np.array_equal(t[0], allocate_targets(w[0], v, 10.0, 1.0))
 
 

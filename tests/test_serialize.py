@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from weighted_ensemble import TransitionMatrix
 from weighted_ensemble.serialize import (
+    BLOCK_ROWS,
     NONZERO_LIMIT,
     config_hash,
     read_matrix_csv,
@@ -29,6 +32,83 @@ def test_write_rows_layout(tmp_path):
     assert lines[1] == "a,b"
     assert lines[2] == "1,0.5"
     assert lines[3] == "2,1"
+
+
+def reference_write_rows(path, header, rows, cfg_hash=None):
+    """The writer write_rows replaced: one type dispatch per cell, then
+    csv.writer one row at a time."""
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        if isinstance(x, (bool, np.bool_)):
+            return "1" if x else "0"
+        return str(x)
+
+    with open(path, "w", newline="") as fh:
+        if cfg_hash is not None:
+            fh.write(f"# config_hash={cfg_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(x) for x in row])
+
+
+AWKWARD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                  1e16, 1e-5, 0.1 + 0.2, 2.0**60, 1 / 3, -1.5e-300]
+CELLS = [
+    *AWKWARD_FLOATS,
+    *map(np.float64, AWKWARD_FLOATS),
+    True, False, 0, -7, 2**70, -(2**64) + 1,
+    "adaptive", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " padded ",
+]
+
+
+def assert_same_bytes(tmp_path, header, rows, cfg_hash="deadbeef"):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_rows(got, header, iter(rows), cfg_hash)
+    reference_write_rows(want, header, rows, cfg_hash)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=repr)
+def test_each_cell_type_matches_the_reference_writer(tmp_path, cell):
+    # alone, beside other cells, and in a column of its own type
+    assert_same_bytes(tmp_path, ("x",), [(cell,)])
+    assert_same_bytes(tmp_path, ("a", "x", "b"), [(1, cell, 0.5), (2, cell, 0.25)])
+
+
+def test_mixed_columns_match_the_reference_writer(tmp_path):
+    # each column holds every kind of cell, in a different order
+    rows = [tuple(CELLS[(i + k) % len(CELLS)] for k in range(4))
+            for i in range(len(CELLS))]
+    assert_same_bytes(tmp_path, ("a", "b,c", 'q"', ""), rows)
+
+
+def test_blocks_match_the_reference_writer(tmp_path):
+    # rows across several blocks, numpy scalars among Python cells
+    rng = np.random.default_rng(0)
+    n = 2 * BLOCK_ROWS + 5
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    rows = [(i, values[i], float(values[i]), bool(i % 3), "naive")
+            for i in range(n)]
+    assert_same_bytes(tmp_path, ("i", "np", "py", "flag", "mode"), rows, None)
+
+
+def test_header_only_matches_the_reference_writer(tmp_path):
+    assert_same_bytes(tmp_path, ("a", "b"), [])
+
+
+@pytest.mark.parametrize("cell", [np.int64(3), np.bool_(True), None, np.float32(0.5),
+                                  [1.0]], ids=repr)
+def test_unsupported_cells_raise_type_error(tmp_path, cell):
+    with pytest.raises(TypeError, match="cannot write a CSV cell of type"):
+        write_rows(tmp_path / "t.csv", ("a", "b"), [(1, 0.5), (2, cell)])
+
+
+@pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2, 3)]], ids=["short", "long"])
+def test_rows_of_the_wrong_width_raise(tmp_path, rows):
+    with pytest.raises(ValueError, match="needs 2 cells"):
+        write_rows(tmp_path / "t.csv", ("a", "b"), rows)
 
 
 def test_matrix_round_trip(tmp_path, two_state):
