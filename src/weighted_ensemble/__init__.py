@@ -31,8 +31,6 @@ from .hill import (
     direct_mfpt,
     hitting_probability,
     source_sink_kernel,
-    we_hill_hitting,
-    we_hill_mfpt,
 )
 from .markov import (
     ConvergenceError,

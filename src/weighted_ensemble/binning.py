@@ -43,8 +43,3 @@ class BinPartition:
             raise ValueError(f"width {width} does not evenly divide {n_states} states")
         return cls(np.arange(n_states) // width, n_states // width)
 
-    def membership_matrix(self) -> np.ndarray:
-        """(n_states x n_bins) 0/1 matrix with M[x, bin_of[x]] = 1."""
-        m = np.zeros((self.n_states, self.n_bins))
-        m[np.arange(self.n_states), self.bin_of] = 1.0
-        return m

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterator
@@ -18,17 +19,21 @@ import numpy as np
 from .coarse import CoarseModel, build_coarse_model
 from .config import ExperimentConfig
 from .diagnostics import run_checks
-from .engine import RngStream, stationary_init_ensemble
+from .engine import empirical_estimate, stationary_init_ensemble
 from .experiment import ChainSetup, SweepResult, make_policy, run_sweep_cell
 from .hill import (
     SourceSinkSpec,
     direct_mfpt,
     hitting_probability,
     source_sink_kernel,
-    we_hill_hitting,
-    we_hill_mfpt,
 )
-from .markov import ConvergenceError, Distribution, second_eigenvalue_modulus, stationary
+from .markov import (
+    ConvergenceError,
+    Distribution,
+    Observable,
+    second_eigenvalue_modulus,
+    stationary,
+)
 from .serialize import (
     BLOCK_ROWS,
     array_rows,
@@ -93,8 +98,12 @@ def _load_config(args) -> tuple[ExperimentConfig, ChainSetup]:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
     setup = cfg.build_setup()
     if args.command == "hill":
-        for key in ("source_state", "sink_states", "hit_a", "hit_b"):
-            cfg.state_set(key, setup.K.n_states)
+        _, _, A, B = (cfg.state_set(key, setup.K.n_states)
+                      for key in ("source_state", "sink_states", "hit_a", "hit_b"))
+        if bool(cfg.hit_a) != bool(cfg.hit_b):
+            raise ValueError("hit_a and hit_b go together: set both or neither")
+        if set(A) & set(B):
+            raise ValueError("hit_a and hit_b must be disjoint")
     return cfg, setup
 
 
@@ -228,42 +237,54 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
 
 
 def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
-    n_states = setup.K.n_states
     base = setup.K
+    n_states = base.n_states
+    n = cfg.hill_horizon
     rho = Distribution.point_mass(cfg.source_state - 1, n_states)
     sink = cfg.state_set("sink_states", n_states)
-    spec = SourceSinkSpec(base, frozenset(sink), rho)
     policy = make_policy(cfg.modes[0], setup.bins, cfg.n_particles,
                          cfg.n_floor, cfg.per_bin_target)
 
-    est = we_hill_mfpt(spec, setup.bins, policy, cfg.hill_horizon,
-                       cfg.reps, RngStream(cfg.seed), cfg.n_particles,
-                       threads=cfg.threads, coarse_samples=cfg.coarse_samples)
+    def restart_run(F: list[int]) -> tuple[ChainSetup, SweepResult]:
+        """The chain that restarts from rho on entering F, with f = 1_F, and
+        its replicates to the hill horizon, run as cmd_run runs a cell."""
+        K = source_sink_kernel(SourceSinkSpec(base, frozenset(F), rho))
+        chain = replace(setup, K=K, f=Observable.indicator(F, n_states))
+        model = coarse_model(cfg, chain, max(n, 1))
+        init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
+        [res] = run_sweep_cell(chain, init, policy, (n,), cfg.reps, cfg.seed, model.v,
+                               cfg.threads)
+        if res.mean <= 0:
+            raise ValueError("mean eta_n(1_F) is not positive")
+        return chain, res
+
+    # mfpt inverts the replicate mean of eta_n(1_F); a replicate with eta <= 0
+    # has no inverse of its own and counts as invalid, but still enters the mean
+    chain, res = restart_run(sink)
+    mfpt = 1.0 / res.mean
+    invalid = int((res.etas <= 0).sum())
     oracle_mfpt = direct_mfpt(base, rho, sink)
-    pi = stationary(source_sink_kernel(spec))
-    oracle_pif = float(pi.weights[sink].sum())
     rows = [
-        ("pi_F", est.eta_mean, oracle_pif, est.eta_se, est.invalid_replicates),
-        ("mfpt", est.mfpt, oracle_mfpt, est.eta_se / est.eta_mean**2,
-         est.invalid_replicates),
+        ("pi_F", res.mean, float(stationary(chain.K).weights[sink].sum()),
+         res.std_err, invalid),
+        ("mfpt", mfpt, oracle_mfpt, res.std_err / res.mean**2, invalid),
     ]
-    if cfg.hit_a and cfg.hit_b:
+    if cfg.hit_b:
+        # P[tau_B < tau_A] = eta_n(1_B) / eta_n(1_{A u B}) from one set of
+        # replicates on the chain that restarts on entering A u B
         A = cfg.state_set("hit_a", n_states)
         B = cfg.state_set("hit_b", n_states)
-        hit = we_hill_hitting(base, rho, A, B, setup.bins, policy,
-                              cfg.hill_horizon, cfg.reps, RngStream(cfg.seed),
-                              cfg.n_particles, threads=cfg.threads,
-                              coarse_samples=cfg.coarse_samples)
-        pi_hit = stationary(source_sink_kernel(SourceSinkSpec(
-            base, frozenset(A) | frozenset(B), rho)))
-        rows.append(("hitting_probability", hit.probability,
-                     hitting_probability(pi_hit, A, B), float("nan"),
-                     hit.extinct_replicates))
+        del res  # free the first run's traces before the second run
+        chain, res = restart_run(A + B)
+        eta_b = empirical_estimate(res.final, Observable.indicator(B, n_states))
+        rows.append(("hitting_probability", float(eta_b.mean()) / res.mean,
+                     hitting_probability(stationary(chain.K), A, B), float("nan"),
+                     res.extinct_count))
     write_rows(out / "hill.csv",
                ("quantity", "estimate", "oracle", "std_err", "invalid_replicates"),
                rows, h)
     print(f"hill estimates written to {out} "
-          f"(mfpt={est.mfpt:.4f}, oracle={oracle_mfpt:.4f})")
+          f"(mfpt={mfpt:.4f}, oracle={oracle_mfpt:.4f})")
     return EXIT_OK
 
 

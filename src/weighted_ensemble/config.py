@@ -144,9 +144,8 @@ class ExperimentConfig:
     def build_setup(self) -> ChainSetup:
         """Materialize the chain, bins, observable, and sampling measure."""
         if self.chain == "three-well":
-            Q, K = build_three_well_chain(self.lag)
+            K = build_three_well_chain(self.lag)[1]
         elif self.chain.startswith("csv:"):
-            Q = None
             K = read_matrix_csv(Path(self.chain[4:]))
         else:
             raise ValueError(f"unknown chain {self.chain!r}")
@@ -159,4 +158,4 @@ class ExperimentConfig:
         else:
             f = Observable.indicator(self.state_set("f_states", n), n)
         zeta = Distribution(np.full(n, 1.0 / n))
-        return ChainSetup(K=K, bins=bins, f=f, zeta=zeta, Q=Q)
+        return ChainSetup(K=K, bins=bins, f=f, zeta=zeta)

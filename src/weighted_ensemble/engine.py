@@ -431,7 +431,7 @@ def run_we(
     policy: SelectionPolicy,
     init: Ensemble,
     n: int,
-    rng: RngStream,
+    seed: int,
     reps: Sequence[int],
     v_table: Optional[np.ndarray] = None,
     observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
@@ -440,7 +440,7 @@ def run_we(
 
     Every replicate starts from ``init``. The batch draws each generation's
     uniforms, one per particle in particle order, from the stream of
-    ``rng.seed`` and its first replicate ``reps[0]``, so its rows depend on
+    ``seed`` and its first replicate ``reps[0]``, so its rows depend on
     the whole of ``reps``. For the adaptive policy, ``v_table`` must hold the
     per-generation, per-bin variance proxies with at least n rows. An extinct
     replicate has eta 0 from then on by convention; the loop stops when the
@@ -462,7 +462,7 @@ def run_we(
             raise ValueError("variance proxies must be nonnegative")
     naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
     B = len(reps)
-    stream = RngStream(rng.seed, int(reps[0]) if B else 0)
+    stream = RngStream(seed, int(reps[0]) if B else 0)
     eta = np.zeros((B, n + 1))
     num = np.zeros((B, n + 1), dtype=np.int64)
     tot = np.zeros((B, n + 1))

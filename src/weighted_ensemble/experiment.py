@@ -23,7 +23,6 @@ from .engine import (
     AdaptivePolicy,
     Ensemble,
     NaivePolicy,
-    RngStream,
     SelectionPolicy,
     TraditionalPolicy,
     replicates,
@@ -43,7 +42,6 @@ class ChainSetup:
     bins: BinPartition
     f: Observable
     zeta: Distribution
-    Q: Optional[TransitionMatrix] = None  # one-step matrix when K is a lag power
 
 
 def make_policy(
@@ -104,15 +102,15 @@ def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
 
 
 def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
-           init: Ensemble, n: int, rng: RngStream, v_table: Optional[np.ndarray],
+           init: Ensemble, n: int, seed: int, v_table: Optional[np.ndarray],
            gseq: Optional[GSequence], reps: range):
     """run_we on one batch of replicates. With ``gseq`` it observes the exact
     Doob terms against it and also returns each replicate's sum_p (mut_p +
     sel_p); without, that second value is None."""
     if gseq is None:
-        return run_we(K, f, policy, init, n, rng, reps, v_table=v_table), None
+        return run_we(K, f, policy, init, n, seed, reps, v_table=v_table), None
     observe, mut, sel = doob_terms(gseq, len(reps))
-    rec = run_we(K, f, policy, init, n, rng, reps, v_table=v_table, observe=observe)
+    rec = run_we(K, f, policy, init, n, seed, reps, v_table=v_table, observe=observe)
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 
 
@@ -166,8 +164,7 @@ def run_sweep_cell(
         counts = np.empty((reps, n + 1), dtype=np.int64)
         gseq = g_max if n == n_max else None
         finals, variances = [], []
-        one = partial(_batch, setup.K, setup.f, policy, init, n, RngStream(seed),
-                      v_n, gseq)
+        one = partial(_batch, setup.K, setup.f, policy, init, n, seed, v_n, gseq)
         lo = 0
         for rec, variance in replicates(one, reps, threads):
             hi = lo + len(rec.eta_f)

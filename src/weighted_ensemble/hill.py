@@ -1,33 +1,19 @@
-"""Source-sink kernel modification and Hill-relation estimators.
+"""Source-sink kernel modification and the exact side of the Hill relation.
 
 Replacing the kernel rows inside a sink set F by the one-step distribution
 from a source measure rho yields a nonreversible chain whose stationary
 distribution pi encodes hitting statistics of the original chain:
 E^rho[sum_{p<=tau_F} g(X_p)] = pi(g)/pi(F), so E^rho[tau_F] = 1/pi(F) (the
-Hill relation) and P^rho[tau_B < tau_A] = pi(B)/pi(A u B).
+Hill relation) and P^rho[tau_B < tau_A] = pi(B)/pi(A u B). `we-sample hill`
+estimates pi(F) by running WE on this chain like any other stationary average.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinPartition
-from .coarse import build_coarse_model
-from .engine import (
-    RngStream,
-    SelectionPolicy,
-    empirical_estimate,
-    stationary_init_ensemble,
-)
-from .experiment import ChainSetup, SweepResult, run_sweep_cell
-from .markov import (
-    Distribution,
-    Observable,
-    TransitionMatrix,
-    reaches,
-    solve_identity_minus,
-)
+from .markov import Distribution, TransitionMatrix, reaches, solve_identity_minus
 
 
 @dataclass(frozen=True)
@@ -105,126 +91,3 @@ def direct_mfpt(K0: TransitionMatrix, rho: Distribution, F) -> float:
     full[outside] = t
     return float(rho.weights @ full)
 
-
-def _stationary_cell(
-    K: TransitionMatrix,
-    bins: BinPartition,
-    policy: SelectionPolicy,
-    f_guide: Observable,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    n_particles: int,
-    threads: int,
-    coarse_samples: int,
-) -> SweepResult:
-    """Replicates 0..reps-1 of the stationary-average workflow on K to horizon
-    n, from the mu-preconditioned ensemble of the coarse model guided by
-    ``f_guide`` (exact, or from ``coarse_samples`` one-step samples) under the
-    uniform sampling measure."""
-    zeta = Distribution(np.full(K.n_states, 1.0 / K.n_states))
-    model = build_coarse_model(K, bins, zeta, f_guide, max(n, 1), coarse_samples,
-                               rng.seed)
-    init = stationary_init_ensemble(model.mu, bins, n_particles)
-    setup = ChainSetup(K=K, bins=bins, f=f_guide, zeta=zeta)
-    return run_sweep_cell(setup, init, policy, (n,), reps, rng.seed, model.v,
-                          threads)[0]
-
-
-@dataclass(frozen=True)
-class HillEstimate:
-    """WE estimate of a Hill-relation quantity with replicate statistics.
-
-    ``mfpt`` inverts the replicate mean of eta_n(1_F) (ratio of means, which
-    inherits unbiasedness of eta); per-replicate reciprocals are only useful
-    for dispersion. Replicates with eta <= 0 have no reciprocal and are
-    counted in ``invalid_replicates`` (they still enter the mean, which keeps
-    it unbiased).
-    """
-
-    eta_mean: float
-    eta_std: float
-    eta_se: float
-    mfpt: float
-    replicate_etas: np.ndarray = field(repr=False)
-    invalid_replicates: int = 0
-    extinct_replicates: int = 0
-
-
-def we_hill_mfpt(
-    spec: SourceSinkSpec,
-    bins: BinPartition,
-    policy: SelectionPolicy,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    n_particles: int,
-    threads: int = 1,
-    coarse_samples: int = 0,
-) -> HillEstimate:
-    """Estimate E^rho[tau_F] = 1/pi(F) on the source-sink chain with f = 1_F."""
-    K = source_sink_kernel(spec)
-    f = Observable.indicator(sorted(spec.sink), K.n_states)
-    res = _stationary_cell(K, bins, policy, f, n, reps, rng, n_particles, threads,
-                           coarse_samples)
-    if res.mean <= 0:
-        raise ValueError("mean eta_n(1_F) is not positive; cannot invert")
-    return HillEstimate(
-        eta_mean=res.mean,
-        eta_std=res.std,
-        eta_se=res.std_err,
-        mfpt=1.0 / res.mean,
-        replicate_etas=res.etas,
-        invalid_replicates=int((res.etas <= 0).sum()),
-        extinct_replicates=res.extinct_count,
-    )
-
-
-@dataclass(frozen=True)
-class HittingEstimate:
-    """WE estimate of P^rho[tau_B < tau_A] = pi(B)/pi(A u B)."""
-
-    probability: float
-    eta_b_mean: float
-    eta_ab_mean: float
-    replicate_etas: np.ndarray = field(repr=False)  # (reps, 2): 1_B then 1_{AuB}
-    extinct_replicates: int = 0
-
-
-def we_hill_hitting(
-    base_kernel: TransitionMatrix,
-    source: Distribution,
-    A,
-    B,
-    bins: BinPartition,
-    policy: SelectionPolicy,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    n_particles: int,
-    threads: int = 1,
-    coarse_samples: int = 0,
-) -> HittingEstimate:
-    """Estimate a hitting probability from one set of replicates by evaluating
-    eta_n(1_B) and eta_n(1_{A u B}) on the source-sink chain with F = A u B."""
-    A, B = sorted(set(A)), sorted(set(B))
-    if set(A) & set(B):
-        raise ValueError("A and B must be disjoint")
-    spec = SourceSinkSpec(base_kernel, frozenset(A) | frozenset(B), source)
-    K = source_sink_kernel(spec)
-    f_ab = Observable.indicator(A + B, K.n_states)
-    f_b = Observable.indicator(B, K.n_states)
-    res = _stationary_cell(K, bins, policy, f_ab, n, reps, rng, n_particles,
-                           threads, coarse_samples)
-    etas = np.column_stack((empirical_estimate(res.final, f_b), res.etas))
-    mean_b = float(etas[:, 0].mean())
-    mean_ab = float(etas[:, 1].mean())
-    if mean_ab <= 0:
-        raise ValueError("mean eta_n(1_{A u B}) is not positive")
-    return HittingEstimate(
-        probability=mean_b / mean_ab,
-        eta_b_mean=mean_b,
-        eta_ab_mean=mean_ab,
-        replicate_etas=etas,
-        extinct_replicates=res.extinct_count,
-    )

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from weighted_ensemble import TransitionMatrix
+from weighted_ensemble import (
+    Distribution,
+    Observable,
+    TransitionMatrix,
+    source_sink_kernel,
+)
 from weighted_ensemble.coarse import build_coarse_model
 from weighted_ensemble.engine import stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
+from weighted_ensemble.experiment import ChainSetup, run_sweep_cell
 
 
 def _dense_cdf(m: np.ndarray) -> np.ndarray:
@@ -39,6 +45,25 @@ def _general_hill_average(pi, g, F) -> float:
 def general_hill_average():
     """pi(g) / pi(F) for a stationary pi, an observable g and a sink F."""
     return _general_hill_average
+
+
+def _source_sink_cell(spec, bins, policy, n, reps, seed, n_particles):
+    # the cell `hill` runs: f = 1_F on the source-sink chain under the
+    # uniform sampling measure, from the exact coarse model's mu-spread
+    K = source_sink_kernel(spec)
+    zeta = Distribution(np.full(K.n_states, 1.0 / K.n_states))
+    setup = ChainSetup(K, bins, Observable.indicator(sorted(spec.sink), K.n_states),
+                       zeta)
+    model = build_coarse_model(K, bins, zeta, setup.f, max(n, 1))
+    init = stationary_init_ensemble(model.mu, bins, n_particles)
+    return run_sweep_cell(setup, init, policy, (n,), reps, seed, model.v)[0]
+
+
+@pytest.fixture(scope="session")
+def source_sink_cell():
+    """The SweepResult of replicates 0..reps-1 of ``seed`` to horizon n of
+    eta_n(1_F) on a SourceSinkSpec's chain, started as `hill` starts them."""
+    return _source_sink_cell
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from weighted_ensemble import (
     source_sink_kernel,
     stationary,
     stochastic_round,
-    we_hill_mfpt,
 )
 from weighted_ensemble import cli
 from weighted_ensemble.coarse import compute_v
@@ -107,13 +106,13 @@ def sweep30(setup, model30, init150):
 
 
 @pytest.fixture(scope="module")
-def hill_estimate(setup):
+def hill_estimate(setup, source_sink_cell):
+    """The SweepResult of eta_n(1_F) at the hill horizon, 1000 replicates, on
+    the three-well chain that restarts at state 1 on entering 81..90."""
     rho = Distribution.point_mass(0, 90)
     spec = SourceSinkSpec(setup.K, frozenset(range(80, 90)), rho)
     policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-    return we_hill_mfpt(
-        spec, setup.bins, policy, HILL_HORIZON, 1000, RngStream(SEED), 150
-    )
+    return source_sink_cell(spec, setup.bins, policy, HILL_HORIZON, 1000, SEED, 150)
 
 
 def test_01_unbiasedness(short_cells):
@@ -301,13 +300,13 @@ def test_07_hill_relation(two_state, hill_estimate, general_hill_average):
 
     # three-well spec: replicate mean of eta_n(1_F) against the exact pi(F)
     est = hill_estimate
-    z = (est.eta_mean - PI_SINK) / est.eta_se
+    z = (est.mean - PI_SINK) / est.std_err
     we_ok = abs(z) <= Z_MAX
     passed = exact_ok and hit_ok and we_ok
     report(
         7, "first-passage identities", passed,
         f"mfpt(2-state)={direct2:.12f}; WE z={z:+.2f} "
-        f"mfpt={est.mfpt:.3e} oracle={MFPT_ORACLE:.3e}",
+        f"mfpt={1 / est.mean:.3e} oracle={MFPT_ORACLE:.3e}",
     )
     assert passed
 
@@ -316,7 +315,7 @@ def test_08_degeneracies(setup, init150, dense_cdf):
     # (a) naive mode is bit-identical to plain independent chain simulation
     n = 10
     stream = RngStream(SEED, replicate=0)
-    rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(SEED), [0])
+    rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, SEED, [0])
     cum = dense_cdf(setup.K.to_dense())
     states = init150.states.copy()
     etas = [float(init150.weights @ setup.f.values[states])]
@@ -333,7 +332,7 @@ def test_08_degeneracies(setup, init150, dense_cdf):
     ones = Observable(np.ones(90))
     g = g_sequence(setup.K, ones, n)
     observe, mut, sel = doob_terms(g)
-    run_we(setup.K, ones, NaivePolicy(), init150, n, RngStream(SEED), [0],
+    run_we(setup.K, ones, NaivePolicy(), init150, n, SEED, [0],
            observe=observe)
     # the selection term is exactly zero (integer mean children counts); the
     # mutation term is zero up to the 1e-12 row-sum roundoff of K applied to
@@ -359,7 +358,7 @@ def test_08_degeneracies(setup, init150, dense_cdf):
 def test_09_no_extinction(short_cells, sweep30, hill_estimate):
     total = sum(res.extinct_count for res in short_cells.values())
     total += sum(res.extinct_count for res in sweep30.values())
-    total += hill_estimate.extinct_replicates
+    total += hill_estimate.extinct_count
     runs = 2000 * 6 + 1000 * 3 + 1000
     passed = total == 0
     report(9, "no extinction", passed, f"{total} extinct of {runs} runs")

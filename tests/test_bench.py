@@ -9,21 +9,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_probe_traces_a_small_sweep(tmp_path):
+def traced_layers(tmp_path, command: str, config: str) -> dict:
+    """The per-layer stats of one traced probe run of ``command`` on ``config``."""
     cfg = tmp_path / "config"
-    cfg.write_text("mode = all\nhorizons = 1,2\nreps = 5\n")
+    cfg.write_text(config)
     report = tmp_path / "r.json"
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "probe.py"), str(report), "--trace",
-         "--", "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+         "--", command, "--config", str(cfg), "--out", str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(report.read_text())
     assert Path(result["module"]).resolve().is_relative_to(ROOT / "src")
-    layers = result["layers"]
+    return result["layers"]
+
+
+def test_probe_traces_a_small_sweep(tmp_path):
+    layers = traced_layers(tmp_path, "run", "mode = all\nhorizons = 1,2\nreps = 5\n")
     # the 5 replicates of a cell run as one batch: adaptive runs each horizon
     # (1 + 2 generations); traditional and naive run once to the largest (2
     # each) and report horizon 1 from that run
@@ -39,3 +44,13 @@ def test_probe_traces_a_small_sweep(tmp_path):
     # particles mutated over every generation and replicate of this config
     # and seed
     assert layers["engine.mutate"]["particles"] == 5165
+
+
+def test_probe_traces_a_small_hill_run(tmp_path):
+    layers = traced_layers(tmp_path, "hill", "hill_horizon = 5\nreps = 5\n"
+                           "n_particles = 60\nhit_a = 11..30\nhit_b = 61..75\n")
+    # one source-sink chain per cell, the MFPT one and the hitting one, each
+    # built once and run as `run` runs a cell
+    assert layers["hill.source_sink_kernel"]["calls"] == 2
+    assert layers["experiment.run_sweep_cell"]["calls"] == 2
+    assert layers["coarse.build_coarse_model"]["calls"] == 2

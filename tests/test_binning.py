@@ -25,10 +25,3 @@ def test_bin_indices_in_range():
     with pytest.raises(ValueError):
         BinPartition(np.array([0, 1, 5]), n_bins=3)
 
-
-def test_membership_matrix():
-    bins = BinPartition(np.array([0, 1, 1, 0]))
-    m = bins.membership_matrix()
-    assert m.shape == (4, 2)
-    assert np.array_equal(m.sum(axis=1), np.ones(4))
-    assert np.array_equal(m[:, 0], [1, 0, 0, 1])

@@ -2,11 +2,21 @@ import csv
 import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weighted_ensemble import Ensemble, TransitionMatrix, cli
+from weighted_ensemble import (
+    Distribution,
+    Ensemble,
+    Observable,
+    SourceSinkSpec,
+    TransitionMatrix,
+    cli,
+    empirical_estimate,
+    source_sink_kernel,
+)
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
 from weighted_ensemble.engine import stationary_init_ensemble
@@ -342,6 +352,43 @@ class TestHill:
         assert float(rows["hitting_probability"][2]) == pytest.approx(0.5)
         assert abs(float(rows["hitting_probability"][1]) - 0.5) <= 0.15
 
+    def test_written_floats_read_back_bit_for_bit(self, tmp_path):
+        """hill.csv's estimates and standard errors parse back to the very
+        floats of its two source-sink cells run by hand, as cmd_run runs a
+        cell, on the same config and seed."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, mode="adaptive", hill_horizon="20", reps="10",
+                                n_particles="60", hit_a="11..30", hit_b="61..75",
+                                seed="7")
+        assert cli.main(["hill", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = ExperimentConfig.from_file(cfg_path)
+        setup = cfg.build_setup()
+        rho = Distribution.point_mass(cfg.source_state - 1, 90)
+        policy = make_policy(cfg.mode, setup.bins, cfg.n_particles, cfg.n_floor,
+                             cfg.per_bin_target)
+
+        def cell(F):
+            spec = SourceSinkSpec(setup.K, frozenset(F), rho)
+            chain = replace(setup, K=source_sink_kernel(spec),
+                            f=Observable.indicator(F, 90))
+            model = cli.coarse_model(cfg, chain, cfg.hill_horizon)
+            init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
+            return run_sweep_cell(chain, init, policy, (cfg.hill_horizon,), cfg.reps,
+                                  cfg.seed, model.v, cfg.threads)[0]
+
+        _, body = read_csv(out / "hill.csv")
+        rows = {r[0]: [float(x) for x in r[1:]] for r in body}
+        res = cell(list(range(80, 90)))
+        assert rows["pi_F"][0] == res.mean and rows["pi_F"][2] == res.std_err
+        assert rows["mfpt"][0] == 1 / res.mean
+        assert rows["mfpt"][2] == res.std_err / res.mean**2
+        assert rows["pi_F"][3] == rows["mfpt"][3] == (res.etas <= 0).sum()
+        A, B = list(range(10, 30)), list(range(60, 75))
+        res = cell(A + B)
+        eta_b = empirical_estimate(res.final, Observable.indicator(B, 90))
+        assert rows["hitting_probability"][0] == eta_b.mean() / res.mean
+        assert rows["hitting_probability"][3] == res.extinct_count
+
     def test_source_inside_sink_is_numerical_error(self, tmp_path, two_state):
         path = tmp_path / "K.csv"
         write_matrix_csv(path, two_state)
@@ -379,6 +426,10 @@ class TestExitCodes:
         ("hill", {"source_state": "95"}),
         ("hill", {"source_state": "0"}),
         ("hill", {"hit_a": "1..10", "hit_b": "91"}),
+        # a hit set without its partner would write no hitting row at all;
+        # overlapping sets have no first hit to tell apart
+        ("hill", {"hit_a": "11..30"}),
+        ("hill", {"hit_a": "11..30", "hit_b": "25..40"}),
         # CSV files, given by their data rows: a 0 index that would wrap to
         # the last state, a vector index 0, and a state above 10^4
         ("run", {"chain": ["1,1,0.9", "1,2,0.1", "0,1,0.2", "2,2,0.8"],
@@ -391,7 +442,7 @@ class TestExitCodes:
         ("diagnose", {"diag_horizon": "-1"}),
         ("hill", {"hill_horizon": "-3"}),
     ], ids=["chain", "bin_width", "f_states", "source_above", "source_zero",
-            "hit_b", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
+            "hit_b", "hit_a_alone", "hit_overlap", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
             "csv_chain_nan", "diag_reps", "diag_horizon", "hill_horizon"])
     def test_bad_setup_input_is_config_error(self, tmp_path, capsys, command,
                                              config):

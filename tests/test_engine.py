@@ -530,24 +530,21 @@ class TestEmpiricalEstimate:
 
 class TestRunWe:
     def test_horizon_zero_reads_initial_ensemble(self, setup, init150):
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 0, RngStream(0), [0])
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 0, 0, [0])
         assert rec.eta_f[0, 0] == pytest.approx(
             float(init150.weights @ setup.f.values[init150.states])
         )
         assert not rec.extinct.any()
 
     def test_naive_preserves_population_and_weights(self, setup, init150):
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 10, RngStream(2),
-                     range(3))
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 10, 2, range(3))
         assert np.all(rec.num_particles == 150)
         assert np.allclose(rec.total_weight, init150.total_weight)
 
     def test_bit_identical_reruns(self, setup, model30, init150):
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-        a = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), [0],
-                   v_table=model30.v)
-        b = run_we(setup.K, setup.f, policy, init150, 8, RngStream(9), [0],
-                   v_table=model30.v)
+        a = run_we(setup.K, setup.f, policy, init150, 8, 9, [0], v_table=model30.v)
+        b = run_we(setup.K, setup.f, policy, init150, 8, 9, [0], v_table=model30.v)
         assert np.array_equal(a.eta_f, b.eta_f)
         assert np.array_equal(a.final.states, b.final.states)
         assert np.array_equal(a.final.weights, b.final.weights)
@@ -556,7 +553,7 @@ class TestRunWe:
                                                     dense_cdf):
         n = 12
         stream = RngStream(123, replicate=5)
-        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, RngStream(123), [5])
+        rec = run_we(setup.K, setup.f, NaivePolicy(), init150, n, 123, [5])
         # plain simulation of 150 independent walkers from the same stream
         cum = dense_cdf(setup.K.to_dense())
         states = init150.states.copy()
@@ -569,7 +566,7 @@ class TestRunWe:
     def test_adaptive_requires_v_table(self, setup, init150):
         policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
         with pytest.raises(ValueError):
-            run_we(setup.K, setup.f, policy, init150, 3, RngStream(0), [0])
+            run_we(setup.K, setup.f, policy, init150, 3, 0, [0])
 
     def test_negative_v_raises_before_sampling(self, setup, model30, init150):
         # the negative entry sits in the last row the run reads
@@ -578,7 +575,7 @@ class TestRunWe:
         observed = []
         with pytest.raises(ValueError, match="nonnegative"):
             run_we(setup.K, setup.f, AdaptivePolicy(setup.bins, 150.0, 1.0), init150,
-                   6, RngStream(0), [0], v_table=v,
+                   6, 0, [0], v_table=v,
                    observe=lambda p, e, outcome: observed.append(p))
         assert observed == []
 
@@ -586,8 +583,7 @@ class TestRunWe:
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         policy = TraditionalPolicy(bins, 0.1)
-        rec = run_we(two_state, Observable(np.ones(2)), policy, e, 5, RngStream(0),
-                     range(50))
+        rec = run_we(two_state, Observable(np.ones(2)), policy, e, 5, 0, range(50))
         assert rec.extinct.any(), "no extinction observed with kill-heavy policy"
         for eta, num, extinct in zip(rec.eta_f, rec.num_particles, rec.extinct):
             if extinct:
@@ -595,7 +591,7 @@ class TestRunWe:
                 assert num[tau] == 0 and np.all(num[tau:] == 0)
                 assert np.all(eta[tau:] == 0.0)
         # a batch that dies out entirely stops at the generation it did
-        dead = run_we(two_state, Observable(np.ones(2)), policy, e, 5, RngStream(0),
+        dead = run_we(two_state, Observable(np.ones(2)), policy, e, 5, 0,
                       np.flatnonzero(rec.num_particles[:, 1] == 0)[:3])
         assert dead.tau_kill == 1 and dead.extinct.all()
 
@@ -604,7 +600,7 @@ class TestRunWe:
         # each (generation, purpose) draws the first M uniforms of the stream
         # of replicate 32, the batch's first, for its M particles
         policy = make_policy(mode, setup.bins, 150)
-        rec = run_we(setup.K, setup.f, policy, init150, 3, RngStream(6), range(32, 40))
+        rec = run_we(setup.K, setup.f, policy, init150, 3, 6, range(32, 40))
         stream = RngStream(6, 32)
         e = Ensemble(0, np.tile(init150.states, 8), np.tile(init150.weights, 8),
                      np.arange(9) * 150)
@@ -621,7 +617,7 @@ class TestRunWe:
         # 70 replicates run as the driver's chunks 0..31, 32..63 and 64..69
         policy = make_policy(mode, setup.bins, 150)
         [cell] = run_sweep_cell(setup, init150, policy, (6,), 70, 4, model30.v)
-        chunk = run_we(setup.K, setup.f, policy, init150, 6, RngStream(4),
+        chunk = run_we(setup.K, setup.f, policy, init150, 6, 4,
                        range(32, 64), v_table=model30.v[-6:])
         for field, rows in (("eta_f", cell.traces), ("num_particles", cell.count_traces),
                             ("total_weight", cell.weight_traces),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weighted_ensemble import RngStream, empirical_estimate, run_we
+from weighted_ensemble import empirical_estimate, run_we
 from weighted_ensemble.diagnostics import doob_terms, g_sequence
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
 
@@ -15,8 +15,7 @@ def test_final_merges_the_batches_in_replicate_order(setup, init150):
     assert final.n_replicates == 70
     assert np.array_equal(empirical_estimate(final, setup.f), full.etas)
     assert np.array_equal(final.sizes, full.count_traces[:, -1])
-    chunk = run_we(setup.K, setup.f, policy, init150, 4, RngStream(3),
-                   range(32, 64)).final
+    chunk = run_we(setup.K, setup.f, policy, init150, 4, 3, range(32, 64)).final
     lo, hi = final.offsets[32], final.offsets[64]
     assert np.array_equal(final.states[lo:hi], chunk.states)
     assert np.array_equal(final.weights[lo:hi], chunk.weights)
@@ -60,7 +59,7 @@ def test_doob_variance_is_the_observer_row_sums(setup, model30, init150,
     expected = []
     for chunk in (range(0, 32), range(32, 40)):  # the driver's two batches
         observe, mut, sel = doob_terms(gseq, len(chunk))
-        run_we(setup.K, setup.f, policy, init150, 4, RngStream(5), chunk,
+        run_we(setup.K, setup.f, policy, init150, 4, 5, chunk,
                v_table=model30.v[-4:], observe=observe)
         expected.append(mut.sum(axis=1) + sel.sum(axis=1))
     assert np.array_equal(doob_cells[mode][1].variance, np.concatenate(expected))

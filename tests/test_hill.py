@@ -5,16 +5,14 @@ from weighted_ensemble import (
     BinPartition,
     Distribution,
     Observable,
-    RngStream,
     SourceSinkSpec,
     TraditionalPolicy,
     TransitionMatrix,
     direct_mfpt,
+    empirical_estimate,
     hitting_probability,
     source_sink_kernel,
     stationary,
-    we_hill_hitting,
-    we_hill_mfpt,
 )
 
 
@@ -136,18 +134,15 @@ class TestExactIdentities:
 
 
 class TestWeEstimators:
-    def test_two_state_mfpt_estimate(self, two_state, two_state_spec):
+    def test_two_state_mfpt_estimate(self, two_state_spec, source_sink_cell):
         # the source-sink kernel is rank one, so eta relaxes in a single step
         bins = BinPartition(np.arange(2))
-        est = we_hill_mfpt(
-            two_state_spec, bins, TraditionalPolicy(bins, 10.0), 10, 300,
-            RngStream(0), 20,
-        )
-        assert abs(est.eta_mean - 0.1) <= 5 * est.eta_se
-        assert est.mfpt == pytest.approx(1.0 / est.eta_mean)
-        assert est.extinct_replicates == 0
+        res = source_sink_cell(two_state_spec, bins, TraditionalPolicy(bins, 10.0),
+                               10, 300, 0, 20)
+        assert abs(res.mean - 0.1) <= 5 * res.std_err
+        assert res.extinct_count == 0
 
-    def test_degenerate_one_step_sink(self):
+    def test_degenerate_one_step_sink(self, source_sink_cell):
         # from the source every step lands in F, so tau_F = 1 and pi(F) = 1
         K0 = TransitionMatrix.from_dense(
             np.array([[0.0, 0.5, 0.5], [1, 1, 1], [1, 1, 1]], dtype=float) /
@@ -157,28 +152,18 @@ class TestWeEstimators:
         spec = SourceSinkSpec(K0, frozenset({1, 2}), rho)
         assert direct_mfpt(K0, rho, [1, 2]) == pytest.approx(1.0)
         bins = BinPartition(np.arange(3))
-        est = we_hill_mfpt(spec, bins, TraditionalPolicy(bins, 5.0), 5, 50,
-                           RngStream(1), 12)
+        res = source_sink_cell(spec, bins, TraditionalPolicy(bins, 5.0), 5, 50, 1, 12)
         # every particle sits inside F, so eta_n(1_F) is the total weight:
         # random under stochastic rounding but unbiased around 1
-        assert abs(est.eta_mean - 1.0) <= 5 * est.eta_se
-        assert est.mfpt == pytest.approx(1.0 / est.eta_mean)
+        assert abs(res.mean - 1.0) <= 5 * res.std_err
 
-    def test_hitting_estimate_symmetric(self, three_state_symmetric):
+    def test_hitting_estimate_symmetric(self, three_state_symmetric, source_sink_cell):
+        # P[tau_B < tau_A] = eta_n(1_B) / eta_n(1_{A u B}) on the chain that
+        # restarts on entering A u B, as `hill` estimates it
         K0, rho = three_state_symmetric
         bins = BinPartition(np.arange(3))
-        est = we_hill_hitting(
-            K0, rho, [0], [2], bins, TraditionalPolicy(bins, 10.0), 8, 200,
-            RngStream(2), 24,
-        )
-        se = est.replicate_etas[:, 0].std(ddof=1) / np.sqrt(200)
-        assert abs(est.probability - 0.5) <= 5 * se / est.eta_ab_mean
-
-    def test_hitting_rejects_overlapping_sets(self, three_state_symmetric):
-        K0, rho = three_state_symmetric
-        bins = BinPartition(np.arange(3))
-        with pytest.raises(ValueError):
-            we_hill_hitting(
-                K0, rho, [0], [0, 2], bins, TraditionalPolicy(bins, 5.0), 4, 10,
-                RngStream(0), 6,
-            )
+        spec = SourceSinkSpec(K0, frozenset({0, 2}), rho)
+        res = source_sink_cell(spec, bins, TraditionalPolicy(bins, 10.0), 8, 200, 2, 24)
+        eta_b = empirical_estimate(res.final, Observable.indicator([2], 3))
+        se = eta_b.std(ddof=1) / np.sqrt(200)
+        assert abs(eta_b.mean() / res.mean - 0.5) <= 5 * se / res.mean

@@ -279,8 +279,8 @@ class TestPower:
             power(two_state, 2).to_dense(), [[0.83, 0.17], [0.34, 0.66]]
         )
 
-    def test_power_additivity_on_large_chain(self, setup):
-        Q = setup.Q
+    def test_power_additivity_on_large_chain(self):
+        Q = build_three_well_chain()[0]
         lhs = power(Q, 7).to_dense()
         rhs = power(Q, 3).to_dense() @ power(Q, 4).to_dense()
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -313,9 +313,9 @@ class TestStationary:
         assert np.all(np.abs(pi[reached] - ref) <= 1e-10 * ref)
 
     def test_same_for_lag_and_base_chain(self, setup):
-        assert np.allclose(
-            stationary(setup.Q).weights, stationary(setup.K).weights, atol=1e-10
-        )
+        Q = build_three_well_chain()[0]
+        assert np.allclose(stationary(Q).weights, stationary(setup.K).weights,
+                           atol=1e-10)
 
 
 class TestSolves:
@@ -390,28 +390,29 @@ class TestSecondEigenvalue:
 
 
 class TestThreeWellChain:
-    def test_shape_and_stochastic(self, setup):
-        Q = setup.Q.to_dense()
+    def test_shape_and_stochastic(self):
+        Q = build_three_well_chain()[0].to_dense()
         assert Q.shape == (90, 90)
         assert np.allclose(Q.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(Q >= 0) and np.all(Q <= 1)
 
-    def test_tridiagonal(self, setup):
-        Q = setup.Q.to_dense()
+    def test_tridiagonal(self):
+        Q = build_three_well_chain()[0].to_dense()
         for k in range(2, 90):
             assert np.all(np.diagonal(Q, k) == 0)
             assert np.all(np.diagonal(Q, -k) == 0)
 
-    def test_drift_values(self, setup):
-        Q = setup.Q.to_dense()
+    def test_drift_values(self):
+        Q = build_three_well_chain()[0].to_dense()
         # states 45 and 90 sit where the drift sin(6 pi i / 90) vanishes
         assert abs(Q[44, 45] - 0.4) <= 1e-12
         assert abs(Q[89, 88] - 0.4) <= 1e-12
 
-    def test_boundary_rows_absorb_into_diagonal(self, setup):
-        Q = setup.Q.to_dense()
+    def test_boundary_rows_absorb_into_diagonal(self):
+        Q = build_three_well_chain()[0].to_dense()
         assert abs(Q[0, 0] - (1.0 - Q[0, 1])) <= 1e-12
         assert abs(Q[89, 89] - (1.0 - Q[89, 88])) <= 1e-12
 
     def test_k_is_fourth_power(self, setup):
-        assert np.allclose(setup.K.to_dense(), power(setup.Q, 4).to_dense(), atol=1e-12)
+        Q = build_three_well_chain()[0]
+        assert np.allclose(setup.K.to_dense(), power(Q, 4).to_dense(), atol=1e-12)
