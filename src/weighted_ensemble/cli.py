@@ -129,20 +129,21 @@ def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     """Count and weight fractions per state in each surviving replicate's final
     ensemble, averaged over the survivors.
 
-    One bincount over the occupied (replicate, state) pairs for counts and one
-    for weights, each pair scaled by its replicate's size or total weight; a
-    third adds the pairs of each state in replicate order. Extinct replicates
-    own no pair. Only occupied pairs are kept: a (replicates x states) array
-    would take megabytes on a large chain.
+    Per block of BLOCK_ROWS replicates, to bound the memory, one bincount over
+    the occupied (replicate, state) pairs for counts and one for weights, each
+    pair scaled by its replicate's size or total weight; `np.add.at` adds them
+    to their states' sums in replicate order. Extinct replicates own no pair.
     """
-    final = res.final
-    pairs, pair_of = np.unique(final.replicate_of * n_states + final.states,
-                               return_inverse=True)
-    replicate, state = np.divmod(pairs, n_states)
-    counts = np.bincount(pair_of) / final.sizes[replicate]
-    weights = np.bincount(pair_of, final.weights) / res.weight_traces[replicate, -1]
-    hist = np.stack([np.bincount(state, counts, n_states),
-                     np.bincount(state, weights, n_states)])
+    final, hist = res.final, np.zeros((2, n_states))
+    for lo in range(0, res.reps, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, res.reps)
+        keys = np.repeat(np.arange(lo, hi) * n_states, final.sizes[lo:hi])
+        block = slice(final.offsets[lo], final.offsets[hi])
+        pairs, pair_of = np.unique(keys + final.states[block], return_inverse=True)
+        replicate, state = np.divmod(pairs, n_states)
+        np.add.at(hist[0], state, np.bincount(pair_of) / final.sizes[replicate])
+        np.add.at(hist[1], state, np.bincount(pair_of, final.weights[block])
+                  / res.weight_traces[replicate, -1])
     return hist / max(res.reps - res.extinct_count, 1)
 
 

@@ -5,15 +5,13 @@ with per-particle mean children counts beta and reweights each child to its
 parent's weight divided by beta, which keeps every weighted average unbiased.
 Mutation evolves each selected particle independently under the chain kernel.
 
-Independent replicates run in batches: one flat particle array holds every
-replicate of a batch, sorted by replicate, and each stage makes one pass over
-it per generation. A batch, not a replicate, is the unit of randomness: each
-(generation, purpose) draws the uniforms of the whole particle array from one
-stream keyed by the batch's first replicate, so a replicate's trajectory
-depends on the batch it ran in. Every per-replicate sum is one `bincount`
-over the batch, which adds in particle order, so it depends only on (seed,
-config), never on the thread count. Batches of at most `CHUNK` replicates go
-through one driver, `replicates`.
+The chunk of `CHUNK` replicates is the unit of randomness: each (generation,
+purpose) draws a chunk's uniforms from one stream keyed by its first
+replicate. The pass, a few whole chunks in one flat particle array sorted by
+replicate, is the unit of computation only: every stage but the draws acts on
+each replicate alone, so which chunks share a pass moves no byte. Every
+per-replicate sum is one `bincount`, which adds in particle order, so results
+depend only on (seed, config). Passes go through one driver, `replicates`.
 """
 from __future__ import annotations
 
@@ -28,12 +26,13 @@ from .markov import Distribution, Observable, TransitionMatrix
 
 _PURPOSES = {"init": 0, "select": 1, "mutate": 2, "coarse": 3}
 
-# replicates per batch: numpy call overhead is shared by the batch, while its
-# temporaries grow with it; throughput is flat from about this size up. Part
-# of the stream definition: `replicates` cuts batches 0..CHUNK-1,
-# CHUNK..2*CHUNK-1, ... and each draws from its first replicate's stream, so
-# changing it changes every output byte.
+# replicates per stream, part of the stream definition: the chunks
+# 0..CHUNK-1, CHUNK..2*CHUNK-1, ... each draw from their first replicate's
+# stream, so changing it changes every output byte.
 CHUNK = 32
+PASS_CHUNKS = 2
+"""Chunks per pass, at most: more share numpy call overhead but raise the peak
+memory, which two keep within 2% of one on `diagnose`. Changing it moves no byte."""
 
 
 def _key_seed(key: np.ndarray) -> "np.random.bit_generator.ISeedSequence":
@@ -86,20 +85,38 @@ class RngStream:
                                                     counter=counter))
 
 
-def _offsets(offsets: Optional[np.ndarray], n: int) -> np.ndarray:
-    """Validated replicate offsets of n flat particles; None means one replicate."""
-    o = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.int64)
-    if o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != n or (o[1:] < o[:-1]).any():
-        raise ValueError("offsets must rise from 0 to the particle count")
-    o.setflags(write=False)
-    return o
-
-
 class _Replicates:
-    """Flat per-particle arrays of a batch, sorted by replicate and cut by
-    ``offsets``: replicate b owns the particles ``offsets[b]:offsets[b + 1]``."""
+    """Flat per-particle states and positive, finite weights of a pass, sorted
+    by replicate and cut by ``offsets``: replicate b owns the particles
+    ``offsets[b]:offsets[b + 1]``; no offsets means one replicate."""
 
     offsets: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.states, dtype=np.int64)
+        w = np.asarray(self.weights, dtype=float)
+        o = np.asarray([0, s.size] if self.offsets is None else self.offsets, np.int64)
+        if s.shape != w.shape or s.ndim != 1:
+            raise ValueError("states and weights must be matching vectors")
+        # false for NaN as well: min and max propagate it
+        if s.size and not (w.min() > 0 and w.max() < np.inf):
+            raise ValueError("particle weights must be positive and finite")
+        if (o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != s.size
+                or (o[1:] < o[:-1]).any()):
+            raise ValueError("offsets must rise from 0 to the particle count")
+        for name, a in (("states", s), ("weights", w), ("offsets", o)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """One built from arrays the engine made, which meet the checks above
+        already (weights from `select`'s per-bin check), so none runs."""
+        for name in ("states", "weights", "offsets"):
+            fields[name].setflags(write=False)
+        built = object.__new__(cls)
+        built.__dict__.update(fields)
+        return built
 
     @property
     def n_replicates(self) -> int:
@@ -124,7 +141,7 @@ class _Replicates:
 
 @dataclass(frozen=True)
 class Ensemble(_Replicates):
-    """Particle populations of a batch of replicates at one generation: states
+    """Particle populations of a pass of replicates at one generation: states
     and strictly positive weights.
 
     The flat arrays are sorted by replicate; replicate b owns the particles
@@ -137,23 +154,9 @@ class Ensemble(_Replicates):
     weights: np.ndarray = field(repr=False)
     offsets: Optional[np.ndarray] = field(repr=False, default=None)
 
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=float)
-        if s.shape != w.shape or s.ndim != 1:
-            raise ValueError("states and weights must be matching vectors")
-        # false for NaN as well: min and max propagate it
-        if s.size and not (w.min() > 0 and w.max() < np.inf):
-            raise ValueError("particle weights must be positive and finite")
-        s.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "offsets", _offsets(self.offsets, s.size))
-
     @property
     def n_particles(self) -> int:
-        """Particles in the whole batch."""
+        """Particles in the whole pass."""
         return self.states.shape[0]
 
     @property
@@ -200,7 +203,7 @@ SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
 
 @dataclass(frozen=True)
 class SelectionOutcome(_Replicates):
-    """Result of one selection step over a batch.
+    """Result of one selection step over a pass.
 
     ``parent_of[i]`` is the index into the parent ensemble of selected particle
     i; children of parent j all carry weight ``weights[j] / mean_children[j]``.
@@ -216,12 +219,9 @@ class SelectionOutcome(_Replicates):
     generation: int = 0
     offsets: Optional[np.ndarray] = field(repr=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", _offsets(self.offsets, self.states.shape[0]))
-
     @property
     def n_selected(self) -> int:
-        """Children in the whole batch."""
+        """Children in the whole pass."""
         return self.states.shape[0]
 
 
@@ -301,14 +301,15 @@ def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (low + (u < beta - low)).astype(np.int64)
 
 
-def bin_totals(e: Ensemble, bins: BinPartition) -> np.ndarray:
+def bin_totals(e: Ensemble, bins: BinPartition,
+               key: Optional[np.ndarray] = None) -> np.ndarray:
     """Total particle weight per replicate and bin, a (replicates x bins) array.
 
-    One bincount on replicate * R + bin; it adds each bin's weights in
-    particle order, as a bincount over one replicate does.
+    One bincount on ``key``, replicate * R + bin unless given; it adds each
+    bin's weights in particle order, as a bincount over one replicate does.
     """
     R = bins.n_bins
-    key = e.replicate_of * R + bins.bin_of[e.states]
+    key = e.replicate_of * R + bins.bin_of[e.states] if key is None else key
     return np.bincount(key, weights=e.weights,
                        minlength=e.n_replicates * R).reshape(-1, R)
 
@@ -344,9 +345,10 @@ def _mean_children_and_child_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle beta and the weight each of its children will carry."""
     if isinstance(policy, NaivePolicy):
-        return np.ones(e.n_particles), e.weights.copy()
+        return np.ones(e.n_particles), e.weights
     bins = policy.bins
-    bin_weight = bin_totals(e, bins)
+    key = e.replicate_of * bins.n_bins + bins.bin_of[e.states]
+    bin_weight = bin_totals(e, bins, key)
     if isinstance(policy, TraditionalPolicy):
         targets = policy.per_bin_target
     else:
@@ -354,9 +356,12 @@ def _mean_children_and_child_weights(
             raise ValueError("adaptive policy needs the per-bin variance proxies v_p")
         targets = allocate_targets(bin_weight, v_p, policy.total_target, policy.n_floor)
     omega_bar = bin_weight / targets  # targets are positive; read for occupied bins
-    child_weight = omega_bar.ravel()[e.replicate_of * bins.n_bins + bins.bin_of[e.states]]
-    beta = e.weights / child_weight
-    return beta, child_weight
+    # checked per (replicate, bin): max is NaN if any is; only empty bins give 0
+    if not (omega_bar.max() < np.inf
+            and np.count_nonzero(omega_bar) == np.count_nonzero(bin_weight)):
+        raise ValueError("child weights must be positive and finite")
+    child_weight = omega_bar.ravel()[key]
+    return e.weights / child_weight, child_weight
 
 
 def select(
@@ -365,7 +370,7 @@ def select(
     v_p: Optional[np.ndarray] = None,
     u: Optional[np.ndarray] = None,
 ) -> SelectionOutcome:
-    """Selection step over a batch: draw children counts and reweight.
+    """Selection step over a pass: draw children counts and reweight.
 
     Under bin policies, all children in bin r of a replicate share the weight
     omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
@@ -383,16 +388,15 @@ def select(
             raise ValueError("bin policies need uniforms for stochastic rounding")
         counts = stochastic_round(beta, u)
     parent_of = np.repeat(np.arange(e.n_particles), counts)
-    born_before = np.zeros(e.n_particles + 1, dtype=np.int64)
-    np.cumsum(counts, out=born_before[1:])
-    return SelectionOutcome(
+    return SelectionOutcome._trusted(
         states=e.states[parent_of],
         weights=child_weight[parent_of],
         parent_of=parent_of,
         children_count=counts,
         mean_children=beta,
         generation=e.generation,
-        offsets=born_before[e.offsets],
+        # replicate b's children are those of parents below offsets[b + 1]
+        offsets=np.searchsorted(parent_of, e.offsets),
     )
 
 
@@ -403,9 +407,9 @@ def mutate(s: SelectionOutcome, K: TransitionMatrix, u: np.ndarray) -> Ensemble:
     per particle in particle order, so a run with the naive policy reproduces
     plain independent chains bit for bit under the same draws.
     """
-    if s.n_selected == 0:
-        return Ensemble(s.generation + 1, np.empty(0, np.int64), np.empty(0), s.offsets)
-    return Ensemble(s.generation + 1, K.step(s.states, u), s.weights.copy(), s.offsets)
+    return Ensemble._trusted(generation=s.generation + 1, states=K.step(s.states, u),
+                             weights=s.weights, offsets=s.offsets,
+                             replicate_of=s.replicate_of)
 
 
 def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
@@ -415,13 +419,13 @@ def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
 
 @dataclass
 class RunRecord:
-    """Per-generation traces of a batch of WE runs, one row per replicate."""
+    """Per-generation traces of a pass of WE runs, one row per replicate."""
 
     eta_f: np.ndarray  # (replicates, n+1)
     num_particles: np.ndarray
     total_weight: np.ndarray
     extinct: np.ndarray  # (replicates,) bool: no particle left at generation n
-    tau_kill: Optional[int]  # generation the whole batch was extinct at, if any
+    tau_kill: Optional[int]  # generation the whole pass was extinct at, if any
     final: Ensemble
 
 
@@ -436,16 +440,16 @@ def run_we(
     v_table: Optional[np.ndarray] = None,
     observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
 ) -> RunRecord:
-    """Run the select -> mutate loop for n generations on a batch of replicates.
+    """Run the select -> mutate loop for n generations on a pass of replicates.
 
-    Every replicate starts from ``init``. The batch draws each generation's
-    uniforms, one per particle in particle order, from the stream of
-    ``seed`` and its first replicate ``reps[0]``, so its rows depend on
-    the whole of ``reps``. For the adaptive policy, ``v_table`` must hold the
+    Every replicate starts from ``init``. ``reps`` is cut into chunks of
+    `CHUNK` from ``reps[0]`` on; each draws its particles' uniforms, in
+    particle order, from the stream of ``seed`` and its first replicate, so a
+    row depends on its chunk alone. For the adaptive policy, ``v_table`` must hold the
     per-generation, per-bin variance proxies with at least n rows. An extinct
     replicate has eta 0 from then on by convention; the loop stops when the
-    whole batch is. ``observe(p, ensemble, outcome)``, if given, is called at
-    every generation p < n that selects, with the pre-selection batch and the
+    whole pass is. ``observe(p, ensemble, outcome)``, if given, is called at
+    every generation p < n that selects, with the pre-selection pass and the
     selection made from it.
     """
     if n < 0:
@@ -462,7 +466,15 @@ def run_we(
             raise ValueError("variance proxies must be nonnegative")
     naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
     B = len(reps)
-    stream = RngStream(seed, int(reps[0]) if B else 0)
+    cuts = np.append(np.arange(0, B, CHUNK), B)  # the chunks' replicate bounds
+    streams = [RngStream(seed, int(reps[lo])) for lo in cuts[:-1]]
+
+    def uniforms(p: int, purpose: str, offsets: np.ndarray) -> np.ndarray:
+        u, bounds = np.empty(offsets[-1]), offsets[cuts].tolist()
+        for stream, lo, hi in zip(streams, bounds, bounds[1:]):
+            if hi > lo:  # an extinct chunk draws nothing
+                stream.at(p, purpose).random(out=u[lo:hi])
+        return u
     eta = np.zeros((B, n + 1))
     num = np.zeros((B, n + 1), dtype=np.int64)
     tot = np.zeros((B, n + 1))
@@ -480,11 +492,11 @@ def run_we(
         if p == n:
             break
         v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
-        u = None if naive else stream.at(p, "select").random(e.n_particles)
+        u = None if naive else uniforms(p, "select", e.offsets)
         outcome = select(e, policy, v_p, u)
         if observe is not None:
             observe(p, e, outcome)
-        e = mutate(outcome, K, stream.at(p, "mutate").random(outcome.n_selected))
+        e = mutate(outcome, K, uniforms(p, "mutate", outcome.offsets))
     return RunRecord(
         eta_f=eta,
         num_particles=num,
@@ -506,29 +518,31 @@ def _install(one: Callable[[range], object]) -> None:
     _worker_one = one
 
 
-def _call_installed(chunk: range):
-    return _worker_one(chunk)
+def _call_installed(reps: range):
+    return _worker_one(reps)
 
 
 def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterator[T]:
-    """Yield one(chunk) for consecutive chunks of replicates 0..reps-1, each
-    of at most CHUNK replicates, in replicate order.
+    """Yield one(pass) for consecutive passes over replicates 0..reps-1, in
+    replicate order: ranges of at most `PASS_CHUNKS` whole chunks, and with
+    threads > 1 of at most ceil(chunks / threads), so each worker gets work.
 
-    The chunks do not depend on the thread count. With threads > 1 the calls
-    run in that many worker processes, and each worker receives ``one`` once,
-    when it starts, then only chunks, so a large argument (a chain, and
-    the sampling tables it caches) reaches a worker and is built there once,
-    not once per chunk. Workers fork from this process, sharing its memory, when
-    it runs no other thread. Otherwise forking is unsafe, and they fork from a
+    With threads > 1 the calls run in that many worker processes, and each
+    worker receives ``one`` once, when it starts, then only passes, so a
+    large argument (a chain, and the sampling tables it caches) reaches a
+    worker and is built there once. Workers fork from this process, sharing
+    its memory, when it runs no other thread. Otherwise forking is unsafe, and they fork from a
     single-threaded server that has imported this module (the forkserver
     start method), so ``one`` must pickle: a functools.partial of a
     module-level function.
     Callers fold the results in the order given, so every output depends only
     on what ``one`` computes, never on the thread count.
     """
-    chunks = [range(lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
-    if threads <= 1 or len(chunks) <= 1:
-        yield from map(one, chunks)
+    # ceil(chunks / threads) chunks is ceil(reps / (CHUNK * threads))
+    step = CHUNK * max(1, min(PASS_CHUNKS, -(-reps // (CHUNK * max(threads, 1)))))
+    passes = [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+    if threads <= 1 or len(passes) <= 1:
+        yield from map(one, passes)
         return
     # imported here: a single-process run does not pay for loading them
     import multiprocessing
@@ -540,6 +554,6 @@ def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterat
     else:
         context = multiprocessing.get_context("forkserver")
         context.set_forkserver_preload([__name__])
-    with ProcessPoolExecutor(min(threads, len(chunks)), mp_context=context,
+    with ProcessPoolExecutor(min(threads, len(passes)), mp_context=context,
                              initializer=_install, initargs=(one,)) as pool:
-        yield from pool.map(_call_installed, chunks)
+        yield from pool.map(_call_installed, passes)

@@ -94,7 +94,7 @@ class SweepResult:
 
 
 def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
-    """One ensemble holding the replicates of consecutive batches, in order."""
+    """One ensemble holding the replicates of consecutive passes, in order."""
     sizes = np.concatenate([e.sizes for e in finals])
     return Ensemble(generation, np.concatenate([e.states for e in finals]),
                     np.concatenate([e.weights for e in finals]),
@@ -104,7 +104,7 @@ def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
 def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
            init: Ensemble, n: int, seed: int, v_table: Optional[np.ndarray],
            gseq: Optional[GSequence], reps: range):
-    """run_we on one batch of replicates. With ``gseq`` it observes the exact
+    """run_we on one pass of replicates. With ``gseq`` it observes the exact
     Doob terms against it and also returns each replicate's sum_p (mut_p +
     sel_p); without, that second value is None."""
     if gseq is None:
@@ -132,7 +132,7 @@ def run_sweep_cell(
     some horizon H >= max(horizons). The table for a horizon n is the last n
     rows of it (the same backward recursion, bit for bit), so adaptive runs
     once per horizon. The other policies never read the horizon and draw by
-    (batch, generation), with batches that do not depend on the horizon, so
+    (chunk, generation), with chunks that do not depend on the horizon, so
     one run to the largest horizon holds every shorter run as its prefix;
     their cells are views into it. The largest horizon's cells also carry
     the final ensemble of every replicate.

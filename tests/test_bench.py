@@ -46,6 +46,17 @@ def test_probe_traces_a_small_sweep(tmp_path):
     assert layers["engine.mutate"]["particles"] == 5165
 
 
+def test_probe_traces_a_pass_of_whole_chunks(tmp_path):
+    # 70 replicates are three chunks, run as two passes: 0..63 and 64..69
+    layers = traced_layers(tmp_path, "run", "mode = traditional\nhorizons = 2\n"
+                           "reps = 70\n")
+    assert layers["engine.run_we"]["calls"] == 2
+    # each chunk still draws a select and a mutate stream per generation
+    assert layers["engine.rng_at"]["calls"] == 2 * 3 * 2
+    # the particles mutated when each chunk ran alone: no draw moved
+    assert layers["engine.mutate"]["particles"] == 21007
+
+
 def test_probe_traces_a_small_hill_run(tmp_path):
     layers = traced_layers(tmp_path, "hill", "hill_horizon = 5\nreps = 5\n"
                            "n_particles = 60\nhit_a = 11..30\nhit_b = 61..75\n")

@@ -21,7 +21,7 @@ from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
 from weighted_ensemble.engine import stationary_init_ensemble
 from weighted_ensemble.experiment import SweepResult, make_policy, run_sweep_cell
-from weighted_ensemble.serialize import write_matrix_csv
+from weighted_ensemble.serialize import BLOCK_ROWS, write_matrix_csv
 
 
 def read_csv(path):
@@ -210,13 +210,12 @@ class TestRun:
         cfg = write_config(tmp_path, **{**SMALL_RUN, "reps": str(reps)})
         assert_threads_do_not_change_outputs(tmp_path, "run", cfg, threads)
 
-    def test_histograms_match_a_loop_over_survivors(self):
-        # replicate 1 is extinct; the others add in replicate order
-        rng = np.random.default_rng(3)
-        offsets = np.array([0, 4, 4, 9, 15])
-        final = Ensemble(2, rng.integers(0, 5, 15), rng.uniform(0.1, 1.0, 15), offsets)
+    @staticmethod
+    def assert_histograms_match_a_loop_over_survivors(rng, offsets):
+        n, reps = int(offsets[-1]), offsets.size - 1
+        final = Ensemble(2, rng.integers(0, 5, n), rng.uniform(0.1, 1.0, n), offsets)
         totals, sizes = final.total_weight, final.sizes
-        res = SweepResult("naive", 2, 0.0, np.zeros((4, 3)),
+        res = SweepResult("naive", 2, 0.0, np.zeros((reps, 3)),
                           np.repeat(totals[:, None], 3, axis=1),
                           np.repeat(sizes[:, None], 3, axis=1), final)
         want = np.zeros((2, 5))
@@ -225,7 +224,20 @@ class TestRun:
             weights = final.weights[offsets[b]:offsets[b + 1]]
             want[0] += np.bincount(states, minlength=5) / sizes[b]
             want[1] += np.bincount(states, weights=weights, minlength=5) / totals[b]
-        assert np.array_equal(cli.histograms(res, 5), want / 3)
+        assert np.array_equal(cli.histograms(res, 5), want / np.count_nonzero(sizes))
+
+    def test_histograms_match_a_loop_over_survivors(self):
+        # replicate 1 is extinct; the others add in replicate order
+        self.assert_histograms_match_a_loop_over_survivors(
+            np.random.default_rng(3), np.array([0, 4, 4, 9, 15]))
+
+    def test_histograms_add_across_blocks_in_replicate_order(self):
+        # three blocks of replicates, every third replicate extinct
+        rng = np.random.default_rng(4)
+        sizes = rng.integers(1, 6, 2 * BLOCK_ROWS + 3)
+        sizes[::3] = 0
+        self.assert_histograms_match_a_loop_over_survivors(
+            rng, np.concatenate(([0], np.cumsum(sizes))))
 
     def test_coarse_samples_set_the_coarse_model(self, tmp_path):
         """With coarse_samples > 0, run's v table is the one `coarse` writes

@@ -32,11 +32,12 @@ from weighted_ensemble import (
     stochastic_round,
 )
 from weighted_ensemble.diagnostics import (
+    doob_terms,
     g_sequence,
     mutation_variance_term,
     selection_variance_term,
 )
-from weighted_ensemble.engine import CHUNK, largest_remainder, replicates
+from weighted_ensemble.engine import CHUNK, PASS_CHUNKS, largest_remainder, replicates
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
 
 
@@ -120,24 +121,26 @@ def _times_unpickled(payload: _Payload, chunk: range) -> int:
 
 class TestReplicates:
     def test_yields_in_replicate_order(self):
+        # three chunks, run in passes of whole chunks: PASS_CHUNKS at most,
+        # and with t workers at most ceil(3 / t), so that each gets work
         reps = 2 * CHUNK + 6
-        expected = [list(range(lo, min(lo + CHUNK, reps)))
-                    for lo in range(0, reps, CHUNK)]
-        assert list(replicates(list, reps)) == expected
-        assert list(replicates(list, reps, threads=2)) == expected
+        chunks = [list(range(lo, min(lo + CHUNK, reps))) for lo in range(0, reps, CHUNK)]
+        for threads, per_pass in ((1, PASS_CHUNKS), (2, min(PASS_CHUNKS, 2)), (3, 1)):
+            expected = [sum(chunks[i:i + per_pass], []) for i in range(0, 3, per_pass)]
+            assert list(replicates(list, reps, threads)) == expected
 
     @pytest.mark.parametrize("other_thread", [False, True],
                              ids=["fork", "forkserver"])
     def test_a_worker_receives_the_batch_function_once(self, other_thread):
-        # six chunks on two workers: a worker that received the function with
-        # every chunk would unpickle it up to six times
+        # six passes on two workers: a worker that received the function with
+        # every pass would unpickle it up to six times
         one = partial(_times_unpickled, _Payload())
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if other_thread:
             thread.start()
         try:
-            counts = list(replicates(one, 6 * CHUNK, threads=2))
+            counts = list(replicates(one, 6 * PASS_CHUNKS * CHUNK, threads=2))
         finally:
             stop.set()
             if other_thread:
@@ -626,3 +629,53 @@ class TestRunWe:
         lo, hi = cell.final.offsets[32], cell.final.offsets[64]
         assert np.array_equal(cell.final.states[lo:hi], chunk.final.states)
         assert np.array_equal(cell.final.weights[lo:hi], chunk.final.weights)
+
+    @staticmethod
+    def run_pass_and_its_chunks(K, f, policy, init, n, seed, v_table=None):
+        """run_we with the Doob observer over 2 * CHUNK + 6 replicates and over
+        each of its three chunks alone; every row, final ensemble and Doob
+        term of the pass equals its chunk's, bit for bit."""
+        gseq = g_sequence(K, f, n)
+
+        def run(reps):
+            observe, mut, sel = doob_terms(gseq, len(reps))
+            rec = run_we(K, f, policy, init, n, seed, reps, v_table=v_table,
+                         observe=observe)
+            return rec, mut, sel
+
+        reps = range(2 * CHUNK + 6)
+        whole, *whole_terms = run(reps)
+        chunks = []
+        for lo in range(0, len(reps), CHUNK):
+            rows = slice(lo, min(lo + CHUNK, len(reps)))
+            chunk, *terms = run(reps[rows])
+            for field in ("eta_f", "num_particles", "total_weight", "extinct"):
+                assert np.array_equal(getattr(whole, field)[rows], getattr(chunk, field))
+            for pass_term, chunk_term in zip(whole_terms, terms):
+                assert np.array_equal(pass_term[rows], chunk_term)
+            first, last = whole.final.offsets[[rows.start, rows.stop]]
+            assert np.array_equal(whole.final.states[first:last], chunk.final.states)
+            assert np.array_equal(whole.final.weights[first:last], chunk.final.weights)
+            chunks.append(chunk)
+        return whole, chunks
+
+    @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+    def test_a_pass_is_its_chunks_run_alone(self, setup, model30, init150, mode):
+        self.run_pass_and_its_chunks(setup.K, setup.f, make_policy(mode, setup.bins, 150),
+                                     init150, 6, 4, model30.v[-6:])
+
+    def test_a_pass_runs_on_after_one_chunk_dies_out(self, two_state):
+        # the kill-heavy policy of test_extinction_stops_run_and_zeroes_eta; at
+        # seed 4 the chunks die out at generations 3, 2 and 1 and the pass at 3
+        policy = TraditionalPolicy(BinPartition(np.array([0, 0])), 0.1)
+        e = Ensemble(0, np.array([0]), np.array([1.0]))
+        whole, chunks = self.run_pass_and_its_chunks(
+            two_state, Observable(np.ones(2)), policy, e, 5, 4)
+        assert [c.tau_kill for c in chunks] == [3, 2, 1] and whole.tau_kill == 3
+
+    def test_a_child_weight_that_underflows_is_refused(self, two_state):
+        # 5e-324 / 5 rounds to 0, so the particle's children would weigh nothing
+        policy = TraditionalPolicy(BinPartition(np.array([0, 0])), 5)
+        e = Ensemble(0, np.array([0]), np.array([5e-324]))
+        with pytest.raises(ValueError):
+            run_we(two_state, Observable(np.ones(2)), policy, e, 1, 0, [0])
