@@ -445,10 +445,10 @@ def run_we(
     Every replicate starts from ``init``. ``reps`` is cut into chunks of
     `CHUNK` from ``reps[0]`` on; each draws its particles' uniforms, in
     particle order, from the stream of ``seed`` and its first replicate, so a
-    row depends on its chunk alone. For the adaptive policy, ``v_table`` must hold the
-    per-generation, per-bin variance proxies with at least n rows. An extinct
-    replicate has eta 0 from then on by convention; the loop stops when the
-    whole pass is. ``observe(p, ensemble, outcome)``, if given, is called at
+    row depends on its chunk alone. For the adaptive policy, ``v_table`` must
+    hold the per-generation, per-bin variance proxies with at least n rows.
+    An extinct replicate has eta 0 from then on by convention; the loop stops
+    when the whole pass is. ``observe(p, ensemble, outcome)``, if given, is called at
     every generation p < n that selects, with the pre-selection pass and the
     selection made from it.
     """
@@ -531,10 +531,10 @@ def replicates(one: Callable[[range], T], reps: int, threads: int = 1) -> Iterat
     worker receives ``one`` once, when it starts, then only passes, so a
     large argument (a chain, and the sampling tables it caches) reaches a
     worker and is built there once. Workers fork from this process, sharing
-    its memory, when it runs no other thread. Otherwise forking is unsafe, and they fork from a
-    single-threaded server that has imported this module (the forkserver
-    start method), so ``one`` must pickle: a functools.partial of a
-    module-level function.
+    its memory, when it runs no other thread. Otherwise forking is unsafe,
+    and they fork from a single-threaded server that has imported this module
+    (the forkserver start method), so ``one`` must pickle: a functools.partial
+    of a module-level function.
     Callers fold the results in the order given, so every output depends only
     on what ``one`` computes, never on the thread count.
     """
