@@ -19,7 +19,7 @@ import numpy as np
 from .coarse import CoarseModel, build_coarse_model
 from .config import ExperimentConfig
 from .diagnostics import run_checks
-from .engine import empirical_estimate, stationary_init_ensemble
+from .engine import stationary_init_ensemble
 from .experiment import ChainSetup, SweepResult, make_policy, run_sweep_cell
 from .hill import (
     SourceSinkSpec,
@@ -129,21 +129,21 @@ def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     """Count and weight fractions per state in each surviving replicate's final
     ensemble, averaged over the survivors.
 
-    Per block of BLOCK_ROWS replicates, to bound the memory, one bincount over
-    the occupied (replicate, state) pairs for counts and one for weights, each
-    pair scaled by its replicate's size or total weight; `np.add.at` adds them
-    to their states' sums in replicate order. Extinct replicates own no pair.
+    Per pass, to bound the memory, one bincount over the occupied (replicate,
+    state) pairs for counts and one for weights, each pair scaled by its
+    replicate's size or total weight; `np.add.at` adds them to their states'
+    sums in replicate order. Extinct replicates own no pair.
     """
-    final, hist = res.final, np.zeros((2, n_states))
-    for lo in range(0, res.reps, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, res.reps)
-        keys = np.repeat(np.arange(lo, hi) * n_states, final.sizes[lo:hi])
-        block = slice(final.offsets[lo], final.offsets[hi])
-        pairs, pair_of = np.unique(keys + final.states[block], return_inverse=True)
+    hist, lo = np.zeros((2, n_states)), 0
+    for final in res.final:
+        hi = lo + final.n_replicates
+        keys = np.repeat(np.arange(lo, hi) * n_states, final.sizes) + final.states
+        pairs, pair_of = np.unique(keys, return_inverse=True)
         replicate, state = np.divmod(pairs, n_states)
-        np.add.at(hist[0], state, np.bincount(pair_of) / final.sizes[replicate])
-        np.add.at(hist[1], state, np.bincount(pair_of, final.weights[block])
+        np.add.at(hist[0], state, np.bincount(pair_of) / final.sizes[replicate - lo])
+        np.add.at(hist[1], state, np.bincount(pair_of, final.weights)
                   / res.weight_traces[replicate, -1])
+        lo = hi
     return hist / max(res.reps - res.extinct_count, 1)
 
 
@@ -175,9 +175,9 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     extinct_total = 0
     for mode in cfg.modes:
         policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
-                             cfg.per_bin_target)
+                             cfg.per_bin_target, model.v)
         for res in run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
-                                  cfg.seed, model.v, cfg.threads):
+                                  cfg.seed, cfg.threads):
             n = res.n
             extinct_total += res.extinct_count
             summary_rows.append((
@@ -220,9 +220,9 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
     all_passed = True
     for mode in cfg.modes:
         policy = make_policy(mode, setup.bins, cfg.n_particles,
-                             cfg.n_floor, cfg.per_bin_target)
+                             cfg.n_floor, cfg.per_bin_target, model.v)
         [res] = run_sweep_cell(setup, init, policy, (n,), cfg.diag_reps, cfg.seed,
-                               model.v, cfg.threads, doob=True)
+                               cfg.threads, doob=True)
         for report in run_checks(res):
             rows.append((report.check, report.n, report.policy, report.value,
                          report.reference, report.std_err, report.z,
@@ -243,8 +243,6 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int
     n = cfg.hill_horizon
     rho = Distribution.point_mass(cfg.source_state - 1, n_states)
     sink = cfg.state_set("sink_states", n_states)
-    policy = make_policy(cfg.modes[0], setup.bins, cfg.n_particles,
-                         cfg.n_floor, cfg.per_bin_target)
 
     def restart_run(F: list[int]) -> tuple[ChainSetup, SweepResult]:
         """The chain that restarts from rho on entering F, with f = 1_F, and
@@ -253,7 +251,9 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int
         chain = replace(setup, K=K, f=Observable.indicator(F, n_states))
         model = coarse_model(cfg, chain, max(n, 1))
         init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
-        [res] = run_sweep_cell(chain, init, policy, (n,), cfg.reps, cfg.seed, model.v,
+        policy = make_policy(cfg.modes[0], chain.bins, cfg.n_particles,
+                             cfg.n_floor, cfg.per_bin_target, model.v)
+        [res] = run_sweep_cell(chain, init, policy, (n,), cfg.reps, cfg.seed,
                                cfg.threads)
         if res.mean <= 0:
             raise ValueError("mean eta_n(1_F) is not positive")
@@ -272,15 +272,21 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int
     ]
     if cfg.hit_b:
         # P[tau_B < tau_A] = eta_n(1_B) / eta_n(1_{A u B}) from one set of
-        # replicates on the chain that restarts on entering A u B
+        # replicates on the chain that restarts on entering A u B; invalid
+        # replicates are again those with eta_n(1_{A u B}) <= 0
         A = cfg.state_set("hit_a", n_states)
         B = cfg.state_set("hit_b", n_states)
         del res  # free the first run's traces before the second run
         chain, res = restart_run(A + B)
-        eta_b = empirical_estimate(res.final, Observable.indicator(B, n_states))
-        rows.append(("hitting_probability", float(eta_b.mean()) / res.mean,
-                     hitting_probability(stationary(chain.K), A, B), float("nan"),
-                     res.extinct_count))
+        eta_b = res.final_eta(Observable.indicator(B, n_states))
+        ratio = float(eta_b.mean()) / res.mean
+        # delta method: the ratio's SE is the SE of the mean of
+        # eta_n(1_B) - ratio eta_n(1_{A u B}), over the mean of the latter
+        resid = eta_b - ratio * res.etas
+        se = float(resid.std(ddof=1)) / np.sqrt(res.reps) if res.reps > 1 else 0.0
+        rows.append(("hitting_probability", ratio,
+                     hitting_probability(stationary(chain.K), A, B), se / res.mean,
+                     int((res.etas <= 0).sum())))
     write_rows(out / "hill.csv",
                ("quantity", "estimate", "oracle", "std_err", "invalid_replicates"),
                rows, h)

@@ -55,11 +55,6 @@ class ExperimentConfig:
     diag_horizon: int = 5
     diag_reps: int = 2000
 
-    _INT = ("lag", "bin_width", "n_particles", "reps", "seed", "threads",
-            "coarse_samples", "source_state", "hill_horizon", "diag_horizon",
-            "diag_reps")
-    _FLOAT = ("n_floor", "per_bin_target")
-
     def validate(self):
         if self.mode not in MODES + ("all",):
             raise ValueError(f"mode must be one of {MODES + ('all',)}, got {self.mode!r}")
@@ -90,7 +85,7 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         lines = []
         for f in fields(self):
-            if f.name.startswith("_") or f.name in self._UNHASHED:
+            if f.name in self._UNHASHED:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -111,8 +106,9 @@ class ExperimentConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 values[key] = val
         values.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
-        unknown = set(values) - known
+        # each value takes the type of its field's default
+        kind = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(values) - set(kind)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict = {}
@@ -121,12 +117,8 @@ class ExperimentConfig:
                 if isinstance(val, str):
                     val = tuple(int(t) for t in val.split(","))
                 kwargs[key] = tuple(val)
-            elif key in cls._INT:
-                kwargs[key] = int(val)
-            elif key in cls._FLOAT:
-                kwargs[key] = float(val)
             else:
-                kwargs[key] = val
+                kwargs[key] = kind[key](val)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

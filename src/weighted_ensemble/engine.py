@@ -185,17 +185,37 @@ class TraditionalPolicy:
 @dataclass(frozen=True)
 class AdaptivePolicy:
     """Coarse-model-guided targets: proportional to bin weight times sqrt(v),
-    floored at n_floor particles per bin."""
+    floored at n_floor particles per bin.
+
+    ``v`` is the coarse model's variance-proxy table for a horizon H, a row
+    per generation and a column per bin, checked and square-rooted (``root_v``)
+    once, here, and read-only. A run to horizon n <= H reads row H - n + p at
+    generation p, which is row p of the table for horizon n, bit for bit.
+    """
 
     bins: BinPartition
     total_target: float
     n_floor: float
+    v: np.ndarray = field(repr=False)
+    root_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.n_floor < self.total_target / self.bins.n_bins:
-            raise ValueError(
-                f"floor must lie in (0, N/R) = (0, {self.total_target / self.bins.n_bins})"
-            )
+        R = self.bins.n_bins
+        if not 0 < self.n_floor < self.total_target / R:
+            raise ValueError(f"floor must lie in (0, N/R) = (0, {self.total_target / R})")
+        v = np.array(self.v, dtype=float)  # a missing table has shape ()
+        if v.ndim != 2 or v.shape[1] != R:
+            raise ValueError(f"v table must have {R} columns, one per bin; "
+                             f"its shape is {v.shape}")
+        if not (np.isfinite(v).all() and (v >= 0).all()):
+            raise ValueError("variance proxies must be finite and nonnegative")
+        for name, a in (("v", v), ("root_v", np.sqrt(v))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def row(self, p: int, n: Optional[int] = None) -> int:
+        """The table row of generation p in a run to horizon n (default H)."""
+        return p if n is None else len(self.v) - n + p
 
 
 SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
@@ -314,34 +334,25 @@ def bin_totals(e: Ensemble, bins: BinPartition,
                        minlength=e.n_replicates * R).reshape(-1, R)
 
 
-def allocate_targets(
-    bin_weight: np.ndarray,
-    v_p: np.ndarray,
-    total_target: float,
-    n_floor: float,
-) -> np.ndarray:
-    """Per-bin target particle numbers: (N - floor*R) sqrt(v_r) w_r / sum + floor.
+def allocate_targets(bin_weight: np.ndarray, policy: AdaptivePolicy,
+                     row: int) -> np.ndarray:
+    """Per-bin target particle numbers: (N - floor*R) sqrt(v_r) w_r / sum + floor,
+    with v the policy's table row ``row``.
 
     w_r is the bin's total particle weight, one row of ``bin_weight`` per
     replicate (`bin_totals`). A replicate whose occupied bins all have v = 0
     has a vanishing denominator, and every one of its bins gets the floor.
     """
-    bin_weight = np.asarray(bin_weight, dtype=float)
-    R = bin_weight.shape[-1]
-    if not 0 < n_floor < total_target / R:
-        raise ValueError("floor must lie in (0, N/R)")
-    v_p = np.asarray(v_p, dtype=float)
-    if v_p.min() < 0:
-        raise ValueError("variance proxies must be nonnegative")
-    score = np.sqrt(v_p) * bin_weight
+    score = policy.root_v[row] * bin_weight
     total = score.sum(axis=-1, keepdims=True)
     # where the total is 0 every score is 0 too, and dividing by 1 gives the floor
     denom = np.where(total == 0, 1.0, total)
-    return (total_target - n_floor * R) * score / denom + n_floor
+    N, floor = policy.total_target, policy.n_floor
+    return (N - floor * policy.bins.n_bins) * score / denom + floor
 
 
 def _mean_children_and_child_weights(
-    e: Ensemble, policy: SelectionPolicy, v_p: Optional[np.ndarray]
+    e: Ensemble, policy: SelectionPolicy, horizon: Optional[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle beta and the weight each of its children will carry."""
     if isinstance(policy, NaivePolicy):
@@ -352,9 +363,7 @@ def _mean_children_and_child_weights(
     if isinstance(policy, TraditionalPolicy):
         targets = policy.per_bin_target
     else:
-        if v_p is None:
-            raise ValueError("adaptive policy needs the per-bin variance proxies v_p")
-        targets = allocate_targets(bin_weight, v_p, policy.total_target, policy.n_floor)
+        targets = allocate_targets(bin_weight, policy, policy.row(e.generation, horizon))
     omega_bar = bin_weight / targets  # targets are positive; read for occupied bins
     # checked per (replicate, bin): max is NaN if any is; only empty bins give 0
     if not (omega_bar.max() < np.inf
@@ -367,8 +376,8 @@ def _mean_children_and_child_weights(
 def select(
     e: Ensemble,
     policy: SelectionPolicy,
-    v_p: Optional[np.ndarray] = None,
     u: Optional[np.ndarray] = None,
+    horizon: Optional[int] = None,
 ) -> SelectionOutcome:
     """Selection step over a pass: draw children counts and reweight.
 
@@ -376,11 +385,13 @@ def select(
     omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
     are stochastically rounded with the uniforms ``u``, one per particle. The
     naive policy copies every particle once deterministically and needs none.
-    An empty outcome (extinction) is legal.
+    The adaptive policy reads the v row of generation ``e.generation`` in a
+    run to ``horizon`` (`AdaptivePolicy.row`). An empty outcome (extinction)
+    is legal.
     """
     if e.n_particles == 0:
         raise ValueError("cannot select from an empty ensemble")
-    beta, child_weight = _mean_children_and_child_weights(e, policy, v_p)
+    beta, child_weight = _mean_children_and_child_weights(e, policy, horizon)
     if isinstance(policy, NaivePolicy):
         counts = np.ones(e.n_particles, dtype=np.int64)
     else:
@@ -437,33 +448,26 @@ def run_we(
     n: int,
     seed: int,
     reps: Sequence[int],
-    v_table: Optional[np.ndarray] = None,
     observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
 ) -> RunRecord:
     """Run the select -> mutate loop for n generations on a pass of replicates.
 
-    Every replicate starts from ``init``. ``reps`` is cut into chunks of
-    `CHUNK` from ``reps[0]`` on; each draws its particles' uniforms, in
-    particle order, from the stream of ``seed`` and its first replicate, so a
-    row depends on its chunk alone. For the adaptive policy, ``v_table`` must
-    hold the per-generation, per-bin variance proxies with at least n rows.
-    An extinct replicate has eta 0 from then on by convention; the loop stops
-    when the whole pass is. ``observe(p, ensemble, outcome)``, if given, is called at
-    every generation p < n that selects, with the pre-selection pass and the
+    Every replicate starts from ``init``, at generation 0. ``reps`` is cut
+    into chunks of `CHUNK` from ``reps[0]`` on; each draws its particles'
+    uniforms, in particle order, from the stream of ``seed`` and its first
+    replicate, so a row depends on its chunk alone. The adaptive policy's v
+    table needs at least n rows. An extinct replicate has eta 0 from then on
+    by convention; the loop stops when the whole pass is.
+    ``observe(p, ensemble, outcome)``, if given, is called at every
+    generation p < n that selects, with the pre-selection pass and the
     selection made from it.
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
     if init.n_replicates != 1:
         raise ValueError("init must be a single replicate's ensemble")
-    if isinstance(policy, AdaptivePolicy) and n >= 1:
-        if v_table is None:
-            raise ValueError("adaptive policy requires a v table (use a coarse model)")
-        v_table = np.asarray(v_table, dtype=float)
-        if v_table.shape[0] < n:
-            raise ValueError(f"v table has {v_table.shape[0]} rows, need {n}")
-        if v_table[:n].min() < 0:  # raised here, before any sampling
-            raise ValueError("variance proxies must be nonnegative")
+    if isinstance(policy, AdaptivePolicy) and n > len(policy.v):
+        raise ValueError(f"v table has {len(policy.v)} rows, fewer than horizon {n}")
     naive = isinstance(policy, NaivePolicy)  # copies every particle, draws nothing
     B = len(reps)
     cuts = np.append(np.arange(0, B, CHUNK), B)  # the chunks' replicate bounds
@@ -479,7 +483,7 @@ def run_we(
     num = np.zeros((B, n + 1), dtype=np.int64)
     tot = np.zeros((B, n + 1))
 
-    e = Ensemble(init.generation, np.tile(init.states, B), np.tile(init.weights, B),
+    e = Ensemble(0, np.tile(init.states, B), np.tile(init.weights, B),
                  np.arange(B + 1) * init.n_particles)
     tau_kill: Optional[int] = None
     for p in range(n + 1):
@@ -491,9 +495,8 @@ def run_we(
             break
         if p == n:
             break
-        v_p = v_table[p] if isinstance(policy, AdaptivePolicy) else None
         u = None if naive else uniforms(p, "select", e.offsets)
-        outcome = select(e, policy, v_p, u)
+        outcome = select(e, policy, u, n)
         if observe is not None:
             observe(p, e, outcome)
         e = mutate(outcome, K, uniforms(p, "mutate", outcome.offsets))
@@ -503,7 +506,9 @@ def run_we(
         total_weight=tot,
         extinct=num[:, n] == 0,
         tau_kill=tau_kill,
-        final=e,
+        # anew, so that a caller who keeps finals keeps no replicate_of
+        final=Ensemble._trusted(generation=e.generation, states=e.states,
+                                weights=e.weights, offsets=e.offsets),
     )
 
 

@@ -25,6 +25,7 @@ from .engine import (
     NaivePolicy,
     SelectionPolicy,
     TraditionalPolicy,
+    empirical_estimate,
     replicates,
     run_we,
 )
@@ -50,9 +51,12 @@ def make_policy(
     n_particles: int,
     n_floor: float = 1.0,
     per_bin_target: float = 5.0,
+    v: Optional[np.ndarray] = None,
 ) -> SelectionPolicy:
+    """The policy of one mode; only the adaptive one reads ``v``, the coarse
+    model's table."""
     if mode == "adaptive":
-        return AdaptivePolicy(bins, float(n_particles), n_floor)
+        return AdaptivePolicy(bins, float(n_particles), n_floor, v)
     if mode == "traditional":
         return TraditionalPolicy(bins, per_bin_target)
     if mode == "naive":
@@ -70,7 +74,8 @@ class SweepResult:
     traces: np.ndarray  # (reps, n+1) eta per generation
     weight_traces: np.ndarray  # (reps, n+1) total weight
     count_traces: np.ndarray  # (reps, n+1) particle counts, 0 from extinction on
-    final: Optional[Ensemble] = None  # every replicate's last ensemble, largest n only
+    # every replicate's last ensemble, one per pass in replicate order; largest n only
+    final: Optional[list[Ensemble]] = None
     # each replicate's sum_p (mut_p + sel_p), largest n of a doob=True call only
     variance: Optional[np.ndarray] = None
 
@@ -92,25 +97,20 @@ class SweepResult:
     def std_err(self) -> float:
         return self.std / np.sqrt(self.reps)
 
-
-def _merge(finals: list[Ensemble], generation: int) -> Ensemble:
-    """One ensemble holding the replicates of consecutive passes, in order."""
-    sizes = np.concatenate([e.sizes for e in finals])
-    return Ensemble(generation, np.concatenate([e.states for e in finals]),
-                    np.concatenate([e.weights for e in finals]),
-                    np.concatenate(([0], np.cumsum(sizes))))
+    def final_eta(self, g: Observable) -> np.ndarray:
+        """eta_n(g) of every replicate's final ensemble, in replicate order."""
+        return np.concatenate([empirical_estimate(e, g) for e in self.final])
 
 
 def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
-           init: Ensemble, n: int, seed: int, v_table: Optional[np.ndarray],
-           gseq: Optional[GSequence], reps: range):
+           init: Ensemble, n: int, seed: int, gseq: Optional[GSequence], reps: range):
     """run_we on one pass of replicates. With ``gseq`` it observes the exact
     Doob terms against it and also returns each replicate's sum_p (mut_p +
     sel_p); without, that second value is None."""
     if gseq is None:
-        return run_we(K, f, policy, init, n, seed, reps, v_table=v_table), None
+        return run_we(K, f, policy, init, n, seed, reps), None
     observe, mut, sel = doob_terms(gseq, len(reps))
-    rec = run_we(K, f, policy, init, n, seed, reps, v_table=v_table, observe=observe)
+    rec = run_we(K, f, policy, init, n, seed, reps, observe=observe)
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 
 
@@ -121,21 +121,18 @@ def run_sweep_cell(
     horizons: Sequence[int],
     reps: int,
     seed: int,
-    v_table: Optional[np.ndarray] = None,
     threads: int = 1,
     doob: bool = False,
 ) -> list[SweepResult]:
     """Run replicates 0..reps-1 of ``seed`` from ``init`` under one policy;
     one result per horizon, in order.
 
-    Only the adaptive policy reads ``v_table``, the coarse model's table for
-    some horizon H >= max(horizons). The table for a horizon n is the last n
-    rows of it (the same backward recursion, bit for bit), so adaptive runs
-    once per horizon. The other policies never read the horizon and draw by
-    (chunk, generation), with chunks that do not depend on the horizon, so
-    one run to the largest horizon holds every shorter run as its prefix;
-    their cells are views into it. The largest horizon's cells also carry
-    the final ensemble of every replicate.
+    The adaptive policy reads its v table by horizon (`AdaptivePolicy.row`),
+    so it runs once per horizon. The other policies never read the horizon
+    and draw by (chunk, generation), with chunks that do not depend on the
+    horizon, so one run to the largest horizon holds every shorter run as
+    its prefix; their cells are views into it. The largest horizon's cells
+    also carry the final ensemble of every replicate, one per pass.
 
     With ``doob``, the largest horizon's run observes the exact conditional
     mutation and selection variance terms against K^{n-p} f, and its cells
@@ -145,10 +142,6 @@ def run_sweep_cell(
     """
     n_max = max(horizons)
     adaptive = isinstance(policy, AdaptivePolicy)
-    rows = 0 if v_table is None else len(v_table)
-    if adaptive and n_max > rows:
-        raise ValueError(f"v table has {rows} rows, fewer than horizon {n_max}")
-
     # exact reference eta_0 K^h f = eta_0 g[n_max - h] from the initial ensemble
     g_max = g_sequence(setup.K, setup.f, n_max) if doob else None
     g = backward(setup.K, setup.f, n_max) if g_max is None else g_max.g
@@ -158,13 +151,12 @@ def run_sweep_cell(
     results = []
     for cells in ([[n] for n in horizons] if adaptive else [horizons]):
         n = max(cells)
-        v_n = v_table[rows - n:] if adaptive and n >= 1 else None
         traces = np.empty((reps, n + 1))
         weights = np.empty((reps, n + 1))
         counts = np.empty((reps, n + 1), dtype=np.int64)
         gseq = g_max if n == n_max else None
         finals, variances = [], []
-        one = partial(_batch, setup.K, setup.f, policy, init, n, seed, v_n, gseq)
+        one = partial(_batch, setup.K, setup.f, policy, init, n, seed, gseq)
         lo = 0
         for rec, variance in replicates(one, reps, threads):
             hi = lo + len(rec.eta_f)
@@ -176,7 +168,7 @@ def run_sweep_cell(
                 variances.append(variance)
             elif n == n_max:
                 finals.append(rec.final)
-        final = _merge(finals, n) if finals else None
+        final = finals or None
         variance = np.concatenate(variances) if variances else None
         results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
                                 weights[:, :h + 1], counts[:, :h + 1],

@@ -366,9 +366,11 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
     column's mass that leaves the system. Each Schur complement's diagonal
     is then rebuilt from its leak and off-diagonal entries, and the leak is
     carried from block to block, as Grassmann, Taksar and Heyman (Oper. Res.
-    1985) do state by state. No step then subtracts, so a state that leaks
-    little (deep in a metastable well) keeps its relative accuracy, where
-    1 - (mass that stays) would cancel.
+    1985) do state by state; neither step subtracts. The solve of each block
+    does: its LU factorisation updates the diagonal by differences. So only
+    blocks of one state (B = 1) keep every entry's relative accuracy; in a
+    larger block the result is normwise accurate, and an entry far below the
+    block's largest can lose all of it, as one deep in a metastable well does.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)

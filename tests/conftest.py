@@ -10,7 +10,7 @@ from weighted_ensemble import (
 from weighted_ensemble.coarse import build_coarse_model
 from weighted_ensemble.engine import stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
-from weighted_ensemble.experiment import ChainSetup, run_sweep_cell
+from weighted_ensemble.experiment import ChainSetup, make_policy, run_sweep_cell
 
 
 def _dense_cdf(m: np.ndarray) -> np.ndarray:
@@ -47,16 +47,19 @@ def general_hill_average():
     return _general_hill_average
 
 
-def _source_sink_cell(spec, bins, policy, n, reps, seed, n_particles):
+def _source_sink_cell(spec, bins, mode, n, reps, seed, n_particles, per_bin_target=5.0):
     # the cell `hill` runs: f = 1_F on the source-sink chain under the
-    # uniform sampling measure, from the exact coarse model's mu-spread
+    # uniform sampling measure, from the exact coarse model's mu-spread, with
+    # the mode's policy built on that model
     K = source_sink_kernel(spec)
     zeta = Distribution(np.full(K.n_states, 1.0 / K.n_states))
     setup = ChainSetup(K, bins, Observable.indicator(sorted(spec.sink), K.n_states),
                        zeta)
     model = build_coarse_model(K, bins, zeta, setup.f, max(n, 1))
     init = stationary_init_ensemble(model.mu, bins, n_particles)
-    return run_sweep_cell(setup, init, policy, (n,), reps, seed, model.v)[0]
+    policy = make_policy(mode, bins, n_particles, per_bin_target=per_bin_target,
+                         v=model.v)
+    return run_sweep_cell(setup, init, policy, (n,), reps, seed)[0]
 
 
 @pytest.fixture(scope="session")

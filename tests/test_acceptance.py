@@ -86,8 +86,8 @@ def short_cells(setup, model30, init150):
         (mode, res.n): res
         for mode in ("adaptive", "traditional", "naive")
         for res in run_sweep_cell(
-            setup, init150, make_policy(mode, setup.bins, 150), (1, 5), reps=2000,
-            seed=SEED, v_table=model30.v,
+            setup, init150, make_policy(mode, setup.bins, 150, v=model30.v), (1, 5),
+            reps=2000, seed=SEED,
         )
     }
 
@@ -98,8 +98,8 @@ def sweep30(setup, model30, init150):
     replicate's accumulated Doob terms."""
     return {
         mode: run_sweep_cell(
-            setup, init150, make_policy(mode, setup.bins, 150), (30,), reps=1000,
-            seed=SEED, v_table=model30.v, doob=True,
+            setup, init150, make_policy(mode, setup.bins, 150, v=model30.v), (30,),
+            reps=1000, seed=SEED, doob=True,
         )[0]
         for mode in ("adaptive", "traditional", "naive")
     }
@@ -111,8 +111,7 @@ def hill_estimate(setup, source_sink_cell):
     the three-well chain that restarts at state 1 on entering 81..90."""
     rho = Distribution.point_mass(0, 90)
     spec = SourceSinkSpec(setup.K, frozenset(range(80, 90)), rho)
-    policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-    return source_sink_cell(spec, setup.bins, policy, HILL_HORIZON, 1000, SEED, 150)
+    return source_sink_cell(spec, setup.bins, "adaptive", HILL_HORIZON, 1000, SEED, 150)
 
 
 def test_01_unbiasedness(short_cells):
@@ -212,8 +211,8 @@ def test_03_supplement_ordering_with_powered_estimators(setup, init150, model30)
 
     def variance(mode, reps):
         return run_sweep_cell(
-            setup, init150, make_policy(mode, setup.bins, 150), (n,), reps,
-            SEED + 1, model30.v, doob=True,
+            setup, init150, make_policy(mode, setup.bins, 150, v=model30.v), (n,), reps,
+            SEED + 1, doob=True,
         )[0].variance
 
     adapt_std, se_a = std_from_variance_terms(variance("adaptive", 1000))
@@ -227,11 +226,11 @@ def test_03_supplement_ordering_with_powered_estimators(setup, init150, model30)
 
 
 def test_04_doob_identity(setup, model30, init150):
-    policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-    # the runner reads the last 5 rows of model30.v: the horizon-5 table
-    assert np.array_equal(model30.v[-5:], compute_v(model30.P, model30.u, 5))
-    [res] = run_sweep_cell(setup, init150, policy, (5,), 5000, SEED, model30.v,
-                           doob=True)
+    policy = AdaptivePolicy(setup.bins, 150.0, 1.0, model30.v)
+    # a run to n = 5 reads the rows of the horizon-5 table
+    rows = model30.v[[policy.row(p, 5) for p in range(5)]]
+    assert np.array_equal(rows, compute_v(model30.P, model30.u, 5))
+    [res] = run_sweep_cell(setup, init150, policy, (5,), 5000, SEED, doob=True)
     _, rep = run_checks(res)
     report(
         4, "second-moment identity", rep.passed,

@@ -14,7 +14,6 @@ from weighted_ensemble import (
     SourceSinkSpec,
     TransitionMatrix,
     cli,
-    empirical_estimate,
     source_sink_kernel,
 )
 from weighted_ensemble.config import ExperimentConfig
@@ -190,9 +189,9 @@ class TestRun:
 
         for mode in cfg.modes:
             policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
-                                 cfg.per_bin_target)
+                                 cfg.per_bin_target, model.v)
             results = run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
-                                     cfg.seed, model.v, cfg.threads)
+                                     cfg.seed, cfg.threads)
             for res in results:
                 _, body = read_csv(out / f"runs_{mode}_n{res.n}.csv")
                 assert np.array_equal(column(body, 2), res.traces.ravel())
@@ -211,13 +210,20 @@ class TestRun:
         assert_threads_do_not_change_outputs(tmp_path, "run", cfg, threads)
 
     @staticmethod
-    def assert_histograms_match_a_loop_over_survivors(rng, offsets):
+    def assert_histograms_match_a_loop_over_survivors(rng, offsets, cuts=()):
+        """histograms over the replicates of ``offsets``, held as passes that
+        start at the replicates ``cuts``, against a plain loop."""
         n, reps = int(offsets[-1]), offsets.size - 1
         final = Ensemble(2, rng.integers(0, 5, n), rng.uniform(0.1, 1.0, n), offsets)
         totals, sizes = final.total_weight, final.sizes
+        bounds = [0, *cuts, reps]
+        passes = [Ensemble(2, final.states[offsets[lo]:offsets[hi]],
+                           final.weights[offsets[lo]:offsets[hi]],
+                           offsets[lo:hi + 1] - offsets[lo])
+                  for lo, hi in zip(bounds, bounds[1:])]
         res = SweepResult("naive", 2, 0.0, np.zeros((reps, 3)),
                           np.repeat(totals[:, None], 3, axis=1),
-                          np.repeat(sizes[:, None], 3, axis=1), final)
+                          np.repeat(sizes[:, None], 3, axis=1), passes)
         want = np.zeros((2, 5))
         for b in np.flatnonzero(sizes):
             states = final.states[offsets[b]:offsets[b + 1]]
@@ -232,12 +238,13 @@ class TestRun:
             np.random.default_rng(3), np.array([0, 4, 4, 9, 15]))
 
     def test_histograms_add_across_blocks_in_replicate_order(self):
-        # three blocks of replicates, every third replicate extinct
+        # three passes of replicates, the last one short and every third
+        # replicate extinct
         rng = np.random.default_rng(4)
         sizes = rng.integers(1, 6, 2 * BLOCK_ROWS + 3)
         sizes[::3] = 0
         self.assert_histograms_match_a_loop_over_survivors(
-            rng, np.concatenate(([0], np.cumsum(sizes))))
+            rng, np.concatenate(([0], np.cumsum(sizes))), (BLOCK_ROWS, 2 * BLOCK_ROWS))
 
     def test_coarse_samples_set_the_coarse_model(self, tmp_path):
         """With coarse_samples > 0, run's v table is the one `coarse` writes
@@ -364,20 +371,17 @@ class TestHill:
         assert float(rows["hitting_probability"][2]) == pytest.approx(0.5)
         assert abs(float(rows["hitting_probability"][1]) - 0.5) <= 0.15
 
-    def test_written_floats_read_back_bit_for_bit(self, tmp_path):
-        """hill.csv's estimates and standard errors parse back to the very
-        floats of its two source-sink cells run by hand, as cmd_run runs a
-        cell, on the same config and seed."""
+    @staticmethod
+    def hill_rows_and_cell(tmp_path, **config):
+        """hill.csv's rows, as floats, of a hill run on ``config``, the config,
+        and a function that runs the source-sink cell of a set F by hand, as
+        cmd_run runs a cell, on the same config and seed."""
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, mode="adaptive", hill_horizon="20", reps="10",
-                                n_particles="60", hit_a="11..30", hit_b="61..75",
-                                seed="7")
+        cfg_path = write_config(tmp_path, **config)
         assert cli.main(["hill", "--config", str(cfg_path), "--out", str(out)]) == 0
         cfg = ExperimentConfig.from_file(cfg_path)
         setup = cfg.build_setup()
         rho = Distribution.point_mass(cfg.source_state - 1, 90)
-        policy = make_policy(cfg.mode, setup.bins, cfg.n_particles, cfg.n_floor,
-                             cfg.per_bin_target)
 
         def cell(F):
             spec = SourceSinkSpec(setup.K, frozenset(F), rho)
@@ -385,21 +389,51 @@ class TestHill:
                             f=Observable.indicator(F, 90))
             model = cli.coarse_model(cfg, chain, cfg.hill_horizon)
             init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
+            policy = make_policy(cfg.mode, chain.bins, cfg.n_particles, cfg.n_floor,
+                                 cfg.per_bin_target, model.v)
             return run_sweep_cell(chain, init, policy, (cfg.hill_horizon,), cfg.reps,
-                                  cfg.seed, model.v, cfg.threads)[0]
+                                  cfg.seed, cfg.threads)[0]
 
         _, body = read_csv(out / "hill.csv")
-        rows = {r[0]: [float(x) for x in r[1:]] for r in body}
+        return {r[0]: [float(x) for x in r[1:]] for r in body}, cfg, cell
+
+    @staticmethod
+    def assert_hitting_row_reads_back(rows, cfg, cell):
+        """The hitting row is the ratio of the replicate means of eta_n(1_B)
+        and eta_n(1_{A u B}), its delta-method SE, and the count of
+        replicates with eta_n(1_{A u B}) <= 0, bit for bit."""
+        A, B = cfg.state_set("hit_a", 90), cfg.state_set("hit_b", 90)
+        res = cell(A + B)
+        eta_b = res.final_eta(Observable.indicator(B, 90))
+        ratio = eta_b.mean() / res.mean
+        se = (eta_b - ratio * res.etas).std(ddof=1) / np.sqrt(res.reps) / res.mean
+        assert rows["hitting_probability"][0] == ratio
+        assert rows["hitting_probability"][2] == se
+        assert rows["hitting_probability"][3] == (res.etas <= 0).sum()
+
+    def test_written_floats_read_back_bit_for_bit(self, tmp_path):
+        """hill.csv's estimates and standard errors parse back to the very
+        floats of its two source-sink cells run by hand."""
+        rows, cfg, cell = self.hill_rows_and_cell(
+            tmp_path, mode="adaptive", hill_horizon="20", reps="10", n_particles="60",
+            hit_a="11..30", hit_b="61..75", seed="7")
         res = cell(list(range(80, 90)))
         assert rows["pi_F"][0] == res.mean and rows["pi_F"][2] == res.std_err
         assert rows["mfpt"][0] == 1 / res.mean
         assert rows["mfpt"][2] == res.std_err / res.mean**2
         assert rows["pi_F"][3] == rows["mfpt"][3] == (res.etas <= 0).sum()
-        A, B = list(range(10, 30)), list(range(60, 75))
-        res = cell(A + B)
-        eta_b = empirical_estimate(res.final, Observable.indicator(B, 90))
-        assert rows["hitting_probability"][0] == eta_b.mean() / res.mean
-        assert rows["hitting_probability"][3] == res.extinct_count
+        self.assert_hitting_row_reads_back(rows, cfg, cell)
+
+    def test_hitting_row_of_a_spec_with_a_nonzero_answer(self, tmp_path):
+        # from state 1 the lag-4 chain cannot reach 61..75 without entering
+        # 11..30, so the spec above has the answer 0 and an SE of 0; from
+        # state 30, P[tau_B < tau_A] is 0.2846 for A = 1..15 and B = 61..90
+        rows, cfg, cell = self.hill_rows_and_cell(
+            tmp_path, mode="adaptive", hill_horizon="20", reps="10", n_particles="60",
+            source_state="30", hit_a="1..15", hit_b="61..90", seed="7")
+        assert rows["hitting_probability"][1] == pytest.approx(0.2846, abs=5e-5)
+        assert rows["hitting_probability"][0] > 0 and rows["hitting_probability"][2] > 0
+        self.assert_hitting_row_reads_back(rows, cfg, cell)
 
     def test_source_inside_sink_is_numerical_error(self, tmp_path, two_state):
         path = tmp_path / "K.csv"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,25 @@ class TestExperimentConfig:
         b = ExperimentConfig.from_file(None, seed=2).canonical_text()
         assert a != b
         assert "seed=1" in a
+
+    def test_every_field_survives_canonical_text(self, tmp_path):
+        # a value unlike every default, of each field's type; out and threads
+        # are left out of the text and the hash, so they come back as flags
+        cfg = ExperimentConfig(
+            chain="csv:K.csv", lag=2, bin_width=5, mode="all", n_particles=90,
+            n_floor=0.5, per_bin_target=2.5, horizons=(0, 3, 8), reps=17, seed=2**40,
+            out="elsewhere", threads=3, f_states="csv:f.csv", coarse_samples=900,
+            source_state=4, sink_states="1,2,9", hill_horizon=70, hit_a="11..12",
+            hit_b="20", diag_horizon=2, diag_reps=120)
+        defaults = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
+        path = tmp_path / "config.txt"
+        path.write_text(cfg.canonical_text())
+        back = ExperimentConfig.from_file(path, out=cfg.out, threads=cfg.threads)
+        assert back == cfg
+        assert back.canonical_text() == cfg.canonical_text()
+        assert [type(getattr(back, f.name)) for f in fields(cfg)] == [
+            type(getattr(cfg, f.name)) for f in fields(cfg)]
 
     def test_build_setup_three_well(self):
         setup = ExperimentConfig.from_file(None).build_setup()

@@ -363,33 +363,37 @@ class TestAllocateTargets:
     def test_single_bin_gets_everything(self):
         bins = BinPartition(np.array([0, 0]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(bin_totals(e, bins), np.array([1.0]), 10.0, 1.0)
+        t = allocate_targets(bin_totals(e, bins), AdaptivePolicy(bins, 10.0, 1.0, [[1.0]]), 0)
         assert np.allclose(t, [10.0])
 
     def test_symmetric_case(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        t = allocate_targets(bin_totals(e, bins), np.array([2.0, 2.0]), 10.0, 1.0)
+        policy = AdaptivePolicy(bins, 10.0, 1.0, [[2.0, 2.0]])
+        t = allocate_targets(bin_totals(e, bins), policy, 0)
         assert np.allclose(t, [5.0, 5.0])
 
     def test_hand_example(self):
         bins = BinPartition(np.array([0, 1, 2]))
         e = Ensemble(0, np.array([0, 1, 2]), np.array([0.5, 0.25, 0.25]))
-        t = allocate_targets(bin_totals(e, bins), np.array([1.0, 4.0, 0.0]), 10.0, 1.0)
+        policy = AdaptivePolicy(bins, 10.0, 1.0, [[1.0, 4.0, 0.0]])
+        t = allocate_targets(bin_totals(e, bins), policy, 0)
         assert np.allclose(t, [4.5, 4.5, 1.0])
 
     def test_all_zero_variance_gives_floor(self):
         bins = BinPartition(np.array([0, 1]))
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
         with np.errstate(all="raise"):
-            t = allocate_targets(bin_totals(e, bins), np.zeros(2), 10.0, 1.5)
+            t = allocate_targets(bin_totals(e, bins),
+                                 AdaptivePolicy(bins, 10.0, 1.5, np.zeros((1, 2))), 0)
         assert np.array_equal(t, [[1.5, 1.5]])
 
     def test_floor_bounds_enforced(self):
+        # checked once, when the policy is built
         bins = BinPartition(np.array([0, 1]))
-        e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            allocate_targets(bin_totals(e, bins), np.ones(2), 10.0, 5.0)
+        for floor in (0.0, 5.0):
+            with pytest.raises(ValueError, match="floor"):
+                AdaptivePolicy(bins, 10.0, floor, np.ones((1, 2)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -401,7 +405,7 @@ class TestAllocateTargets:
         v = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=R, max_size=R)))
         total = float(data.draw(st.floats(2.0 * R, 20.0 * R)))
         floor = float(data.draw(st.floats(0.1, 0.9)))
-        t = allocate_targets(bin_totals(e, bins), v, total, floor)
+        t = allocate_targets(bin_totals(e, bins), AdaptivePolicy(bins, total, floor, [v]), 0)
         assert np.all(t >= floor - 1e-12)
         if (np.sqrt(v) * e.weights).sum() > 0:
             assert abs(t.sum() - total) <= 1e-9
@@ -409,12 +413,12 @@ class TestAllocateTargets:
     def test_rows_are_independent_replicates(self):
         # the second replicate has v = 0 on its only occupied bin: floor only
         w = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        v = np.array([1.0, 1.0, 0.0])
+        policy = AdaptivePolicy(BinPartition(np.arange(3)), 10.0, 1.0, [[1.0, 1.0, 0.0]])
         with np.errstate(all="raise"):
-            t = allocate_targets(w, v, 10.0, 1.0)
+            t = allocate_targets(w, policy, 0)
         assert np.allclose(t[0], [4.5, 4.5, 1.0])
         assert np.array_equal(t[1], [1.0, 1.0, 1.0])
-        assert np.array_equal(t[0], allocate_targets(w[0], v, 10.0, 1.0))
+        assert np.array_equal(t[0], allocate_targets(w[0], policy, 0))
 
 
 class TestSelect:
@@ -442,10 +446,10 @@ class TestSelect:
         sums = np.bincount(b, weights=beta, minlength=setup.bins.n_bins)
         assert np.allclose(sums, 5.0)
 
-    def test_adaptive_needs_v(self, setup, init150):
-        policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-        with pytest.raises(ValueError):
-            select(e=init150, policy=policy, u=np.random.default_rng(0).random(150))
+    def test_adaptive_needs_v(self, setup):
+        # the policy refuses to be built without its table, so no selection runs
+        with pytest.raises(ValueError, match="v table"):
+            AdaptivePolicy(setup.bins, 150.0, 1.0, None)
 
     def test_selection_unbiased_for_weighted_sums(self):
         # E[sum_i w_hat_i g(xi_hat_i)] = sum_j w_j g(xi_j) for any g
@@ -545,9 +549,9 @@ class TestRunWe:
         assert np.allclose(rec.total_weight, init150.total_weight)
 
     def test_bit_identical_reruns(self, setup, model30, init150):
-        policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-        a = run_we(setup.K, setup.f, policy, init150, 8, 9, [0], v_table=model30.v)
-        b = run_we(setup.K, setup.f, policy, init150, 8, 9, [0], v_table=model30.v)
+        policy = AdaptivePolicy(setup.bins, 150.0, 1.0, model30.v)
+        a = run_we(setup.K, setup.f, policy, init150, 8, 9, [0])
+        b = run_we(setup.K, setup.f, policy, init150, 8, 9, [0])
         assert np.array_equal(a.eta_f, b.eta_f)
         assert np.array_equal(a.final.states, b.final.states)
         assert np.array_equal(a.final.weights, b.final.weights)
@@ -566,21 +570,33 @@ class TestRunWe:
         assert np.array_equal(rec.final.states, states)
         assert rec.eta_f[0, n] == float(init150.weights @ setup.f.values[states])
 
-    def test_adaptive_requires_v_table(self, setup, init150):
-        policy = AdaptivePolicy(setup.bins, 150.0, 1.0)
-        with pytest.raises(ValueError):
-            run_we(setup.K, setup.f, policy, init150, 3, 0, [0])
+    def test_adaptive_requires_v_table(self, setup, model30):
+        # a missing table, or one without a column per bin, fails to build
+        # the policy, before any run can start
+        R = setup.bins.n_bins
+        for v in (None, np.ones(R), np.ones((5, R - 1)), np.ones((5, R + 1))):
+            with pytest.raises(ValueError, match="v table"):
+                make_policy("adaptive", setup.bins, 150, v=v)
+        assert make_policy("adaptive", setup.bins, 150, v=model30.v).v.shape == (30, R)
 
-    def test_negative_v_raises_before_sampling(self, setup, model30, init150):
-        # the negative entry sits in the last row the run reads
-        v = model30.v[-6:].copy()
-        v[-1, 3] = -1e-3
-        observed = []
-        with pytest.raises(ValueError, match="nonnegative"):
-            run_we(setup.K, setup.f, AdaptivePolicy(setup.bins, 150.0, 1.0), init150,
-                   6, 0, [0], v_table=v,
-                   observe=lambda p, e, outcome: observed.append(p))
-        assert observed == []
+    def test_negative_v_raises_before_sampling(self, setup, model30):
+        # every entry is checked once, when the policy is built; the bad
+        # entry sits in the last row, which every run reads
+        for bad in (-1e-3, np.nan, np.inf):
+            v = model30.v.copy()
+            v[-1, 3] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                AdaptivePolicy(setup.bins, 150.0, 1.0, v)
+
+    def test_policy_keeps_its_own_read_only_table(self, setup, model30):
+        v = model30.v.copy()
+        policy = AdaptivePolicy(setup.bins, 150.0, 1.0, v)
+        v[0, 0] = -1.0  # the caller's array is not the policy's
+        assert policy.v[0, 0] == model30.v[0, 0]
+        assert np.array_equal(policy.root_v, np.sqrt(model30.v))
+        for table in (policy.v, policy.root_v):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
 
     def test_extinction_stops_run_and_zeroes_eta(self, two_state):
         bins = BinPartition(np.array([0, 0]))
@@ -609,7 +625,7 @@ class TestRunWe:
                      np.arange(9) * 150)
         for p in range(3):
             u = None if mode == "naive" else stream.at(p, "select").random(e.n_particles)
-            outcome = select(e, policy, None, u)
+            outcome = select(e, policy, u)
             e = mutate(outcome, setup.K, stream.at(p, "mutate").random(outcome.n_selected))
         assert np.array_equal(rec.final.offsets, e.offsets)
         assert np.array_equal(rec.final.states, e.states)
@@ -618,20 +634,20 @@ class TestRunWe:
     @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
     def test_sweep_rows_are_run_we_on_their_chunk(self, setup, model30, init150, mode):
         # 70 replicates run as the driver's chunks 0..31, 32..63 and 64..69
-        policy = make_policy(mode, setup.bins, 150)
-        [cell] = run_sweep_cell(setup, init150, policy, (6,), 70, 4, model30.v)
-        chunk = run_we(setup.K, setup.f, policy, init150, 6, 4,
-                       range(32, 64), v_table=model30.v[-6:])
+        policy = make_policy(mode, setup.bins, 150, v=model30.v)
+        [cell] = run_sweep_cell(setup, init150, policy, (6,), 70, 4)
+        chunk = run_we(setup.K, setup.f, policy, init150, 6, 4, range(32, 64))
         for field, rows in (("eta_f", cell.traces), ("num_particles", cell.count_traces),
                             ("total_weight", cell.weight_traces),
                             ("extinct", cell.extinct_flags)):
             assert np.array_equal(rows[32:64], getattr(chunk, field))
-        lo, hi = cell.final.offsets[32], cell.final.offsets[64]
-        assert np.array_equal(cell.final.states[lo:hi], chunk.final.states)
-        assert np.array_equal(cell.final.weights[lo:hi], chunk.final.weights)
+        first = cell.final[0]  # the pass of replicates 0..63
+        lo, hi = first.offsets[32], first.offsets[64]
+        assert np.array_equal(first.states[lo:hi], chunk.final.states)
+        assert np.array_equal(first.weights[lo:hi], chunk.final.weights)
 
     @staticmethod
-    def run_pass_and_its_chunks(K, f, policy, init, n, seed, v_table=None):
+    def run_pass_and_its_chunks(K, f, policy, init, n, seed):
         """run_we with the Doob observer over 2 * CHUNK + 6 replicates and over
         each of its three chunks alone; every row, final ensemble and Doob
         term of the pass equals its chunk's, bit for bit."""
@@ -639,8 +655,7 @@ class TestRunWe:
 
         def run(reps):
             observe, mut, sel = doob_terms(gseq, len(reps))
-            rec = run_we(K, f, policy, init, n, seed, reps, v_table=v_table,
-                         observe=observe)
+            rec = run_we(K, f, policy, init, n, seed, reps, observe=observe)
             return rec, mut, sel
 
         reps = range(2 * CHUNK + 6)
@@ -661,8 +676,9 @@ class TestRunWe:
 
     @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
     def test_a_pass_is_its_chunks_run_alone(self, setup, model30, init150, mode):
-        self.run_pass_and_its_chunks(setup.K, setup.f, make_policy(mode, setup.bins, 150),
-                                     init150, 6, 4, model30.v[-6:])
+        self.run_pass_and_its_chunks(setup.K, setup.f,
+                                     make_policy(mode, setup.bins, 150, v=model30.v),
+                                     init150, 6, 4)
 
     def test_a_pass_runs_on_after_one_chunk_dies_out(self, two_state):
         # the kill-heavy policy of test_extinction_stops_run_and_zeroes_eta; at

@@ -45,7 +45,7 @@ TOL = 1e-12
 POLICIES = {
     "naive": NaivePolicy(),
     "traditional": TraditionalPolicy(BINS, 1.5),
-    "adaptive": AdaptivePolicy(BINS, 2.0, 0.5),
+    "adaptive": AdaptivePolicy(BINS, 2.0, 0.5, V_TABLE),
 }
 # initial (states, weights) and the horizon enumerated from it
 INITS = {
@@ -54,22 +54,23 @@ INITS = {
 }
 
 
-def batch_of(ensembles) -> Ensemble:
+def batch_of(ensembles, generation: int = 0) -> Ensemble:
     """One flat batch holding the given (states, weights) ensembles in order."""
     sizes = [len(states) for states, _ in ensembles]
     return Ensemble(
-        0,
+        generation,
         np.array([s for states, _ in ensembles for s in states], dtype=np.int64),
         np.array([w for _, weights in ensembles for w in weights]),
         np.concatenate(([0], np.cumsum(sizes))),
     )
 
 
-def beta_and_child_weights(policy, batch: Ensemble, v_p):
-    """beta and the child weight of every particle of the batch. With every
+def beta_and_child_weights(policy, batch: Ensemble):
+    """beta and the child weight of every particle of the batch; the
+    adaptive policy reads V_TABLE's row of the batch's generation. With every
     uniform 0 each parent gets ceil(beta) >= 1 children, so every parent's
     child weight shows."""
-    out = select(batch, policy, v_p, u=np.zeros(batch.n_particles))
+    out = select(batch, policy, u=np.zeros(batch.n_particles))
     child_weight = np.empty(batch.n_particles)
     child_weight[out.parent_of] = out.weights
     return out.mean_children, child_weight
@@ -97,16 +98,14 @@ def exact_laws(policy, init, horizon: int):
     for p in range(horizon):
         ensembles = list(law)
         prob = np.array([law[ens] for ens in ensembles])
-        batch = batch_of(ensembles)
-        v_p = V_TABLE[p] if isinstance(policy, AdaptivePolicy) else None
-        beta, child_weight = beta_and_child_weights(policy, batch, v_p)
+        batch = batch_of(ensembles, p)
+        beta, child_weight = beta_and_child_weights(policy, batch)
         bounds = batch.offsets.tolist()
         selected = []  # (probability, states, weights) after selection
         for k, ens in enumerate(ensembles):
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:  # beta does not depend on the rest of the batch
-                alone, alone_weight = beta_and_child_weights(
-                    policy, batch_of([ens]), v_p)
+                alone, alone_weight = beta_and_child_weights(policy, batch_of([ens], p))
                 assert np.array_equal(alone, beta[lo:hi])
                 assert np.array_equal(alone_weight, child_weight[lo:hi])
             for counts, q in children_laws(beta[lo:hi]):

@@ -6,10 +6,8 @@ from weighted_ensemble import (
     Distribution,
     Observable,
     SourceSinkSpec,
-    TraditionalPolicy,
     TransitionMatrix,
     direct_mfpt,
-    empirical_estimate,
     hitting_probability,
     source_sink_kernel,
     stationary,
@@ -137,8 +135,8 @@ class TestWeEstimators:
     def test_two_state_mfpt_estimate(self, two_state_spec, source_sink_cell):
         # the source-sink kernel is rank one, so eta relaxes in a single step
         bins = BinPartition(np.arange(2))
-        res = source_sink_cell(two_state_spec, bins, TraditionalPolicy(bins, 10.0),
-                               10, 300, 0, 20)
+        res = source_sink_cell(two_state_spec, bins, "traditional", 10, 300, 0, 20,
+                               per_bin_target=10.0)
         assert abs(res.mean - 0.1) <= 5 * res.std_err
         assert res.extinct_count == 0
 
@@ -152,7 +150,7 @@ class TestWeEstimators:
         spec = SourceSinkSpec(K0, frozenset({1, 2}), rho)
         assert direct_mfpt(K0, rho, [1, 2]) == pytest.approx(1.0)
         bins = BinPartition(np.arange(3))
-        res = source_sink_cell(spec, bins, TraditionalPolicy(bins, 5.0), 5, 50, 1, 12)
+        res = source_sink_cell(spec, bins, "traditional", 5, 50, 1, 12)
         # every particle sits inside F, so eta_n(1_F) is the total weight:
         # random under stochastic rounding but unbiased around 1
         assert abs(res.mean - 1.0) <= 5 * res.std_err
@@ -163,7 +161,8 @@ class TestWeEstimators:
         K0, rho = three_state_symmetric
         bins = BinPartition(np.arange(3))
         spec = SourceSinkSpec(K0, frozenset({0, 2}), rho)
-        res = source_sink_cell(spec, bins, TraditionalPolicy(bins, 10.0), 8, 200, 2, 24)
-        eta_b = empirical_estimate(res.final, Observable.indicator([2], 3))
+        res = source_sink_cell(spec, bins, "traditional", 8, 200, 2, 24,
+                               per_bin_target=10.0)
+        eta_b = res.final_eta(Observable.indicator([2], 3))
         se = eta_b.std(ddof=1) / np.sqrt(200)
         assert abs(eta_b.mean() / res.mean - 0.5) <= 5 * se / res.mean
