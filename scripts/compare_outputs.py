@@ -16,8 +16,12 @@ and 2:
     hill --reps 70, with hit_a = 11..30, hit_b = 61..75, n_particles = 60
         and hill_horizon = 100
     diagnose --mode all
+    run --mode all --reps 100, with coarse_samples = 300
 
-and `coarse`, which takes no --threads, once per seed. The script prints each
+and `coarse`, which takes no --threads, once per seed, exact and with
+coarse_samples = 300. A coarse model of 300 samples has no unique pi at
+either seed, so those commands reach the sampled builder and the power
+iteration from uniform in `markov.stationary`. The script prints each
 command whose exit codes differ and each output file that differs or exists
 on one side only, and exits 1 on any difference, 0 when every exit code and
 every byte matches.
@@ -31,13 +35,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 HIT_CONFIG = "hit_a = 11..30\nhit_b = 61..75\nn_particles = 60\nhill_horizon = 100\n"
+SAMPLED_CONFIG = "coarse_samples = 300\n"
 # name -> (we-sample arguments, config text or None)
 COMMANDS = {
     "run": (["run", "--mode", "all", "--reps", "100"], None),
     "hill": (["hill", "--reps", "60"], None),
     "hill_hit": (["hill", "--reps", "70"], HIT_CONFIG),
     "diagnose": (["diagnose", "--mode", "all"], None),
+    "run_sampled": (["run", "--mode", "all", "--reps", "100"], SAMPLED_CONFIG),
 }
+# the same, run once per seed: coarse takes no --threads
+COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG}
 
 
 def cases() -> list[tuple[str, list[str], str]]:
@@ -48,7 +56,8 @@ def cases() -> list[tuple[str, list[str], str]]:
             for name, (args, config) in COMMANDS.items():
                 out.append((f"{name}_seed{seed}_threads{threads}",
                             [*args, "--seed", seed, "--threads", threads], config))
-        out.append((f"coarse_seed{seed}", ["coarse", "--seed", seed], None))
+        for name, config in COARSE.items():
+            out.append((f"{name}_seed{seed}", ["coarse", "--seed", seed], config))
     return out
 
 

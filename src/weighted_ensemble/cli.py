@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,10 +108,27 @@ def _load_config(args) -> tuple[ExperimentConfig, ChainSetup]:
 
 
 def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> CoarseModel:
-    """The coarse model every subcommand uses: exact when coarse_samples = 0,
-    otherwise sampled from the seed's "coarse" stream."""
-    return build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon,
+    """The coarse model every subcommand uses, with its v table for
+    max(horizon, 1) generations (a run to horizon 0 never selects, so it
+    reads no row): exact when coarse_samples = 0, otherwise sampled from the
+    seed's "coarse" stream."""
+    return build_coarse_model(setup.K, setup.bins, setup.f, max(horizon, 1),
                               cfg.coarse_samples, cfg.seed)
+
+
+def cells(cfg: ExperimentConfig, setup: ChainSetup, model: CoarseModel,
+          horizons: Sequence[int], reps: int,
+          doob: bool = False) -> Iterator[tuple[str, list[SweepResult]]]:
+    """Each mode of the config with its cell: replicates 0..reps-1 of the
+    seed from the model's mu-spread ensemble, under the mode's policy on the
+    model's v table, one result per horizon. A mode's cell runs when it is
+    asked for."""
+    init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
+    for mode in cfg.modes:
+        policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
+                             cfg.per_bin_target, model.v)
+        yield mode, run_sweep_cell(setup, init, policy, horizons, reps, cfg.seed,
+                                   cfg.threads, doob)
 
 
 def cmd_coarse(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
@@ -165,19 +182,15 @@ def run_rows(res: SweepResult) -> Iterator[tuple]:
 
 def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     n_max = max(cfg.horizons)
-    model = coarse_model(cfg, setup, n_max or 1)
-    init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
+    model = coarse_model(cfg, setup, n_max)
     pi_f = float(stationary(setup.K).weights @ setup.f.values)
     n_states = setup.K.n_states
 
     summary_rows = []
     hist_rows = []
     extinct_total = 0
-    for mode in cfg.modes:
-        policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
-                             cfg.per_bin_target, model.v)
-        for res in run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
-                                  cfg.seed, cfg.threads):
+    for mode, results in cells(cfg, setup, model, cfg.horizons, cfg.reps):
+        for res in results:
             n = res.n
             extinct_total += res.extinct_count
             summary_rows.append((
@@ -214,15 +227,10 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
 
 def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     n = cfg.diag_horizon
-    model = coarse_model(cfg, setup, max(n, 1))
-    init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
+    model = coarse_model(cfg, setup, n)
     rows = []
     all_passed = True
-    for mode in cfg.modes:
-        policy = make_policy(mode, setup.bins, cfg.n_particles,
-                             cfg.n_floor, cfg.per_bin_target, model.v)
-        [res] = run_sweep_cell(setup, init, policy, (n,), cfg.diag_reps, cfg.seed,
-                               cfg.threads, doob=True)
+    for _, [res] in cells(cfg, setup, model, (n,), cfg.diag_reps, doob=True):
         for report in run_checks(res):
             rows.append((report.check, report.n, report.policy, report.value,
                          report.reference, report.std_err, report.z,
@@ -246,15 +254,10 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int
 
     def restart_run(F: list[int]) -> tuple[ChainSetup, SweepResult]:
         """The chain that restarts from rho on entering F, with f = 1_F, and
-        its replicates to the hill horizon, run as cmd_run runs a cell."""
+        its cell of replicates to the hill horizon."""
         K = source_sink_kernel(SourceSinkSpec(base, frozenset(F), rho))
         chain = replace(setup, K=K, f=Observable.indicator(F, n_states))
-        model = coarse_model(cfg, chain, max(n, 1))
-        init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
-        policy = make_policy(cfg.modes[0], chain.bins, cfg.n_particles,
-                             cfg.n_floor, cfg.per_bin_target, model.v)
-        [res] = run_sweep_cell(chain, init, policy, (n,), cfg.reps, cfg.seed,
-                               cfg.threads)
+        [(_, [res])] = cells(cfg, chain, coarse_model(cfg, chain, n), (n,), cfg.reps)
         if res.mean <= 0:
             raise ValueError("mean eta_n(1_F) is not positive")
         return chain, res

@@ -22,9 +22,8 @@ class CoarseModel:
 
     P: TransitionMatrix
     u: np.ndarray = field(repr=False)
-    mu: Distribution = None
-    v: np.ndarray = field(repr=False, default=None)
-    horizon: int = 0
+    mu: Distribution
+    v: np.ndarray = field(repr=False)
 
     @property
     def n_bins(self) -> int:
@@ -34,47 +33,43 @@ class CoarseModel:
 def build_coarse_exact(
     K: TransitionMatrix,
     bins: BinPartition,
-    zeta: Distribution,
     f: Observable,
 ) -> tuple[TransitionMatrix, np.ndarray]:
-    """Exact bin-to-bin transition probabilities and bin averages of f under
-    the sampling measure zeta. Every bin needs positive zeta mass."""
+    """Exact bin-to-bin transition probabilities and bin averages of f, each
+    state of a bin weighted alike."""
     R = bins.n_bins
-    mass = np.bincount(bins.bin_of, weights=zeta.weights, minlength=R)
-    if np.any(mass <= 0):
-        bad = int(np.argmin(mass)) + 1
-        raise ValueError(f"bin {bad} has zero sampling mass under zeta")
-    # P_rs = sum_{x in B^r} zeta(x) sum_{y in B^s} K(x,y) / zeta(B^r): one
+    w = np.full(K.n_states, 1.0 / K.n_states)  # the uniform measure on states
+    mass = np.bincount(bins.bin_of, weights=w, minlength=R)
+    # P_rs = sum_{x in B^r} w(x) sum_{y in B^s} K(x,y) / w(B^r): one
     # bincount over the (bin of x, bin of y) pairs that K's entries join
     x, y, k = K.entries()
     pairs, slot = np.unique(bins.bin_of[x] * R + bins.bin_of[y], return_inverse=True)
     rows = pairs // R
-    flow = np.bincount(slot, weights=zeta.weights[x] * k) / mass[rows]
+    flow = np.bincount(slot, weights=w[x] * k) / mass[rows]
     flow /= np.bincount(rows, weights=flow, minlength=R)[rows]
-    u = np.bincount(bins.bin_of, weights=zeta.weights * f.values, minlength=R) / mass
+    u = np.bincount(bins.bin_of, weights=w * f.values, minlength=R) / mass
     return TransitionMatrix.from_entries(R, rows, pairs % R, flow), u
 
 
 def build_coarse_mc(
     K: TransitionMatrix,
     bins: BinPartition,
-    zeta: Distribution,
     f: Observable,
     total_samples: int,
     rng: np.random.Generator,
 ) -> tuple[TransitionMatrix, np.ndarray]:
-    """Monte Carlo coarse model from one-step trajectories started at zeta.
+    """Monte Carlo coarse model from one-step trajectories.
 
-    The sample budget is allocated to start states proportionally to their
-    zeta mass (stratified), so bins with positive mass are always visited when
-    the budget allows. The steps are sampled by `TransitionMatrix.step`, the
-    inverse CDF that `engine.mutate` uses.
+    The sample budget is spread evenly over the start states (stratified),
+    so every bin is visited when the budget allows. The steps are sampled by
+    `TransitionMatrix.step`, the inverse CDF that `engine.mutate` uses.
     """
     R = bins.n_bins
     if total_samples < R:
         raise ValueError(f"need at least {R} samples, one per bin")
-    n_starts = largest_remainder(total_samples * zeta.weights, total_samples)
-    starts = np.repeat(np.arange(zeta.n_states), n_starts)
+    S = K.n_states
+    n_starts = largest_remainder(total_samples * np.full(S, 1.0 / S), total_samples)
+    starts = np.repeat(np.arange(S), n_starts)
     ends = K.step(starts, rng.random(starts.size))
     sb = bins.bin_of[starts]
     eb = bins.bin_of[ends]
@@ -102,7 +97,6 @@ def compute_v(P: TransitionMatrix, u: np.ndarray, n: int) -> np.ndarray:
 def build_coarse_model(
     K: TransitionMatrix,
     bins: BinPartition,
-    zeta: Distribution,
     f: Observable,
     horizon: int,
     samples: int = 0,
@@ -114,10 +108,7 @@ def build_coarse_model(
     that many one-step samples, drawn from the "coarse" stream of ``seed``.
     """
     if samples:
-        P, u = build_coarse_mc(K, bins, zeta, f, samples,
-                               RngStream(seed).at(0, "coarse"))
+        P, u = build_coarse_mc(K, bins, f, samples, RngStream(seed).at(0, "coarse"))
     else:
-        P, u = build_coarse_exact(K, bins, zeta, f)
-    return CoarseModel(
-        P=P, u=u, mu=stationary(P), v=compute_v(P, u, horizon), horizon=horizon
-    )
+        P, u = build_coarse_exact(K, bins, f)
+    return CoarseModel(P=P, u=u, mu=stationary(P), v=compute_v(P, u, horizon))

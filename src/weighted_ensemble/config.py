@@ -5,12 +5,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .binning import BinPartition
 from .diagnostics import MIN_CHECK_REPS
 from .experiment import MODES, ChainSetup
-from .markov import Distribution, Observable, TransitionMatrix, build_three_well_chain
+from .markov import Observable, build_three_well_chain
 from .serialize import observable_from_csv, read_matrix_csv
 
 
@@ -134,7 +132,7 @@ class ExperimentConfig:
         return states
 
     def build_setup(self) -> ChainSetup:
-        """Materialize the chain, bins, observable, and sampling measure."""
+        """Materialize the chain, bins and observable."""
         if self.chain == "three-well":
             K = build_three_well_chain(self.lag)[1]
         elif self.chain.startswith("csv:"):
@@ -149,5 +147,4 @@ class ExperimentConfig:
                 raise ValueError("observable vector length does not match chain")
         else:
             f = Observable.indicator(self.state_set("f_states", n), n)
-        zeta = Distribution(np.full(n, 1.0 / n))
-        return ChainSetup(K=K, bins=bins, f=f, zeta=zeta)
+        return ChainSetup(K=K, bins=bins, f=f)

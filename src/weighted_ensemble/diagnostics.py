@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .engine import Ensemble, SelectionOutcome, SelectionPolicy
+from .engine import Ensemble, SelectionOutcome
 from .markov import Observable, TransitionMatrix
 
 if TYPE_CHECKING:
@@ -142,11 +142,6 @@ def optimal_allocation(
             "all local variances vanish; every allocation is optimal"
         )
     return total_target * score / denom
-
-
-def policy_name(policy: SelectionPolicy) -> str:
-    """The policy's mode name: adaptive, traditional or naive."""
-    return type(policy).__name__.removesuffix("Policy").lower()
 
 
 @dataclass(frozen=True)

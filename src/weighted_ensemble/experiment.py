@@ -1,8 +1,7 @@
 """Replicate sweeps of the stationary-average workflow on a chain setup.
 
-A setup is a chain with its binning, observable and sampling measure: the
-90-state three-well benchmark of `run`, a chain read from CSV, or a
-source-sink chain of `hill`. `run_sweep_cell` is the one replicate runner
+A setup is a chain with its binning and observable: the 90-state three-well
+benchmark of `run`, a chain read from CSV, or a source-sink chain of `hill`. `run_sweep_cell` is the one replicate runner
 behind `run`, `hill` and `diagnose`: every replicate starts from the same
 initial ensemble (the coarse model's mu-preconditioned spread), selects with
 one policy, and is read out at one or more horizons. On request it also
@@ -29,20 +28,19 @@ from .engine import (
     replicates,
     run_we,
 )
-from .diagnostics import GSequence, backward, doob_terms, g_sequence, policy_name
-from .markov import Distribution, Observable, TransitionMatrix
+from .diagnostics import GSequence, backward, doob_terms, g_sequence
+from .markov import Observable, TransitionMatrix
 
 MODES = ("adaptive", "traditional", "naive")
 
 
 @dataclass(frozen=True)
 class ChainSetup:
-    """A chain plus binning, observable, and sampling measure for experiments."""
+    """A chain plus binning and observable for experiments."""
 
     K: TransitionMatrix
     bins: BinPartition
     f: Observable
-    zeta: Distribution
 
 
 def make_policy(
@@ -62,6 +60,11 @@ def make_policy(
     if mode == "naive":
         return NaivePolicy()
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def policy_name(policy: SelectionPolicy) -> str:
+    """The policy's mode name: adaptive, traditional or naive."""
+    return type(policy).__name__.removesuffix("Policy").lower()
 
 
 @dataclass

@@ -426,12 +426,15 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
     return x
 
 
-def stationary(
-    K: TransitionMatrix,
-    tol: float = 1e-12,
-    max_iters: int = 10**6,
-) -> Distribution:
-    """Stationary distribution pi with pi K = pi, max|pi K - pi| <= tol.
+# the residual max|pi K - pi| that `stationary` accepts, and the most power
+# iterations it takes to reach it
+STATIONARY_TOL = 1e-12
+POWER_ITERS = 10**6
+
+
+def stationary(K: TransitionMatrix) -> Distribution:
+    """Stationary distribution pi with pi K = pi, max|pi K - pi| <=
+    `STATIONARY_TOL`.
 
     Pins pi at a state k that every state reaches and solves the balance
     equations of the other states k reaches, pi_j - sum_{i != k} pi_i K(i, j)
@@ -442,10 +445,11 @@ def stationary(
     restart row joins (a source-sink chain's) near each other, so the band
     stays narrow. When no state is reached by every state (two closed
     classes, so pi is not unique) or the solve fails or is negative beyond
-    roundoff (at least -tol * max pi is clipped to 0), it starts from
-    uniform instead; either way power iteration then refines pi until the
-    residual is within tol, and raises ConvergenceError if it never is (a
-    periodic chain from a start that is not stationary).
+    roundoff (at least -STATIONARY_TOL * max pi is clipped to 0), it starts
+    from uniform instead; either way up to `POWER_ITERS` power iterations
+    then refine pi until the residual is within the tolerance, and it raises
+    ConvergenceError if the residual is not (a periodic chain from a start
+    that is not stationary, or a slow one from uniform).
     """
     n = K.n_states
     src, dst, p = K.entries()
@@ -478,21 +482,20 @@ def stationary(
                                      p[inner], rhs, leak)
         except np.linalg.LinAlgError:  # a block singular in working precision
             x = None
-        if x is not None and x.min(initial=0.0) >= -tol * max(x.max(initial=0.0), 1.0):
+        if x is not None and (x.min(initial=0.0)
+                              >= -STATIONARY_TOL * max(x.max(initial=0.0), 1.0)):
             pi = np.zeros(n)
             pi[pin] = 1.0
             pi[solved] = np.maximum(x, 0.0)
             pi /= pi.sum()
     residual = np.abs(K.push(pi) - pi).max()
-    for _ in range(max_iters):
-        if residual <= tol:
+    for _ in range(POWER_ITERS):
+        if residual <= STATIONARY_TOL:
             break
         pi = K.push(pi)
         pi = pi / pi.sum()
         residual = np.abs(K.push(pi) - pi).max()
-    else:
-        raise ConvergenceError("stationary distribution did not converge", residual)
-    if residual > tol:
+    if residual > STATIONARY_TOL:
         raise ConvergenceError("stationary distribution did not converge", residual)
     return Distribution(pi)
 

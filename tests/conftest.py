@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from weighted_ensemble import (
-    Distribution,
     Observable,
     TransitionMatrix,
+    cli,
     source_sink_kernel,
 )
 from weighted_ensemble.coarse import build_coarse_model
 from weighted_ensemble.engine import stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
-from weighted_ensemble.experiment import ChainSetup, make_policy, run_sweep_cell
+from weighted_ensemble.experiment import ChainSetup
 
 
 def _dense_cdf(m: np.ndarray) -> np.ndarray:
@@ -48,18 +48,14 @@ def general_hill_average():
 
 
 def _source_sink_cell(spec, bins, mode, n, reps, seed, n_particles, per_bin_target=5.0):
-    # the cell `hill` runs: f = 1_F on the source-sink chain under the
-    # uniform sampling measure, from the exact coarse model's mu-spread, with
-    # the mode's policy built on that model
+    # the cell `hill` runs: f = 1_F on the source-sink chain, from the exact
+    # coarse model's mu-spread, with the mode's policy built on that model
     K = source_sink_kernel(spec)
-    zeta = Distribution(np.full(K.n_states, 1.0 / K.n_states))
-    setup = ChainSetup(K, bins, Observable.indicator(sorted(spec.sink), K.n_states),
-                       zeta)
-    model = build_coarse_model(K, bins, zeta, setup.f, max(n, 1))
-    init = stationary_init_ensemble(model.mu, bins, n_particles)
-    policy = make_policy(mode, bins, n_particles, per_bin_target=per_bin_target,
-                         v=model.v)
-    return run_sweep_cell(setup, init, policy, (n,), reps, seed)[0]
+    setup = ChainSetup(K, bins, Observable.indicator(sorted(spec.sink), K.n_states))
+    cfg = ExperimentConfig(mode=mode, n_particles=n_particles,
+                           per_bin_target=per_bin_target, seed=seed)
+    [(_, [res])] = cli.cells(cfg, setup, cli.coarse_model(cfg, setup, n), (n,), reps)
+    return res
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +77,7 @@ def setup():
 
 @pytest.fixture(scope="session")
 def model30(setup):
-    return build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon=30)
+    return build_coarse_model(setup.K, setup.bins, setup.f, horizon=30)
 
 
 @pytest.fixture(scope="session")

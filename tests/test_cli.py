@@ -14,12 +14,12 @@ from weighted_ensemble import (
     SourceSinkSpec,
     TransitionMatrix,
     cli,
+    markov,
     source_sink_kernel,
 )
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
-from weighted_ensemble.engine import stationary_init_ensemble
-from weighted_ensemble.experiment import SweepResult, make_policy, run_sweep_cell
+from weighted_ensemble.experiment import SweepResult
 from weighted_ensemble.serialize import BLOCK_ROWS, write_matrix_csv
 
 
@@ -95,6 +95,24 @@ class TestCoarse:
         assert cli.main(["coarse", "--config", str(cfg), "--out", str(out),
                          flag, value]) == 1
         assert not out.exists()
+
+    def test_horizon_zero_writes_the_table_run_builds(self, tmp_path, monkeypatch):
+        # a run to horizon 0 selects never, but its coarse model still has a
+        # v table, for one generation; coarse writes that table
+        cfg = write_config(tmp_path, horizons="0", mode="adaptive", reps="2")
+        built, build = [], cli.coarse_model
+
+        def keep(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "coarse_model", keep)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        out = tmp_path / "c"
+        assert cli.main(["coarse", "--config", str(cfg), "--out", str(out)]) == 0
+        _, body = read_csv(out / "v.csv")
+        assert {row[0] for row in body} == {"0"}
+        assert [float(row[2]) for row in body] == built[0].v.ravel().tolist()
 
     def test_unread_config_keys_are_accepted(self, tmp_path):
         cfg = write_config(tmp_path, horizons="1", reps="5", threads="2", mode="naive")
@@ -174,24 +192,20 @@ class TestRun:
     def test_written_floats_read_back_bit_for_bit(self, tmp_path):
         """The eta_f and total_weight columns of each runs file and both
         fraction columns of histograms.csv parse back to the very floats of
-        a sweep run by hand on the same config and seed."""
+        the sweep's cells run again, by `cli.cells`, on the same config and
+        seed."""
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, **{**SMALL_RUN, "seed": "7"})
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         cfg = ExperimentConfig.from_file(cfg_path)
         setup = cfg.build_setup()
         model = cli.coarse_model(cfg, setup, max(cfg.horizons))
-        init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
         _, hist_body = read_csv(out / "histograms.csv")
 
         def column(body, k):
             return np.array([float(row[k]) for row in body])
 
-        for mode in cfg.modes:
-            policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
-                                 cfg.per_bin_target, model.v)
-            results = run_sweep_cell(setup, init, policy, cfg.horizons, cfg.reps,
-                                     cfg.seed, cfg.threads)
+        for mode, results in cli.cells(cfg, setup, model, cfg.horizons, cfg.reps):
             for res in results:
                 _, body = read_csv(out / f"runs_{mode}_n{res.n}.csv")
                 assert np.array_equal(column(body, 2), res.traces.ravel())
@@ -374,8 +388,8 @@ class TestHill:
     @staticmethod
     def hill_rows_and_cell(tmp_path, **config):
         """hill.csv's rows, as floats, of a hill run on ``config``, the config,
-        and a function that runs the source-sink cell of a set F by hand, as
-        cmd_run runs a cell, on the same config and seed."""
+        and a function that runs the source-sink cell of a set F again, by
+        `cli.cells`, on the same config and seed."""
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path, **config)
         assert cli.main(["hill", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -387,12 +401,10 @@ class TestHill:
             spec = SourceSinkSpec(setup.K, frozenset(F), rho)
             chain = replace(setup, K=source_sink_kernel(spec),
                             f=Observable.indicator(F, 90))
-            model = cli.coarse_model(cfg, chain, cfg.hill_horizon)
-            init = stationary_init_ensemble(model.mu, chain.bins, cfg.n_particles)
-            policy = make_policy(cfg.mode, chain.bins, cfg.n_particles, cfg.n_floor,
-                                 cfg.per_bin_target, model.v)
-            return run_sweep_cell(chain, init, policy, (cfg.hill_horizon,), cfg.reps,
-                                  cfg.seed, cfg.threads)[0]
+            n = cfg.hill_horizon
+            [(_, [res])] = cli.cells(cfg, chain, cli.coarse_model(cfg, chain, n), (n,),
+                                     cfg.reps)
+            return res
 
         _, body = read_csv(out / "hill.csv")
         return {r[0]: [float(x) for x in r[1:]] for r in body}, cfg, cell
@@ -413,7 +425,7 @@ class TestHill:
 
     def test_written_floats_read_back_bit_for_bit(self, tmp_path):
         """hill.csv's estimates and standard errors parse back to the very
-        floats of its two source-sink cells run by hand."""
+        floats of its two source-sink cells run again."""
         rows, cfg, cell = self.hill_rows_and_cell(
             tmp_path, mode="adaptive", hill_horizon="20", reps="10", n_particles="60",
             hit_a="11..30", hit_b="61..75", seed="7")
@@ -434,6 +446,17 @@ class TestHill:
         assert rows["hitting_probability"][1] == pytest.approx(0.2846, abs=5e-5)
         assert rows["hitting_probability"][0] > 0 and rows["hitting_probability"][2] > 0
         self.assert_hitting_row_reads_back(rows, cfg, cell)
+
+    def test_no_replicate_in_the_sink_is_numerical_error(self, tmp_path, capsys):
+        # one particle at the first state of each bin of 15 (1, 16, ..., 76)
+        # and 3 steps of K = Q^4 take none past state 88, so every replicate
+        # has eta_3(1_F) = 0 for F = {90}: the MFPT has no estimate
+        cfg = write_config(tmp_path, mode="naive", bin_width="15", n_particles="6",
+                           sink_states="90", hill_horizon="3", reps="4",
+                           horizons="1")
+        code = cli.main(["hill", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "mean eta_n(1_F) is not positive" in capsys.readouterr().err
 
     def test_source_inside_sink_is_numerical_error(self, tmp_path, two_state):
         path = tmp_path / "K.csv"
@@ -505,6 +528,33 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_power_iteration_past_its_cap_is_numerical_error(self, tmp_path,
+                                                              monkeypatch, capsys):
+        # the coarse model of 300 samples at seed 0 needs 136 power iterations
+        monkeypatch.setattr(markov, "POWER_ITERS", 135)
+        cfg = write_config(tmp_path, coarse_samples="300", horizons="1", reps="2")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "stationary distribution did not converge" in capsys.readouterr().err
+
+    def test_solve_wider_than_max_block_is_numerical_error(self, tmp_path, capsys):
+        # each state i steps to state 1, to its mirror S + 1 - i and to i + 1
+        # (S to 1). Every state reaches 1 in one step, so the stationary
+        # solve keeps states 2..S in their order, and state 2 and its mirror
+        # S - 1 lie S - 3 apart, more than MAX_BLOCK
+        n = markov.MAX_BLOCK + 52
+        rows = []
+        for i in range(n):
+            to = {}
+            for j in (0, n - 1 - i, (i + 1) % n):
+                to[j] = to.get(j, 0.0) + 1 / 3
+            rows += [f"{i + 1},{j + 1},{p!r}" for j, p in to.items()]
+        path = tmp_path / "K.csv"
+        path.write_text("\n".join(["i,j,value", *rows]) + "\n")
+        cfg = write_config(tmp_path, chain=f"csv:{path}", bin_width="30",
+                           horizons="1", reps="2")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"couples states {n - 3} apart" in capsys.readouterr().err
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent")]) == 1

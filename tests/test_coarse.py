@@ -3,7 +3,6 @@ import pytest
 
 from weighted_ensemble import (
     BinPartition,
-    Distribution,
     Observable,
     TransitionMatrix,
     build_coarse_exact,
@@ -14,35 +13,25 @@ from weighted_ensemble import (
 )
 
 
-def uniform(n):
-    return Distribution(np.full(n, 1.0 / n))
-
-
 class TestBuildCoarseExact:
     def test_one_state_per_bin_is_identity_coarsening(self, two_state):
         bins = BinPartition(np.arange(2))
         f = Observable(np.array([0.3, -1.2]))
-        P, u = build_coarse_exact(two_state, bins, uniform(2), f)
+        P, u = build_coarse_exact(two_state, bins, f)
         assert np.allclose(P.to_dense(), two_state.to_dense())
         assert np.allclose(u, f.values)
 
     def test_constant_f_gives_constant_u(self, setup):
         f = Observable(np.full(90, 2.5))
-        _, u = build_coarse_exact(setup.K, setup.bins, setup.zeta, f)
+        _, u = build_coarse_exact(setup.K, setup.bins, f)
         assert np.allclose(u, 2.5)
 
     def test_single_bin_collapses_to_one(self, two_state):
         bins = BinPartition(np.zeros(2, np.int64))
         f = Observable(np.array([0.0, 1.0]))
-        P, u = build_coarse_exact(two_state, bins, uniform(2), f)
+        P, u = build_coarse_exact(two_state, bins, f)
         assert np.allclose(P.to_dense(), [[1.0]])
         assert np.allclose(u, [0.5])
-
-    def test_zero_mass_bin_is_an_error(self, two_state):
-        bins = BinPartition(np.arange(2))
-        zeta = Distribution(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="bin 2"):
-            build_coarse_exact(two_state, bins, zeta, Observable(np.zeros(2)))
 
     def test_three_well_u_is_bin_fraction_inside_support(self, model30):
         # f = indicator of states 28..33; bins 10 and 11 lie fully inside
@@ -55,10 +44,10 @@ class TestBuildCoarseMC:
     def test_matches_exact_builder_within_ci(self, two_state):
         bins = BinPartition(np.arange(2))
         f = Observable(np.array([0.0, 1.0]))
-        P, u = build_coarse_exact(two_state, bins, uniform(2), f)
+        P, u = build_coarse_exact(two_state, bins, f)
         total = 1_000_000
         Pm, um = build_coarse_mc(
-            two_state, bins, uniform(2), f, total,
+            two_state, bins, f, total,
             np.random.default_rng(0),
         )
         visits = total / 2  # stratified: half the budget starts in each bin
@@ -70,7 +59,7 @@ class TestBuildCoarseMC:
         K = TransitionMatrix.from_dense(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
         bins = BinPartition(np.arange(3))
         P, _ = build_coarse_mc(
-            K, bins, uniform(3), Observable(np.zeros(3)), 3,
+            K, bins, Observable(np.zeros(3)), 3,
             np.random.default_rng(0),
         )
         assert np.allclose(P.to_dense(), K.to_dense())
@@ -78,7 +67,7 @@ class TestBuildCoarseMC:
     def test_indicator_of_bin_gives_unit_u(self, setup):
         f = Observable.indicator(setup.bins.states_in(4), 90)
         _, u = build_coarse_mc(
-            setup.K, setup.bins, setup.zeta, f, 9000,
+            setup.K, setup.bins, f, 9000,
             np.random.default_rng(1),
         )
         expected = np.zeros(30)
@@ -88,16 +77,16 @@ class TestBuildCoarseMC:
     def test_budget_below_bin_count_errors(self, setup):
         with pytest.raises(ValueError):
             build_coarse_mc(
-                setup.K, setup.bins, setup.zeta, setup.f, 10,
+                setup.K, setup.bins, setup.f, 10,
                 np.random.default_rng(0),
             )
 
     def test_error_rate_scales_with_budget(self, setup):
-        exact, _ = build_coarse_exact(setup.K, setup.bins, setup.zeta, setup.f)
+        exact, _ = build_coarse_exact(setup.K, setup.bins, setup.f)
         errs = []
         for total in (10_000, 1_000_000):
             Pm, _ = build_coarse_mc(
-                setup.K, setup.bins, setup.zeta, setup.f, total,
+                setup.K, setup.bins, setup.f, total,
                 np.random.default_rng(2),
             )
             errs.append(np.abs(Pm.to_dense() - exact.to_dense()).max())
@@ -122,7 +111,7 @@ class TestComputeV:
     def test_matches_fine_scale_quantity_with_trivial_binning(self, setup):
         n = 6
         bins = BinPartition(np.arange(90))
-        P, u = build_coarse_exact(setup.K, bins, setup.zeta, setup.f)
+        P, u = build_coarse_exact(setup.K, bins, setup.f)
         v = compute_v(P, u, n)
         K = setup.K.to_dense()
         g = np.empty((n + 1, 90))
@@ -172,7 +161,6 @@ class TestCoarseStationary:
 
 
 def test_build_coarse_model_bundles_everything(setup):
-    model = build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon=5)
+    model = build_coarse_model(setup.K, setup.bins, setup.f, horizon=5)
     assert model.n_bins == 30
     assert model.v.shape == (5, 30)
-    assert model.horizon == 5

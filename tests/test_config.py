@@ -119,7 +119,7 @@ def test_csv_chain_set_up_and_solved_in_sparse_memory(tmp_path):
     tracemalloc.start()
     try:
         setup = cfg.build_setup()
-        build_coarse_model(setup.K, setup.bins, setup.zeta, setup.f, horizon=20)
+        build_coarse_model(setup.K, setup.bins, setup.f, horizon=20)
         stationary(setup.K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -207,8 +207,7 @@ def checks(setup, policy, init, n, reps, seed):
 
 @pytest.fixture
 def two_state_setup(two_state, f01):
-    return ChainSetup(K=two_state, bins=BinPartition(np.arange(2)), f=f01,
-                      zeta=Distribution(np.array([0.5, 0.5])))
+    return ChainSetup(K=two_state, bins=BinPartition(np.arange(2)), f=f01)
 
 
 class TestChecks:

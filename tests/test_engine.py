@@ -299,7 +299,7 @@ class TestStationaryInitEnsemble:
         # its stationary solve gives the bins nothing reaches exactly 0
         F = [*range(10, 30), *range(60, 75)]
         spec = SourceSinkSpec(setup.K, frozenset(F), Distribution.point_mass(0, 90))
-        model = build_coarse_model(source_sink_kernel(spec), setup.bins, setup.zeta,
+        model = build_coarse_model(source_sink_kernel(spec), setup.bins,
                                    Observable.indicator(F, 90), horizon=1)
         mu = model.mu.weights
         assert np.any(mu == 0.0)

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weighted_ensemble import (
+    ConvergenceError,
     Distribution,
     Observable,
+    RngStream,
     TransitionMatrix,
+    build_coarse_mc,
     build_three_well_chain,
     power,
     second_eigenvalue_modulus,
@@ -317,10 +320,49 @@ class TestStationary:
         assert np.allclose(stationary(Q).weights, stationary(setup.K).weights,
                            atol=1e-10)
 
+    @staticmethod
+    def sampled_coarse_matrix(setup):
+        """The three-well chain's coarse P from 300 one-step samples of seed
+        0, as `coarse_samples = 300` builds it. No bin is reached from every
+        bin, so its pi is not unique and comes from power iteration from
+        uniform, which takes 136 iterations."""
+        P, _ = build_coarse_mc(setup.K, setup.bins, setup.f, 300,
+                               RngStream(0).at(0, "coarse"))
+        assert not any(markov.reaches(P, [k]).all() for k in range(P.n_states))
+        return P
+
+    def test_sampled_coarse_model_converges_by_power_iteration(self, setup):
+        P = self.sampled_coarse_matrix(setup)
+        pi = stationary(P).weights
+        assert np.abs(P.push(pi) - pi).max() <= 1e-12
+
+    def test_power_iteration_accepts_its_last_step(self, setup, monkeypatch):
+        P = self.sampled_coarse_matrix(setup)
+        monkeypatch.setattr(markov, "POWER_ITERS", 136)
+        pi = stationary(P).weights
+        assert np.abs(P.push(pi) - pi).max() <= markov.STATIONARY_TOL
+
+    def test_power_iteration_past_its_cap_raises(self, setup, monkeypatch):
+        P = self.sampled_coarse_matrix(setup)
+        monkeypatch.setattr(markov, "POWER_ITERS", 135)
+        with pytest.raises(ConvergenceError):
+            stationary(P)
+
+    def test_a_solved_chain_needs_no_power_iteration(self, two_state, monkeypatch):
+        monkeypatch.setattr(markov, "POWER_ITERS", 0)
+        assert np.allclose(stationary(two_state).weights, [2 / 3, 1 / 3], atol=1e-12)
+
 
 class TestSolves:
     """`stationary` and `direct_mfpt` against dense np.linalg.solve oracles,
     with blocks of as few as one state so that every coupling path runs."""
+
+    def test_coupling_past_max_block_is_refused(self):
+        # one entry joins the first and the last state: a block would hold
+        # all of them, and it is refused before it is allocated
+        n = markov.MAX_BLOCK + 2
+        with pytest.raises(ValueError, match=f"couples states {n - 1} apart"):
+            markov.solve_identity_minus(n, [n - 1], [0], [0.5], np.ones(n))
 
     @settings(max_examples=60, deadline=None)
     @given(banded_chains(), st.sampled_from([1, 2, 3, 64]))

@@ -216,6 +216,20 @@ def test_matrix_reader_rejects_rows_padded_past_the_limit(tmp_path):
         read_matrix_csv(path)
 
 
+def test_quoted_fields_read_as_unquoted_ones(tmp_path):
+    # numpy's parser refuses a quoted field, so these files are read by the
+    # csv module's
+    K = write_csv(tmp_path / "K.csv", "i,j,value", "1,1,0.9", "1,2,0.1", "2,1,0.2",
+                  "2,2,0.8")
+    quoted = write_csv(tmp_path / "Kq.csv", '"i","j","value"', '"1","1","0.9"',
+                       '1,"2",0.1', '"2",1,"0.2"', '2,2,"0.8"')
+    assert np.array_equal(read_matrix_csv(quoted).to_dense(),
+                          read_matrix_csv(K).to_dense())
+    v = read_vector_csv(write_csv(tmp_path / "v.csv", "i,value", '"1","0.25"',
+                                  '2,"-1.5"'))
+    assert v.tolist() == [0.25, -1.5]
+
+
 def test_sparse_rows_leave_zeros(tmp_path):
     path = write_csv(tmp_path / "K.csv", "i,j,value", "2,1,1.0", "1,2,1.0")
     assert np.array_equal(read_matrix_csv(path).to_dense(), [[0.0, 1.0], [1.0, 0.0]])
