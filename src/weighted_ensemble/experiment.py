@@ -1,13 +1,14 @@
 """Replicate sweeps of the stationary-average workflow on a chain setup.
 
 A setup is a chain with its binning and observable: the 90-state three-well
-benchmark of `run`, a chain read from CSV, or a source-sink chain of `hill`. `run_sweep_cell` is the one replicate runner
-behind `run`, `hill` and `diagnose`: every replicate starts from the same
-initial ensemble (the coarse model's mu-preconditioned spread), selects with
-one policy, and is read out at one or more horizons. On request it also
-accumulates each replicate's exact Doob terms, which `diagnose` checks.
-Replicates can fan out over worker processes; results depend only on
-(seed, config), never on the worker count.
+benchmark of `run`, a chain read from CSV, or a source-sink chain of `hill`.
+`run_sweep_cell` is the one replicate runner behind `run`, `hill` and
+`diagnose`: every replicate starts from the same initial ensemble (the
+coarse model's mu-preconditioned spread), selects with one policy, and is
+read out at one or more horizons. On request it also accumulates each
+replicate's exact Doob terms, which `diagnose` checks. Replicates can fan
+out over worker processes; results depend only on (seed, config), never on
+the worker count.
 """
 from __future__ import annotations
 
