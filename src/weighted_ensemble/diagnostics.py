@@ -90,25 +90,23 @@ def mutation_variance_term(
     return selected.replicate_sums(w**2 * g.local_var[p][selected.states])
 
 
-def expected_c_squared(beta: np.ndarray) -> np.ndarray:
-    """E[C^2] under stochastic rounding with mean beta: floor^2 + (2 floor + 1) frac."""
-    beta = np.asarray(beta, dtype=float)
-    low = np.floor(beta)
-    return low**2 + (2.0 * low + 1.0) * (beta - low)
-
-
 def selection_variance_term(
     e: Ensemble, beta: np.ndarray, g: GSequence, p: int
 ) -> np.ndarray:
     """Exact conditional selection variance, per replicate:
-    sum_j w_j^2 (E[C^2]/beta^2 - 1) g_p(xi_j)^2, zero iff every beta is integer."""
+    sum_j w_j^2 Var(C_j) / beta_j^2 g_p(xi_j)^2, zero iff every beta is integer.
+
+    Stochastic rounding gives Var C = E[C^2] - beta^2 = frac (1 - frac), with
+    frac = beta - floor(beta), so each term is (w/beta)^2 frac (1 - frac) g_p^2,
+    which does not cancel at large beta as E[C^2]/beta^2 - 1 would."""
     if not 0 <= p <= g.horizon - 1:
         raise ValueError("p must satisfy 0 <= p <= n-1")
     beta = np.asarray(beta, dtype=float)
     if e.n_particles and np.any(beta <= 0):
         raise ValueError("beta must be positive for every occupied particle")
-    ratio = expected_c_squared(beta) / beta**2 - 1.0
-    return e.replicate_sums(e.weights**2 * ratio * g.g[p][e.states] ** 2)
+    frac = beta - np.floor(beta)
+    term = e.weights / beta * g.g[p][e.states]
+    return e.replicate_sums(term * term * frac * (1.0 - frac))
 
 
 def conditional_mutation_variance(

@@ -10,7 +10,8 @@ purpose) draws a chunk's uniforms from one stream keyed by its first
 replicate. The pass, a few whole chunks in one flat particle array sorted by
 replicate, is the unit of computation only: every stage but the draws acts on
 each replicate alone, so which chunks share a pass moves no byte. Every
-per-replicate sum is one `bincount`, which adds in particle order, so results
+per-replicate sum is one `np.add.reduceat` over the replicates' offsets, whose
+sum for a replicate depends on that replicate's values alone, so results
 depend only on (seed, config). Passes go through one driver, `replicates`.
 """
 from __future__ import annotations
@@ -128,15 +129,22 @@ class _Replicates:
         return self.offsets[1:] - self.offsets[:-1]
 
     @cached_property
-    def replicate_of(self) -> np.ndarray:
-        """Batch index of the replicate each particle belongs to."""
-        return np.repeat(np.arange(self.n_replicates), self.sizes)
+    def _occupied(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which replicates own particles, and the first particle of each."""
+        occupied = self.offsets[1:] > self.offsets[:-1]
+        return occupied, self.offsets[:-1][occupied]
 
     def replicate_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of a per-particle array over each replicate's particles, 0 for
-        an extinct replicate: one bincount, which adds in particle order."""
-        return np.bincount(self.replicate_of, weights=values,
-                           minlength=self.n_replicates)
+        an extinct replicate: one `np.add.reduceat` from the occupied
+        replicates' first particles (no start reaches the particle count, so
+        none is clipped). A replicate's sum is its first value plus numpy's
+        blocked pairwise sum of the rest, so it depends on that replicate's
+        values alone, not on where the replicate sits in the pass."""
+        occupied, starts = self._occupied
+        sums = np.zeros(occupied.size)
+        sums[occupied] = np.add.reduceat(values, starts)
+        return sums
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ class Ensemble(_Replicates):
 
     @property
     def total_weight(self) -> np.ndarray:
-        """Total weight per replicate, added in particle order (`replicate_sums`)."""
+        """Total weight per replicate (`replicate_sums`)."""
         return self.replicate_sums(self.weights)
 
 
@@ -282,14 +290,16 @@ def stationary_init_ensemble(
     Bins with zero coarse mass (possible on source-sink chains, whose sink
     interior is transient: `markov.stationary` gives it exactly 0) receive
     no particles: a zero-weight particle would never be selected and is not
-    allowed.
+    allowed. So do bins whose mass is so small (a subnormal left by power
+    iteration) that mu_r / n_particles underflows to 0; a bin that keeps k <=
+    n_particles particles then gives each a positive weight.
     """
     R = bins.n_bins
     if n_particles < R:
         raise ValueError(f"need at least {R} particles so no bin is empty")
     if mu.n_states != R:
         raise ValueError("mu must be a distribution over bins")
-    quotas = np.where(mu.weights > 0, n_particles / R, 0.0)
+    quotas = np.where(mu.weights / n_particles > 0, n_particles / R, 0.0)
     scale = n_particles / quotas.sum()
     per_bin = largest_remainder(quotas * scale, n_particles)
     states = []
@@ -317,21 +327,26 @@ def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError("beta must be >= 0")
     if u.shape != beta.shape:
         raise ValueError("need one uniform per beta")
-    low = np.floor(beta)
-    return (low + (u < beta - low)).astype(np.int64)
+    counts = beta.astype(np.int64)  # floor, as beta >= 0
+    counts += u < beta - counts
+    return counts
 
 
 def bin_totals(e: Ensemble, bins: BinPartition,
                key: Optional[np.ndarray] = None) -> np.ndarray:
     """Total particle weight per replicate and bin, a (replicates x bins) array.
 
-    One bincount on ``key``, replicate * R + bin unless given; it adds each
-    bin's weights in particle order, as a bincount over one replicate does.
+    One bincount on ``key``, `_bin_key` unless given; it adds each bin's
+    weights in particle order, as a bincount over one replicate does.
     """
-    R = bins.n_bins
-    key = e.replicate_of * R + bins.bin_of[e.states] if key is None else key
+    key = _bin_key(e, bins) if key is None else key
     return np.bincount(key, weights=e.weights,
-                       minlength=e.n_replicates * R).reshape(-1, R)
+                       minlength=e.n_replicates * bins.n_bins).reshape(-1, bins.n_bins)
+
+
+def _bin_key(e: Ensemble, bins: BinPartition) -> np.ndarray:
+    """Each particle's (replicate, bin) index, replicate * R + bin."""
+    return np.repeat(np.arange(e.n_replicates) * bins.n_bins, e.sizes) + bins.bin_of[e.states]
 
 
 def allocate_targets(bin_weight: np.ndarray, policy: AdaptivePolicy,
@@ -358,7 +373,7 @@ def _mean_children_and_child_weights(
     if isinstance(policy, NaivePolicy):
         return np.ones(e.n_particles), e.weights
     bins = policy.bins
-    key = e.replicate_of * bins.n_bins + bins.bin_of[e.states]
+    key = _bin_key(e, bins)
     bin_weight = bin_totals(e, bins, key)
     if isinstance(policy, TraditionalPolicy):
         targets = policy.per_bin_target
@@ -419,8 +434,7 @@ def mutate(s: SelectionOutcome, K: TransitionMatrix, u: np.ndarray) -> Ensemble:
     plain independent chains bit for bit under the same draws.
     """
     return Ensemble._trusted(generation=s.generation + 1, states=K.step(s.states, u),
-                             weights=s.weights, offsets=s.offsets,
-                             replicate_of=s.replicate_of)
+                             weights=s.weights, offsets=s.offsets)
 
 
 def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
@@ -506,9 +520,7 @@ def run_we(
         total_weight=tot,
         extinct=num[:, n] == 0,
         tau_kill=tau_kill,
-        # anew, so that a caller who keeps finals keeps no replicate_of
-        final=Ensemble._trusted(generation=e.generation, states=e.states,
-                                weights=e.weights, offsets=e.offsets),
+        final=e,
     )
 
 

@@ -277,6 +277,14 @@ class TestRun:
         _, table = read_csv(run("coarse", coarse_samples="20000") / "v.csv")
         assert sampled == [row for row in table if row[0] in ("0", "2")]
 
+    def test_a_subnormal_bin_mass_gets_no_particles(self, tmp_path):
+        """At seed 7, power iteration on the 300-sample coarse model leaves a
+        transient bin mu = 5e-324, whose share per particle underflows to 0:
+        the bin is left empty, and the run goes on."""
+        cfg = write_config(tmp_path, coarse_samples="300", horizons="1", reps="2")
+        assert cli.main(["run", "--mode", "all", "--seed", "7", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+
 
 class TestDiagnose:
     def test_passes_on_benchmark_config(self, tmp_path):

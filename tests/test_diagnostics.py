@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from weighted_ensemble import (
     select,
 )
 from weighted_ensemble.diagnostics import (
+    GSequence,
     conditional_mutation_variance,
-    expected_c_squared,
     g_sequence,
     mutation_variance_term,
     optimal_allocation,
@@ -27,6 +30,14 @@ from weighted_ensemble.experiment import ChainSetup, run_sweep_cell
 @pytest.fixture
 def f01():
     return Observable(np.array([0.0, 1.0]))
+
+
+def expected_c_squared(beta: np.ndarray) -> np.ndarray:
+    """E[C^2] under stochastic rounding with mean beta: floor^2 + (2 floor + 1) frac.
+    The reference for `selection_variance_term`'s Var C = frac (1 - frac)."""
+    beta = np.asarray(beta, dtype=float)
+    low = np.floor(beta)
+    return low**2 + (2.0 * low + 1.0) * (beta - low)
 
 
 class TestGSequence:
@@ -142,6 +153,39 @@ class TestSelectionVarianceTerm:
             assert selection_variance_term(e, beta, g, 2) >= 0.0
 
 
+    @pytest.mark.parametrize("kind", ["integer", "below_one", "large"])
+    def test_closed_form_against_exact_arithmetic(self, kind):
+        """Against w^2 (E[C^2] - beta^2) / beta^2 g^2 in exact rationals of
+        the same floats. Each term takes 6 roundings and the sum of n
+        nonnegative terms n more, so (n + 6) eps bounds the relative error."""
+        rng = np.random.default_rng(["integer", "below_one", "large"].index(kind))
+        n = 40
+        beta = {"integer": rng.integers(1, 9, n).astype(float),
+                "below_one": rng.uniform(0.01, 1.0, n),
+                "large": 1e6 + 0.5 + rng.uniform(-0.25, 0.25, n)}[kind]
+        e = Ensemble(0, rng.integers(0, 5, n), rng.uniform(0.01, 1.0, n))
+        gp = rng.normal(size=5)
+        g = GSequence(g=np.array([gp, gp]), kg2=np.zeros((1, 5)), local_var=np.zeros((1, 5)))
+        got = float(selection_variance_term(e, beta, g, 0)[0])
+
+        def exact_term(w, b, x):
+            w, b, x = Fraction(w), Fraction(b), Fraction(x)
+            low = Fraction(math.floor(b))
+            c2 = low**2 + (2 * low + 1) * (b - low)
+            return w**2 * (c2 - b**2) / b**2 * x**2
+
+        exact = sum(exact_term(*t) for t in zip(e.weights, beta, gp[e.states]))
+        if kind == "integer":
+            assert exact == 0 and got == 0.0
+            return
+        assert abs(Fraction(got) - exact) <= (n + 6) * Fraction(np.finfo(float).eps) * exact
+        # the form E[C^2] / beta^2 - 1 cancels at large beta
+        old = float(np.sum(e.weights**2 * (expected_c_squared(beta) / beta**2 - 1.0)
+                           * gp[e.states] ** 2))
+        if kind == "large":
+            assert abs(Fraction(old) - exact) > 1e-6 * exact
+
+
 class TestOptimalAllocation:
     def test_identical_particles_share_equally(self, two_state, f01):
         g = g_sequence(two_state, f01, 2)
@@ -151,8 +195,6 @@ class TestOptimalAllocation:
 
     def test_ratio_follows_local_standard_deviations(self):
         # two equal-weight particles with local std devs 0.3 and 0.1 -> (3, 1)
-        from weighted_ensemble.diagnostics import GSequence
-
         g = GSequence(
             g=np.zeros((2, 2)),
             kg2=np.array([[0.09, 0.01]]),

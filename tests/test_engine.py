@@ -223,6 +223,58 @@ class TestReplicateSums:
                    batch.weights**2 * (ratio / beta**2 - 1.0) * g.g[1][batch.states] ** 2)
 
 
+    # n eps sum|x| bounds the error of any order of adding n values
+    @pytest.mark.parametrize("offsets", [
+        [0, 0, 5, 5, 12],  # a leading and a middle extinct replicate
+        [0, 4, 9, 9, 9],  # consecutive trailing extinct replicates
+        [0, 0, 0, 0],  # all extinct
+        [0, 0, 0, 7],  # a single occupied replicate, last
+        [0, 1000, 1000, 1130, 2131],  # long enough for blocked pairwise sums
+    ])
+    def test_replicate_sums_against_fsum(self, offsets):
+        offsets = np.array(offsets)
+        n = int(offsets[-1])
+        rng = np.random.default_rng(n)
+        e = Ensemble(0, np.zeros(n, np.int64), np.ones(n), offsets)
+        values = rng.normal(size=n) * np.exp(rng.normal(scale=3.0, size=n))
+        got = e.replicate_sums(values)
+        assert got.shape == (offsets.size - 1,)
+        eps = np.finfo(float).eps
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            part = values[lo:hi]
+            if hi == lo:
+                assert got[b] == 0.0
+            assert abs(got[b] - math.fsum(part)) <= part.size * eps * math.fsum(abs(part))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.lists(st.integers(0, 150), max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_a_replicates_sums_do_not_depend_on_its_place(self, size, before, seed):
+        """eta, total weight and both Doob terms of one replicate, alone and
+        behind replicates of other sizes, bit for bit."""
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(size=(6, 6))
+        K = TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True))
+        f = Observable(rng.uniform(size=6))
+        g = g_sequence(K, f, 2)
+        policy = TraditionalPolicy(BinPartition(np.array([0, 0, 1, 1, 2, 2])), 2.5)
+        states, weights = rng.integers(0, 6, size), rng.uniform(0.01, 1.0, size)
+        u = rng.random(size)
+
+        def last_replicate(sizes):
+            n = sum(sizes)
+            e = Ensemble(1, np.append(rng.integers(0, 6, n), states),
+                         np.append(rng.uniform(0.01, 1.0, n), weights),
+                         np.cumsum([0, *sizes, size]))
+            out = select(e, policy, np.append(rng.random(n), u))
+            sums = (empirical_estimate(e, f), e.total_weight,
+                    mutation_variance_term(out, g, 1),
+                    selection_variance_term(e, out.mean_children, g, 1))
+            return [float(s[-1]) for s in sums]
+
+        assert last_replicate(before) == last_replicate([])
+
+
 class TestLargestRemainder:
     def test_hand_example(self):
         # floors (1,0,0); two leftover seats go to the larger remainders 0.75
@@ -292,6 +344,15 @@ class TestStationaryInitEnsemble:
         e = stationary_init_ensemble(mu, bins, 6)
         counts = np.bincount(e.states, minlength=3)
         assert counts[1] == 0 and counts.sum() == 6
+        assert np.all(e.weights > 0)
+
+    def test_a_bin_whose_share_underflows_gets_no_particles(self):
+        # 5e-324 / k is 0 for every k >= 2, so its particles would weigh 0
+        bins = BinPartition(np.array([0, 1, 2]))
+        mu = Distribution(np.array([0.6, 5e-324, 0.4]))
+        e = stationary_init_ensemble(mu, bins, 7)
+        counts = np.bincount(e.states, minlength=3)
+        assert counts[1] == 0 and counts.sum() == 7
         assert np.all(e.weights > 0)
 
     def test_unreached_bins_of_a_source_sink_chain_get_no_particles(self, setup):
