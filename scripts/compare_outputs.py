@@ -24,8 +24,13 @@ either seed, so those commands reach the sampled builder and the power
 iteration from uniform in `markov.stationary`. The script prints each
 command whose exit codes differ and each output file that differs or exists
 on one side only, and exits 1 on any difference, 0 when every exit code and
-every byte matches.
+every byte matches. It says what kind of difference each differing file
+holds: a structural one (a file on one side only, another number of rows or
+cells, or a differing cell that is not a float, integers and text included),
+or float cells only, with the largest relative difference among them.
 """
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +100,40 @@ def differences(a: Path, b: Path) -> list[str]:
                           and (a / n).read_bytes() == (b / n).read_bytes()))
 
 
+def _float(cell: str):
+    """The cell's value if it is a finite float that is not an integer, else None."""
+    try:
+        int(cell)
+        return None
+    except ValueError:
+        pass
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def kind_of_difference(a: Path, b: Path) -> str:
+    """Whether two differing files differ structurally, or in float cells only
+    and by how much (the largest of |x - y| / max(|x|, |y|))."""
+    if not (a.is_file() and b.is_file()):
+        return "exists on one side only"
+    rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "differs in shape"
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            fx, fy = _float(x), _float(y)
+            if fx is None or fy is None:
+                return f"differs in a non-float cell: {x!r} against {y!r}"
+            worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return f"differs in float cells only, largest relative difference {worst:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -117,8 +156,9 @@ def main(argv: list[str]) -> int:
             if ref_code != work_code:
                 print(f"{name}: exit code {ref_code} at {ref}, {work_code} in the work tree")
                 n_diff += 1
-            for path in differences(tmp / "out_ref" / name, tmp / "out_work" / name):
-                print(f"{name}/{path} differs")
+            ref_out, work_out = tmp / "out_ref" / name, tmp / "out_work" / name
+            for path in differences(ref_out, work_out):
+                print(f"{name}/{path} {kind_of_difference(ref_out / path, work_out / path)}")
                 n_diff += 1
     print(f"{len(cases())} commands on each side, {n_diff} differences")
     return 1 if n_diff else 0

@@ -152,7 +152,6 @@ class TestSelectionVarianceTerm:
             beta = rng.random(m) * 3 + 0.01
             assert selection_variance_term(e, beta, g, 2) >= 0.0
 
-
     @pytest.mark.parametrize("kind", ["integer", "below_one", "large"])
     def test_closed_form_against_exact_arithmetic(self, kind):
         """Against w^2 (E[C^2] - beta^2) / beta^2 g^2 in exact rationals of
@@ -179,10 +178,9 @@ class TestSelectionVarianceTerm:
             assert exact == 0 and got == 0.0
             return
         assert abs(Fraction(got) - exact) <= (n + 6) * Fraction(np.finfo(float).eps) * exact
-        # the form E[C^2] / beta^2 - 1 cancels at large beta
-        old = float(np.sum(e.weights**2 * (expected_c_squared(beta) / beta**2 - 1.0)
-                           * gp[e.states] ** 2))
-        if kind == "large":
+        if kind == "large":  # where the form E[C^2] / beta^2 - 1 cancels
+            old = float(np.sum(e.weights**2 * (expected_c_squared(beta) / beta**2 - 1.0)
+                               * gp[e.states] ** 2))
             assert abs(Fraction(old) - exact) > 1e-6 * exact
 
 

@@ -222,7 +222,6 @@ class TestReplicateSums:
         self.check(selection_variance_term(batch, beta, g, 1),
                    batch.weights**2 * (ratio / beta**2 - 1.0) * g.g[1][batch.states] ** 2)
 
-
     # n eps sum|x| bounds the error of any order of adding n values
     @pytest.mark.parametrize("offsets", [
         [0, 0, 5, 5, 12],  # a leading and a middle extinct replicate
@@ -374,6 +373,18 @@ class TestStochasticRound:
         rng = np.random.default_rng(0)
         assert np.all(stochastic_round(np.full(100, 3.0), rng.random(100)) == 3)
         assert np.all(stochastic_round(np.zeros(100), rng.random(100)) == 0)
+
+    def test_counts_are_floor_plus_bernoulli_of_frac(self):
+        """The integer-cast floor gives floor(beta) + [u < frac] exactly, on
+        integers, values just off them and uniforms equal to frac."""
+        rng = np.random.default_rng(3)
+        beta = np.concatenate([rng.uniform(0, 50, 500), rng.integers(0, 50, 100),
+                               np.nextafter(np.arange(1.0, 51.0), [[0.0], [99.0]]).ravel()])
+        u = rng.random(beta.size)
+        u[:50] = beta[:50] - np.floor(beta[:50])
+        low = np.floor(beta)
+        want = (low + (u < beta - low)).astype(np.int64)
+        np.testing.assert_array_equal(stochastic_round(beta, u), want)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
