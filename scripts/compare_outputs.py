@@ -27,7 +27,9 @@ on one side only, and exits 1 on any difference, 0 when every exit code and
 every byte matches. It says what kind of difference each differing file
 holds: a structural one (a file on one side only, another number of rows or
 cells, or a differing cell that is not a float, integers and text included),
-or float cells only, with the largest relative difference among them.
+or float cells only. For the latter it prints how many cells differ, the
+largest relative difference among them, and where that one lies: its row's
+first cell and its column's header.
 """
 import csv
 import math
@@ -115,23 +117,33 @@ def _float(cell: str):
 
 
 def kind_of_difference(a: Path, b: Path) -> str:
-    """Whether two differing files differ structurally, or in float cells only
-    and by how much (the largest of |x - y| / max(|x|, |y|))."""
+    """Whether two differing files differ structurally, or in float cells only:
+    then in how many, and by how much and where at most (the largest of
+    |x - y| / max(|x|, |y|), with its row's first cell and the header of its
+    column, the header being the first row that is not a # comment)."""
     if not (a.is_file() and b.is_file()):
         return "exists on one side only"
     rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return "differs in shape"
-    worst = 0.0
+    header = next((r for r in rows_a if r and not r[0].startswith("#")), [])
+    count, worst, where = 0, -1.0, ""
     for row_a, row_b in zip(rows_a, rows_b):
-        for x, y in zip(row_a, row_b):
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
             if x == y:
                 continue
             fx, fy = _float(x), _float(y)
             if fx is None or fy is None:
                 return f"differs in a non-float cell: {x!r} against {y!r}"
-            worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
-    return f"differs in float cells only, largest relative difference {worst:.3g}"
+            count += 1
+            rel = abs(fx - fy) / max(abs(fx), abs(fy))
+            if rel > worst:
+                name = header[col] if col < len(header) else str(col + 1)
+                worst, where = rel, f"row {row_a[0]!r}, column {name!r}"
+    if not count:
+        return "differs in its bytes only, in no cell"
+    return (f"differs in float cells only: {count} cell{'s' * (count > 1)}, "
+            f"largest relative difference {worst:.3g} at {where}")
 
 
 def main(argv: list[str]) -> int:

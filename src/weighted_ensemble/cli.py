@@ -78,9 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> tuple[ExperimentConfig, ChainSetup]:
-    """The config phase: the config with its flag overrides, checked, and the
-    chain setup it builds. Each error here is a config error."""
+def _load_config(args) -> tuple[ExperimentConfig, ChainSetup, list[SourceSinkSpec]]:
+    """The config phase: the config with its flag overrides, checked, the
+    chain setup it builds and, for hill, its source-sink specs (on the sink,
+    then on A u B when hit sets are given). Each error here is a config
+    error."""
     if args.command == "coarse":
         for flag in ("reps", "threads", "mode"):
             if getattr(args, flag) is not None:
@@ -97,14 +99,19 @@ def _load_config(args) -> tuple[ExperimentConfig, ChainSetup]:
     if args.command == "hill" and len(cfg.modes) > 1:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
     setup = cfg.build_setup()
+    specs = []
     if args.command == "hill":
-        _, _, A, B = (cfg.state_set(key, setup.K.n_states)
-                      for key in ("source_state", "sink_states", "hit_a", "hit_b"))
+        n = setup.K.n_states
+        [source], sink, A, B = (cfg.state_set(key, n) for key in
+                                ("source_state", "sink_states", "hit_a", "hit_b"))
         if bool(cfg.hit_a) != bool(cfg.hit_b):
             raise ValueError("hit_a and hit_b go together: set both or neither")
         if set(A) & set(B):
             raise ValueError("hit_a and hit_b must be disjoint")
-    return cfg, setup
+        rho = Distribution.point_mass(source, n)
+        specs = [SourceSinkSpec(setup.K, frozenset(F), rho)
+                 for F in [sink] + ([A + B] if cfg.hit_b else [])]
+    return cfg, setup, specs
 
 
 def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> CoarseModel:
@@ -245,18 +252,17 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
-    base = setup.K
-    n_states = base.n_states
+def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str,
+             spec: SourceSinkSpec, hit_spec: SourceSinkSpec | None = None) -> int:
+    n_states = setup.K.n_states
     n = cfg.hill_horizon
-    rho = Distribution.point_mass(cfg.source_state - 1, n_states)
-    sink = cfg.state_set("sink_states", n_states)
+    sink = sorted(spec.sink)
 
-    def restart_run(F: list[int]) -> tuple[ChainSetup, SweepResult]:
+    def restart_run(spec: SourceSinkSpec) -> tuple[ChainSetup, SweepResult]:
         """The chain that restarts from rho on entering F, with f = 1_F, and
         its cell of replicates to the hill horizon."""
-        K = source_sink_kernel(SourceSinkSpec(base, frozenset(F), rho))
-        chain = replace(setup, K=K, f=Observable.indicator(F, n_states))
+        chain = replace(setup, K=source_sink_kernel(spec),
+                        f=Observable.indicator(spec.sink, n_states))
         [(_, [res])] = cells(cfg, chain, coarse_model(cfg, chain, n), (n,), cfg.reps)
         if res.mean <= 0:
             raise ValueError("mean eta_n(1_F) is not positive")
@@ -264,23 +270,23 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int
 
     # mfpt inverts the replicate mean of eta_n(1_F); a replicate with eta <= 0
     # has no inverse of its own and counts as invalid, but still enters the mean
-    chain, res = restart_run(sink)
+    chain, res = restart_run(spec)
     mfpt = 1.0 / res.mean
     invalid = int((res.etas <= 0).sum())
-    oracle_mfpt = direct_mfpt(base, rho, sink)
+    oracle_mfpt = direct_mfpt(setup.K, spec.source, sink)
     rows = [
         ("pi_F", res.mean, float(stationary(chain.K).weights[sink].sum()),
          res.std_err, invalid),
         ("mfpt", mfpt, oracle_mfpt, res.std_err / res.mean**2, invalid),
     ]
-    if cfg.hit_b:
+    if hit_spec is not None:
         # P[tau_B < tau_A] = eta_n(1_B) / eta_n(1_{A u B}) from one set of
         # replicates on the chain that restarts on entering A u B; invalid
         # replicates are again those with eta_n(1_{A u B}) <= 0
         A = cfg.state_set("hit_a", n_states)
         B = cfg.state_set("hit_b", n_states)
         del res  # free the first run's traces before the second run
-        chain, res = restart_run(A + B)
+        chain, res = restart_run(hit_spec)
         eta_b = res.final_eta(Observable.indicator(B, n_states))
         ratio = float(eta_b.mean()) / res.mean
         # delta method: the ratio's SE is the SE of the mean of
@@ -302,7 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, setup = _load_config(args)
+        cfg, setup, specs = _load_config(args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -317,7 +323,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_bytes(text.encode())
     try:
-        return handler(cfg, setup, out, config_hash(text))
+        return handler(cfg, setup, out, config_hash(text), *specs)
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

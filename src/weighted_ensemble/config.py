@@ -136,6 +136,8 @@ class ExperimentConfig:
         if self.chain == "three-well":
             K = build_three_well_chain(self.lag)[1]
         elif self.chain.startswith("csv:"):
+            if self.lag != ExperimentConfig.lag:
+                raise ValueError("lag applies only to the three-well chain")
             K = read_matrix_csv(Path(self.chain[4:]))
         else:
             raise ValueError(f"unknown chain {self.chain!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import Distribution, TransitionMatrix, reaches, solve_identity_minus
+from .markov import Distribution, TransitionMatrix, occupation, reaches
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,15 @@ def hitting_probability(pi: Distribution, A, B) -> float:
 
 
 def direct_mfpt(K0: TransitionMatrix, rho: Distribution, F) -> float:
-    """Exact mean first-passage time E^rho[tau_F] by the absorbing-chain linear
-    solve t = 1 + K0_restricted t on the complement of F
-    (`markov.solve_identity_minus`)."""
-    n = K0.n_states
-    mask = np.zeros(n, dtype=bool)
+    """Exact mean first-passage time E^rho[tau_F] = rho (I - Q)^-1 1, Q the
+    kernel restricted to the complement of F: the sum of the expected visits
+    y to each state before the chain enters F, y (I - Q) = rho
+    (`markov.occupation`, whose leaks are the flows into F)."""
+    mask = np.zeros(K0.n_states, dtype=bool)
     mask[list(F)] = True
     if rho.weights[mask].sum() > 0:
         raise ValueError("rho has mass on F")
     if not reaches(K0, np.flatnonzero(mask)).all():
         raise ValueError("F is unreachable from some state")
-    outside = ~mask
-    pos = np.cumsum(outside) - 1
-    rows, cols, probs = K0.entries()
-    inner = outside[rows] & outside[cols]
-    m = int(outside.sum())
-    t = solve_identity_minus(m, pos[rows[inner]], pos[cols[inner]], probs[inner],
-                             np.ones(m))
-    full = np.zeros(n)
-    full[outside] = t
-    return float(rho.weights @ full)
-
+    outside = np.flatnonzero(~mask)
+    return float(occupation(K0, outside, rho.weights[outside]).sum())

@@ -348,11 +348,10 @@ MIN_BLOCK = 64
 MAX_BLOCK = 2048
 
 
-def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray:
+def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
     """x with (I - E) x = rhs, E the n x n matrix with entry vals[k] at
     (rows[k], cols[k]), each position at most once, and I - E a nonsingular
-    M-matrix (E >= 0, substochastic in rows or columns, with every state
-    leaking).
+    M-matrix (E >= 0, substochastic in columns, with every state leaking).
 
     Block-tridiagonal elimination (Stewart, Introduction to the Numerical
     Solution of Markov Chains, 1994, ch. 2 and 4): with b = max |row - col|,
@@ -362,15 +361,15 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
     np.linalg.solve; a chain of bandwidth n is one block. Memory is
     O(B^2 + n b); a B above `MAX_BLOCK` raises ValueError.
 
-    ``leak``, when given, holds the column sums of I - E, each >= 0: a
-    column's mass that leaves the system. Each Schur complement's diagonal
-    is then rebuilt from its leak and off-diagonal entries, and the leak is
-    carried from block to block, as Grassmann, Taksar and Heyman (Oper. Res.
-    1985) do state by state; neither step subtracts. The solve of each block
-    does: its LU factorisation updates the diagonal by differences. So only
-    blocks of one state (B = 1) keep every entry's relative accuracy; in a
-    larger block the result is normwise accurate, and an entry far below the
-    block's largest can lose all of it, as one deep in a metastable well does.
+    ``leak`` holds the column sums of I - E, each >= 0: a column's mass that
+    leaves the system. Each Schur complement's diagonal is rebuilt from its
+    leak and off-diagonal entries, and the leak is carried from block to
+    block, as Grassmann, Taksar and Heyman (Oper. Res. 1985) do state by
+    state; neither step subtracts. The solve of each block does: its LU
+    factorisation updates the diagonal by differences. So only blocks of one
+    state (B = 1) keep every entry's relative accuracy; in a larger block the
+    result is normwise accurate, and an entry far below the block's largest
+    can lose all of it, as one deep in a metastable well does.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -384,11 +383,10 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
         raise ValueError(f"the linear solve couples states {band} apart, more than "
                          f"{MAX_BLOCK}: its dense blocks would not fit in memory")
     cuts = np.searchsorted(rows, np.arange(0, n + size, size))
-    if leak is not None:
-        leak = np.array(leak, dtype=float)
-        # E's mass in each column from the rows of the next block
-        nxt = rows // size == cols // size + 1
-        down = np.bincount(cols[nxt], weights=vals[nxt], minlength=n)
+    leak = np.array(leak, dtype=float)
+    # E's mass in each column from the rows of the next block
+    nxt = rows // size == cols // size + 1
+    down = np.bincount(cols[nxt], weights=vals[nxt], minlength=n)
     blocks = []  # per block: (D^-1 U, D^-1 r), D the Schur complement
     for k, s in enumerate(range(0, n, size)):
         m = min(size, n - s)
@@ -407,11 +405,9 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
             g, y = blocks[-1]
             d[:, :g.shape[1]] -= lower @ g[-band:]
             b -= lower @ y[-band:]
-            if leak is not None:
-                leak[s:s + g.shape[1]] -= leak[s - g.shape[0]:s] @ g
-        if leak is not None:
-            np.fill_diagonal(d, 0.0)
-            np.fill_diagonal(d, leak[s:s + m] - d.sum(axis=0) + down[s:s + m])
+            leak[s:s + g.shape[1]] -= leak[s - g.shape[0]:s] @ g
+        np.fill_diagonal(d, 0.0)
+        np.fill_diagonal(d, leak[s:s + m] - d.sum(axis=0) + down[s:s + m])
         width = min(band, n - s - m)  # the next block's states coupled to this
         upper = np.zeros((m, width))
         upper[r[above], c[above] - m] = -v[above]
@@ -426,6 +422,21 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak=None) -> np.ndarray
     return x
 
 
+def occupation(K: TransitionMatrix, keep, start) -> np.ndarray:
+    """y with y (I - Q) = start, Q the kernel K restricted to the states
+    ``keep`` in that order: from the measure ``start`` on them, the expected
+    visits to each before the chain leaves ``keep``. The one caller of
+    `solve_identity_minus`, on the transposed system, whose leaks are the
+    kept states' flows out of ``keep``."""
+    pos = np.full(K.n_states, -1, np.intp)
+    pos[keep] = np.arange(len(keep))
+    src, dst, p = K.entries()
+    src, dst = pos[src], pos[dst]
+    inner, out = (src >= 0) & (dst >= 0), (src >= 0) & (dst < 0)
+    leak = np.bincount(src[out], weights=p[out], minlength=len(keep))
+    return solve_identity_minus(len(keep), dst[inner], src[inner], p[inner], start, leak)
+
+
 # the residual max|pi K - pi| that `stationary` accepts, and the most power
 # iterations it takes to reach it
 STATIONARY_TOL = 1e-12
@@ -437,22 +448,23 @@ def stationary(K: TransitionMatrix) -> Distribution:
     `STATIONARY_TOL`.
 
     Pins pi at a state k that every state reaches and solves the balance
-    equations of the other states k reaches, pi_j - sum_{i != k} pi_i K(i, j)
-    = K(k, j), by `solve_identity_minus` with their flows into k as the leak.
-    States that k does not reach are transient and get exactly 0. The states
-    go from the farthest from k (in steps to k) to the nearest, the order in
-    which Grassmann, Taksar and Heyman eliminate; it also keeps the states a
-    restart row joins (a source-sink chain's) near each other, so the band
-    stays narrow. When no state is reached by every state (two closed
-    classes, so pi is not unique) or the solve fails or is negative beyond
-    roundoff (at least -STATIONARY_TOL * max pi is clipped to 0), it starts
-    from uniform instead; either way up to `POWER_ITERS` power iterations
-    then refine pi until the residual is within the tolerance, and it raises
+    equations of the other states k reaches,
+    pi_j - sum_{i != k} pi_i K(i, j) = K(k, j), by `occupation` (they flow
+    only to each other and to k, so each one's leak is its flow into k). States that k does not reach are
+    transient and get exactly 0. The states go from the farthest from k (in
+    steps to k) to the nearest, the order in which Grassmann, Taksar and
+    Heyman eliminate; it also keeps the states a restart row joins (a
+    source-sink chain's) near each other, so the band stays narrow. When no
+    state is reached by every state (two closed classes, so pi is not
+    unique) or the solve fails or is negative beyond roundoff (at least
+    -STATIONARY_TOL * max pi is clipped to 0), it starts from uniform
+    instead; either way up to `POWER_ITERS` power iterations then refine pi
+    until the residual is within the tolerance, and it raises
     ConvergenceError if the residual is not (a periodic chain from a start
     that is not stationary, or a slow one from uniform).
     """
     n = K.n_states
-    src, dst, p = K.entries()
+    src, dst, _ = K.entries()
     ahead_graph, back_graph = _adjacency(n, src, dst), _adjacency(n, dst, src)
     pin = 0
     while True:
@@ -468,18 +480,9 @@ def stationary(K: TransitionMatrix) -> Distribution:
         live[pin] = False
         solved = np.flatnonzero(live)
         solved = solved[np.argsort(-steps[solved], kind="stable")]
-        pos = np.full(n, -1, np.intp)
-        pos[solved] = np.arange(solved.size)
-        inner = live[src] & live[dst]
-        from_pin = (src == pin) & live[dst]
-        to_pin = (dst == pin) & live[src]
-        rhs = np.zeros(solved.size)
-        rhs[pos[dst[from_pin]]] = p[from_pin]
-        leak = np.zeros(solved.size)
-        leak[pos[src[to_pin]]] = p[to_pin]
+        pinned = np.bincount(K.columns[pin], weights=K.probs[pin], minlength=n)
         try:
-            x = solve_identity_minus(solved.size, pos[dst[inner]], pos[src[inner]],
-                                     p[inner], rhs, leak)
+            x = occupation(K, solved, pinned[solved])
         except np.linalg.LinAlgError:  # a block singular in working precision
             x = None
         if x is not None and (x.min(initial=0.0)

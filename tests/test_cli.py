@@ -466,17 +466,6 @@ class TestHill:
         assert code == 2
         assert "mean eta_n(1_F) is not positive" in capsys.readouterr().err
 
-    def test_source_inside_sink_is_numerical_error(self, tmp_path, two_state):
-        path = tmp_path / "K.csv"
-        write_matrix_csv(path, two_state)
-        cfg = write_config(
-            tmp_path, chain=f"csv:{path}", bin_width="1", f_states="2",
-            source_state="2", sink_states="2", horizons="1", reps="10",
-            n_particles="4",
-        )
-        code = cli.main(["hill", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-
 
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):
@@ -507,6 +496,10 @@ class TestExitCodes:
         # overlapping sets have no first hit to tell apart
         ("hill", {"hit_a": "11..30"}),
         ("hill", {"hit_a": "11..30", "hit_b": "25..40"}),
+        # the config phase builds each source-sink spec, which checks these
+        ("hill", {"sink_states": ""}),
+        ("hill", {"source_state": "85"}),
+        ("hill", {"source_state": "12", "hit_a": "11..30", "hit_b": "61..75"}),
         # CSV files, given by their data rows: a 0 index that would wrap to
         # the last state, a vector index 0, and a state above 10^4
         ("run", {"chain": ["1,1,0.9", "1,2,0.1", "0,1,0.2", "2,2,0.8"],
@@ -515,12 +508,16 @@ class TestExitCodes:
         ("run", {"chain": ["10001,1,1.0"]}),
         ("run", {"chain": ["1,1,0.9", "1,2,0.1", "2,1,0.2", "2,2,nan"],
                  "bin_width": "1", "f_states": "2"}),
+        # a csv: chain is the kernel itself, so a lag would be ignored
+        ("run", {"chain": ["1,1,0.9", "1,2,0.1", "2,1,0.2", "2,2,0.8"],
+                 "bin_width": "1", "f_states": "2", "lag": "7"}),
         ("diagnose", {"diag_reps": "99"}),
         ("diagnose", {"diag_horizon": "-1"}),
         ("hill", {"hill_horizon": "-3"}),
     ], ids=["chain", "bin_width", "f_states", "source_above", "source_zero",
-            "hit_b", "hit_a_alone", "hit_overlap", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
-            "csv_chain_nan", "diag_reps", "diag_horizon", "hill_horizon"])
+            "hit_b", "hit_a_alone", "hit_overlap", "sink_empty", "source_in_sink",
+            "source_in_hit_a", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
+            "csv_chain_nan", "csv_chain_lag", "diag_reps", "diag_horizon", "hill_horizon"])
     def test_bad_setup_input_is_config_error(self, tmp_path, capsys, command,
                                              config):
         values = {}

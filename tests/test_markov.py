@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -49,6 +50,28 @@ def dense_stationary(m: np.ndarray) -> tuple[np.ndarray, float]:
         rhs[k] = 1.0
         pi = np.linalg.solve(a, rhs)
     return pi, float(np.linalg.cond(a))
+
+
+def dense_gth_mfpt(m: np.ndarray, F, source: int) -> float:
+    """E_source[tau_F] on the dense kernel m by state reduction (Grassmann,
+    Taksar & Heyman, Oper. Res. 1985): the states outside F other than the
+    source are censored one by one. Censoring k adds to each state left its
+    excursions through k (onward probabilities, flows into F and expected
+    durations), each over k's exit rate. That rate is k's flow into F plus
+    its flow to the states left, so no step subtracts. The source, left
+    alone, makes 1 / (its flow into F) visits of its expected duration."""
+    outside = np.setdiff1d(np.arange(m.shape[0]), sorted(F))
+    a = m[np.ix_(outside, outside)]
+    to_f = m[np.ix_(outside, sorted(F))].sum(axis=1)
+    time = np.ones(outside.size)
+    left = np.ones(outside.size, dtype=bool)
+    for k in np.flatnonzero(outside != source):
+        left[k] = False
+        share = a[left, k] / (to_f[k] + a[k, left].sum())
+        a[np.ix_(left, left)] += np.outer(share, a[k, left])
+        to_f[left] += share * to_f[k]
+        time[left] += share * time[k]
+    return float(time[left][0] / to_f[left][0])
 
 
 # both sides of a solver check err by up to about cond * eps, normwise, so
@@ -354,15 +377,16 @@ class TestStationary:
 
 
 class TestSolves:
-    """`stationary` and `direct_mfpt` against dense np.linalg.solve oracles,
-    with blocks of as few as one state so that every coupling path runs."""
+    """`stationary` and `direct_mfpt` against dense oracles (np.linalg.solve
+    and state reduction), with blocks of as few as one state so that every
+    coupling path runs."""
 
     def test_coupling_past_max_block_is_refused(self):
         # one entry joins the first and the last state: a block would hold
         # all of them, and it is refused before it is allocated
         n = markov.MAX_BLOCK + 2
         with pytest.raises(ValueError, match=f"couples states {n - 1} apart"):
-            markov.solve_identity_minus(n, [n - 1], [0], [0.5], np.ones(n))
+            markov.solve_identity_minus(n, [n - 1], [0], [0.5], np.ones(n), np.ones(n))
 
     @settings(max_examples=60, deadline=None)
     @given(banded_chains(), st.sampled_from([1, 2, 3, 64]))
@@ -387,10 +411,24 @@ class TestSolves:
         source = data.draw(st.sampled_from(outside.tolist()))
         with mock.patch.object(markov, "MIN_BLOCK", min_block):
             got = direct_mfpt(K, Distribution.point_mass(source, n), F)
-        a = np.eye(outside.size) - K.to_dense()[np.ix_(outside, outside)]
-        t = np.linalg.solve(a, np.ones(outside.size))
-        want = t[outside == source][0]
+        m = K.to_dense()
+        a = np.eye(outside.size) - m[np.ix_(outside, outside)]
+        want = dense_gth_mfpt(m, F, source)
         assert abs(got - want) <= COND_EPS * np.linalg.cond(a) * want
+
+    def test_steep_birth_death_mfpt_is_accurate_in_one_state_blocks(self):
+        # up 0.3, down 0.2 and reflecting ends: pi_k is proportional to
+        # (up / down)^k, so E_1[tau_0] = sum_{k >= 1} pi_k / (pi_1 down),
+        # about 4.7e16, here summed exactly. With the flows into F as the
+        # leaks, one-state blocks never subtract
+        n, up, down = 90, 0.3, 0.2
+        m = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+        K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
+        ratio = Fraction(up) / Fraction(down)
+        want = float(sum(ratio**k for k in range(n - 1)) / Fraction(down))
+        with mock.patch.object(markov, "MIN_BLOCK", 1):
+            got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
+        assert abs(got - want) <= 1e-12 * want
 
     def test_hundred_thousand_state_birth_death_chain(self):
         # detailed balance pi[i + 1] / pi[i] = up[i] / down[i + 1] on a
