@@ -19,7 +19,6 @@ from .engine import (
     allocate_targets,
     bin_totals,
     empirical_estimate,
-    init_ensemble,
     mutate,
     run_we,
     select,

@@ -124,18 +124,19 @@ def coarse_model(cfg: ExperimentConfig, setup: ChainSetup, horizon: int) -> Coar
 
 
 def cells(cfg: ExperimentConfig, setup: ChainSetup, model: CoarseModel,
-          horizons: Sequence[int], reps: int,
-          doob: bool = False) -> Iterator[tuple[str, list[SweepResult]]]:
+          horizons: Sequence[int], reps: int, doob: bool = False,
+          traces: bool = True) -> Iterator[tuple[str, list[SweepResult]]]:
     """Each mode of the config with its cell: replicates 0..reps-1 of the
     seed from the model's mu-spread ensemble, under the mode's policy on the
     model's v table, one result per horizon. A mode's cell runs when it is
-    asked for."""
+    asked for. Only `run` writes every generation; `hill` and `diagnose`
+    read generation n alone and ask for no ``traces``."""
     init = stationary_init_ensemble(model.mu, setup.bins, cfg.n_particles)
     for mode in cfg.modes:
         policy = make_policy(mode, setup.bins, cfg.n_particles, cfg.n_floor,
                              cfg.per_bin_target, model.v)
         yield mode, run_sweep_cell(setup, init, policy, horizons, reps, cfg.seed,
-                                   cfg.threads, doob)
+                                   cfg.threads, doob, traces)
 
 
 def cmd_coarse(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
@@ -237,7 +238,8 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
     model = coarse_model(cfg, setup, n)
     rows = []
     all_passed = True
-    for _, [res] in cells(cfg, setup, model, (n,), cfg.diag_reps, doob=True):
+    for _, [res] in cells(cfg, setup, model, (n,), cfg.diag_reps, doob=True,
+                          traces=False):
         for report in run_checks(res):
             rows.append((report.check, report.n, report.policy, report.value,
                          report.reference, report.std_err, report.z,
@@ -263,7 +265,8 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str,
         its cell of replicates to the hill horizon."""
         chain = replace(setup, K=source_sink_kernel(spec),
                         f=Observable.indicator(spec.sink, n_states))
-        [(_, [res])] = cells(cfg, chain, coarse_model(cfg, chain, n), (n,), cfg.reps)
+        [(_, [res])] = cells(cfg, chain, coarse_model(cfg, chain, n), (n,), cfg.reps,
+                             traces=False)
         if res.mean <= 0:
             raise ValueError("mean eta_n(1_F) is not positive")
         return chain, res

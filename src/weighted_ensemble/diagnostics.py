@@ -38,7 +38,6 @@ class GSequence:
     """
 
     g: np.ndarray = field(repr=False)  # (n+1, states)
-    kg2: np.ndarray = field(repr=False)  # (n, states): K applied to g[p+1]^2
     local_var: np.ndarray = field(repr=False)  # (n, states)
 
     @property
@@ -76,7 +75,7 @@ def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
             f"local variance is {local_var.min():.3e} < -1e-10; this violates "
             "Jensen and signals a bug in the kernel or the observable"
         )
-    return GSequence(g=g, kg2=kg2, local_var=np.maximum(local_var, 0.0))
+    return GSequence(g=g, local_var=np.maximum(local_var, 0.0))
 
 
 def mutation_variance_term(
@@ -107,39 +106,6 @@ def selection_variance_term(
     frac = beta - np.floor(beta)
     term = e.weights / beta * g.g[p][e.states]
     return e.replicate_sums(term * term * frac * (1.0 - frac))
-
-
-def conditional_mutation_variance(
-    e: Ensemble, beta: np.ndarray, g: GSequence, p: int
-) -> float:
-    """Pre-selection form sum_j w_j^2 / beta_j * [K g_{p+1}^2 - g_p^2](xi_j),
-    the quantity the square-root allocation rule minimizes.
-
-    Particles with zero local variance contribute nothing, so beta = 0 is
-    tolerated there (the allocation formula assigns them no children); beta
-    must be positive wherever the local variance is positive.
-    """
-    beta = np.asarray(beta, dtype=float)
-    var = g.local_var[p][e.states]
-    if np.any(beta < 0) or np.any((beta == 0) & (var > 0)):
-        raise ValueError("beta must be positive wherever the local variance is")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(var > 0, e.weights**2 * var / beta, 0.0)
-    return float(terms.sum())
-
-
-def optimal_allocation(
-    e: Ensemble, g: GSequence, p: int, total_target: float
-) -> np.ndarray:
-    """Variance-minimizing mean children counts for a fixed expected total:
-    beta_j proportional to w_j sqrt(local variance at xi_j), summing to N."""
-    score = e.weights * np.sqrt(g.local_var[p][e.states])
-    denom = score.sum()
-    if denom <= 0:
-        raise ValueError(
-            "all local variances vanish; every allocation is optimal"
-        )
-    return total_target * score / denom
 
 
 @dataclass(frozen=True)

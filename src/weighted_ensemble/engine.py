@@ -128,22 +128,20 @@ class _Replicates:
         """Particles per replicate."""
         return self.offsets[1:] - self.offsets[:-1]
 
-    @cached_property
-    def _occupied(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which replicates own particles, and the first particle of each."""
-        occupied = self.offsets[1:] > self.offsets[:-1]
-        return occupied, self.offsets[:-1][occupied]
-
     def replicate_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of a per-particle array over each replicate's particles, 0 for
         an extinct replicate: one `np.add.reduceat` from the occupied
         replicates' first particles (no start reaches the particle count, so
-        none is clipped). A replicate's sum is its first value plus numpy's
-        blocked pairwise sum of the rest, so it depends on that replicate's
-        values alone, not on where the replicate sits in the pass."""
-        occupied, starts = self._occupied
+        none is clipped), scattered into zeros only when a replicate is
+        extinct. A replicate's sum is its first value plus numpy's blocked
+        pairwise sum of the rest, so it depends on that replicate's values
+        alone, not on where the replicate sits in the pass."""
+        starts = self.offsets[:-1]
+        occupied = self.offsets[1:] > starts
+        if occupied.all():
+            return np.add.reduceat(values, starts)
         sums = np.zeros(occupied.size)
-        sums[occupied] = np.add.reduceat(values, starts)
+        sums[occupied] = np.add.reduceat(values, starts[occupied])
         return sums
 
 
@@ -271,16 +269,6 @@ def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def init_ensemble(initial: Distribution, n0: int) -> Ensemble:
-    """Initial population of n0 particles with equal weights 1/n0, with
-    deterministic per-state counts matching n0 * initial by largest remainder."""
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    counts = largest_remainder(n0 * initial.weights, n0)
-    states = np.repeat(np.arange(initial.n_states), counts)
-    return Ensemble(0, states, np.full(n0, 1.0 / n0))
-
-
 def stationary_init_ensemble(
     mu: Distribution, bins: BinPartition, n_particles: int
 ) -> Ensemble:
@@ -323,8 +311,9 @@ def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     This is the minimal-second-moment integer law with mean beta.
     """
-    if beta.size and beta.min() < 0:
-        raise ValueError("beta must be >= 0")
+    # false for NaN as well: min and max propagate it
+    if beta.size and not (beta.min() >= 0 and beta.max() < np.inf):
+        raise ValueError("beta must be finite and >= 0")
     if u.shape != beta.shape:
         raise ValueError("need one uniform per beta")
     counts = beta.astype(np.int64)  # floor, as beta >= 0
@@ -344,9 +333,13 @@ def bin_totals(e: Ensemble, bins: BinPartition,
                        minlength=e.n_replicates * bins.n_bins).reshape(-1, bins.n_bins)
 
 
-def _bin_key(e: Ensemble, bins: BinPartition) -> np.ndarray:
-    """Each particle's (replicate, bin) index, replicate * R + bin."""
-    return np.repeat(np.arange(e.n_replicates) * bins.n_bins, e.sizes) + bins.bin_of[e.states]
+def _bin_key(e: Ensemble, bins: BinPartition,
+             base: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each particle's (replicate, bin) index, replicate * R + bin; the
+    replicate base, replicate * R, is rebuilt from the offsets unless given."""
+    if base is None:
+        base = np.repeat(np.arange(e.n_replicates) * bins.n_bins, e.sizes)
+    return base + bins.bin_of[e.states]
 
 
 def allocate_targets(bin_weight: np.ndarray, policy: AdaptivePolicy,
@@ -360,21 +353,45 @@ def allocate_targets(bin_weight: np.ndarray, policy: AdaptivePolicy,
     """
     score = policy.root_v[row] * bin_weight
     total = score.sum(axis=-1, keepdims=True)
-    # where the total is 0 every score is 0 too, and dividing by 1 gives the floor
-    denom = np.where(total == 0, 1.0, total)
     N, floor = policy.total_target, policy.n_floor
-    return (N - floor * policy.bins.n_bins) * score / denom + floor
+    score *= N - floor * policy.bins.n_bins
+    # where the total is 0 every score is 0 too, and stays 0: the floor
+    np.divide(score, total, out=score, where=total > 0)
+    score += floor
+    return score
 
 
-def _mean_children_and_child_weights(
-    e: Ensemble, policy: SelectionPolicy, horizon: Optional[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-particle beta and the weight each of its children will carry."""
+def select(
+    e: Ensemble,
+    policy: SelectionPolicy,
+    u: Optional[np.ndarray] = None,
+    horizon: Optional[int] = None,
+    base: Optional[np.ndarray] = None,
+) -> SelectionOutcome:
+    """Selection step over a pass: draw children counts and reweight.
+
+    Under bin policies, all children in bin r of a replicate share the weight
+    omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
+    are stochastically rounded with the uniforms ``u``, one per particle.
+    ``base``, each particle's replicate * R, keys its (replicate, bin)
+    (`_bin_key`); `run_we` carries it through ``parent_of`` so it is never
+    rebuilt. The naive policy copies every particle once, in place, and needs
+    neither. The adaptive policy reads the v row of generation
+    ``e.generation`` in a run to ``horizon`` (`AdaptivePolicy.row`). An empty
+    outcome (extinction) is legal.
+    """
+    if e.n_particles == 0:
+        raise ValueError("cannot select from an empty ensemble")
     if isinstance(policy, NaivePolicy):
-        return np.ones(e.n_particles), e.weights
-    bins = policy.bins
-    key = _bin_key(e, bins)
-    bin_weight = bin_totals(e, bins, key)
+        return SelectionOutcome._trusted(
+            states=e.states, weights=e.weights, parent_of=np.arange(e.n_particles),
+            children_count=np.ones(e.n_particles, np.int64),
+            mean_children=np.ones(e.n_particles), generation=e.generation,
+            offsets=e.offsets)
+    if u is None:
+        raise ValueError("bin policies need uniforms for stochastic rounding")
+    key = _bin_key(e, policy.bins, base)
+    bin_weight = bin_totals(e, policy.bins, key)
     if isinstance(policy, TraditionalPolicy):
         targets = policy.per_bin_target
     else:
@@ -385,34 +402,8 @@ def _mean_children_and_child_weights(
             and np.count_nonzero(omega_bar) == np.count_nonzero(bin_weight)):
         raise ValueError("child weights must be positive and finite")
     child_weight = omega_bar.ravel()[key]
-    return e.weights / child_weight, child_weight
-
-
-def select(
-    e: Ensemble,
-    policy: SelectionPolicy,
-    u: Optional[np.ndarray] = None,
-    horizon: Optional[int] = None,
-) -> SelectionOutcome:
-    """Selection step over a pass: draw children counts and reweight.
-
-    Under bin policies, all children in bin r of a replicate share the weight
-    omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
-    are stochastically rounded with the uniforms ``u``, one per particle. The
-    naive policy copies every particle once deterministically and needs none.
-    The adaptive policy reads the v row of generation ``e.generation`` in a
-    run to ``horizon`` (`AdaptivePolicy.row`). An empty outcome (extinction)
-    is legal.
-    """
-    if e.n_particles == 0:
-        raise ValueError("cannot select from an empty ensemble")
-    beta, child_weight = _mean_children_and_child_weights(e, policy, horizon)
-    if isinstance(policy, NaivePolicy):
-        counts = np.ones(e.n_particles, dtype=np.int64)
-    else:
-        if u is None:
-            raise ValueError("bin policies need uniforms for stochastic rounding")
-        counts = stochastic_round(beta, u)
+    beta = e.weights / child_weight
+    counts = stochastic_round(beta, u)
     parent_of = np.repeat(np.arange(e.n_particles), counts)
     return SelectionOutcome._trusted(
         states=e.states[parent_of],
@@ -444,9 +435,10 @@ def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
 
 @dataclass
 class RunRecord:
-    """Per-generation traces of a pass of WE runs, one row per replicate."""
+    """Traces of a pass of WE runs, one row per replicate: a column per
+    generation 0..n, or generation n's alone for a run without traces."""
 
-    eta_f: np.ndarray  # (replicates, n+1)
+    eta_f: np.ndarray  # (replicates, n+1), or (replicates, 1)
     num_particles: np.ndarray
     total_weight: np.ndarray
     extinct: np.ndarray  # (replicates,) bool: no particle left at generation n
@@ -463,6 +455,7 @@ def run_we(
     seed: int,
     reps: Sequence[int],
     observe: Optional[Callable[[int, Ensemble, SelectionOutcome], None]] = None,
+    traces: bool = True,
 ) -> RunRecord:
     """Run the select -> mutate loop for n generations on a pass of replicates.
 
@@ -472,6 +465,12 @@ def run_we(
     replicate, so a row depends on its chunk alone. The adaptive policy's v
     table needs at least n rows. An extinct replicate has eta 0 from then on
     by convention; the loop stops when the whole pass is.
+
+    A generation is one `select`, given each particle's replicate base
+    (replicate * R), then one `mutate`; the base follows its particle
+    through ``parent_of``. Each replicate's eta_p(f), total weight and
+    particle count are recorded at every generation with ``traces``, and at
+    generation n alone without; the draws are the same either way.
     ``observe(p, ensemble, outcome)``, if given, is called at every
     generation p < n that selects, with the pre-selection pass and the
     selection made from it.
@@ -493,32 +492,39 @@ def run_we(
             if hi > lo:  # an extinct chunk draws nothing
                 stream.at(p, purpose).random(out=u[lo:hi])
         return u
-    eta = np.zeros((B, n + 1))
-    num = np.zeros((B, n + 1), dtype=np.int64)
-    tot = np.zeros((B, n + 1))
+    first = 0 if traces else n  # the first generation recorded
+    eta = np.zeros((B, n + 1 - first))
+    num = np.zeros((B, n + 1 - first), dtype=np.int64)
+    tot = np.zeros((B, n + 1 - first))
 
     e = Ensemble(0, np.tile(init.states, B), np.tile(init.weights, B),
                  np.arange(B + 1) * init.n_particles)
+    # each particle's replicate base, replicate * R; the naive policy keys no bins
+    base = None if naive else np.repeat(np.arange(B) * policy.bins.n_bins,
+                                        init.n_particles)
     tau_kill: Optional[int] = None
     for p in range(n + 1):
-        eta[:, p] = empirical_estimate(e, f)
-        num[:, p] = e.sizes
-        tot[:, p] = e.total_weight
+        if p >= first:
+            eta[:, p - first] = empirical_estimate(e, f)
+            num[:, p - first] = e.sizes
+            tot[:, p - first] = e.total_weight
         if e.n_particles == 0:
             tau_kill = p
             break
         if p == n:
             break
         u = None if naive else uniforms(p, "select", e.offsets)
-        outcome = select(e, policy, u, n)
+        outcome = select(e, policy, u, n, base)
         if observe is not None:
             observe(p, e, outcome)
+        if base is not None:
+            base = base[outcome.parent_of]
         e = mutate(outcome, K, uniforms(p, "mutate", outcome.offsets))
     return RunRecord(
         eta_f=eta,
         num_particles=num,
         total_weight=tot,
-        extinct=num[:, n] == 0,
+        extinct=num[:, -1] == 0,
         tau_kill=tau_kill,
         final=e,
     )

@@ -75,9 +75,11 @@ class SweepResult:
     mode: str
     n: int
     exact: float  # eta_0 K^n f from the deterministic initial ensemble
-    traces: np.ndarray  # (reps, n+1) eta per generation
-    weight_traces: np.ndarray  # (reps, n+1) total weight
-    count_traces: np.ndarray  # (reps, n+1) particle counts, 0 from extinction on
+    # (reps, n+1) per generation, or (reps, 1), generation n's alone, for a
+    # cell run without traces
+    traces: np.ndarray  # eta
+    weight_traces: np.ndarray  # total weight
+    count_traces: np.ndarray  # particle counts, 0 from extinction on
     # every replicate's last ensemble, one per pass in replicate order; largest n only
     final: Optional[list[Ensemble]] = None
     # each replicate's sum_p (mut_p + sel_p), largest n of a doob=True call only
@@ -107,14 +109,15 @@ class SweepResult:
 
 
 def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
-           init: Ensemble, n: int, seed: int, gseq: Optional[GSequence], reps: range):
+           init: Ensemble, n: int, seed: int, gseq: Optional[GSequence],
+           traces: bool, reps: range):
     """run_we on one pass of replicates. With ``gseq`` it observes the exact
     Doob terms against it and also returns each replicate's sum_p (mut_p +
     sel_p); without, that second value is None."""
     if gseq is None:
-        return run_we(K, f, policy, init, n, seed, reps), None
+        return run_we(K, f, policy, init, n, seed, reps, traces=traces), None
     observe, mut, sel = doob_terms(gseq, len(reps))
-    rec = run_we(K, f, policy, init, n, seed, reps, observe=observe)
+    rec = run_we(K, f, policy, init, n, seed, reps, observe=observe, traces=traces)
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 
 
@@ -127,6 +130,7 @@ def run_sweep_cell(
     seed: int,
     threads: int = 1,
     doob: bool = False,
+    traces: bool = True,
 ) -> list[SweepResult]:
     """Run replicates 0..reps-1 of ``seed`` from ``init`` under one policy;
     one result per horizon, in order.
@@ -143,6 +147,10 @@ def run_sweep_cell(
     carry each replicate's accumulated sum in ``variance`` instead of the
     final ensembles. M_0 is deterministic, so the mean of ``variance`` is
     unbiased for Var(eta_n f).
+
+    Without ``traces`` a run records generation n alone, which is all a
+    cell's mean, extinctions and final ensembles need; a run that holds
+    several cells records every generation, as their prefixes need it.
     """
     n_max = max(horizons)
     adaptive = isinstance(policy, AdaptivePolicy)
@@ -155,16 +163,18 @@ def run_sweep_cell(
     results = []
     for cells in ([[n] for n in horizons] if adaptive else [horizons]):
         n = max(cells)
-        traces = np.empty((reps, n + 1))
-        weights = np.empty((reps, n + 1))
-        counts = np.empty((reps, n + 1), dtype=np.int64)
+        every = traces or len(cells) > 1
+        width = n + 1 if every else 1
+        etas = np.empty((reps, width))
+        weights = np.empty((reps, width))
+        counts = np.empty((reps, width), dtype=np.int64)
         gseq = g_max if n == n_max else None
         finals, variances = [], []
-        one = partial(_batch, setup.K, setup.f, policy, init, n, seed, gseq)
+        one = partial(_batch, setup.K, setup.f, policy, init, n, seed, gseq, every)
         lo = 0
         for rec, variance in replicates(one, reps, threads):
             hi = lo + len(rec.eta_f)
-            traces[lo:hi] = rec.eta_f
+            etas[lo:hi] = rec.eta_f
             weights[lo:hi] = rec.total_weight
             counts[lo:hi] = rec.num_particles
             lo = hi
@@ -174,7 +184,7 @@ def run_sweep_cell(
                 finals.append(rec.final)
         final = finals or None
         variance = np.concatenate(variances) if variances else None
-        results += [SweepResult(mode, h, exact[h], traces[:, :h + 1],
+        results += [SweepResult(mode, h, exact[h], etas[:, :h + 1],
                                 weights[:, :h + 1], counts[:, :h + 1],
                                 final if h == n_max else None,
                                 variance if h == n_max else None)

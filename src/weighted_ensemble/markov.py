@@ -153,17 +153,17 @@ class TransitionMatrix:
         the full row.
         """
         t = self.cdf_tables()
-        buckets = t.guide.shape[1] - 1
+        buckets = t.slots.shape[1] - 1
         s = np.asarray(states, dtype=np.int64)
         u = np.asarray(u, dtype=float)
-        guide, cum = t.guide.ravel(), t.cumsums.ravel()
+        slots, cum = t.slots.ravel(), t.cumsums.ravel()
         # u * buckets is exact, as buckets is a power of two
         k = s * (buckets + 1) + (u * buckets).astype(np.int64)
-        row = s * t.cumsums.shape[1]
-        lo = row + guide[k]  # flat slot indices; the answer lies in [lo, hi]
+        # flat slot indices; the answer lies in [lo, hi]
+        lo = slots[k].astype(np.intp)
         if t.rounds > 1:
             # a probe past hi reads a cumsum above u, so clamping it is exact
-            hi = row + guide[k + 1]
+            hi = slots[k + 1]
             for r in range(t.rounds - 1, 0, -1):
                 lo += (cum[np.minimum(lo + ((1 << r) - 1), hi)] <= u) * (1 << r)
         lo += cum[lo] <= u
@@ -191,14 +191,16 @@ class CdfTables:
     ``guide[i, G]`` those < 1: the slot of u in [k/G, (k+1)/G) lies in
     [guide[i, k], guide[i, k + 1]]. G is the smallest size that gives every
     bracket at most two slots, and ``rounds`` halving steps (at least one)
-    close the widest bracket.
+    close the widest bracket. The guide is kept as ``slots``, i W +
+    guide[i, k], the flat index of that slot in the (S, W) tables, so a
+    bracket's end is one gather.
 
-    Memory: 8 S W bytes of cumsums plus S (G + 1) guide entries of the
-    narrowest unsigned type that holds W.
+    Memory: 8 S W bytes of cumsums plus S (G + 1) slots of the narrowest
+    unsigned type that holds S W.
     """
 
     cumsums: np.ndarray
-    guide: np.ndarray
+    slots: np.ndarray
     rounds: int
 
     @classmethod
@@ -222,12 +224,13 @@ class CdfTables:
         col = np.ceil(cumsums * buckets).astype(np.int64)
         col += np.arange(n)[:, None] * (buckets + 1)
         hits = np.bincount(col[inner], minlength=n * (buckets + 1))
-        guide = np.cumsum(hits.reshape(n, buckets + 1), axis=1).astype(
-            np.min_scalar_type(width))
+        guide = np.cumsum(hits.reshape(n, buckets + 1), axis=1)
+        slots = (guide + (np.arange(n) * width)[:, None]).astype(
+            np.min_scalar_type(n * width))
         rounds = max(1, int(hits.max()).bit_length())
-        for a in (cumsums, guide):
+        for a in (cumsums, slots):
             a.setflags(write=False)
-        return cls(cumsums, guide, rounds)
+        return cls(cumsums, slots, rounds)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from weighted_ensemble import (
     source_sink_kernel,
 )
 from weighted_ensemble.coarse import build_coarse_model
-from weighted_ensemble.engine import stationary_init_ensemble
+from weighted_ensemble.engine import Ensemble, largest_remainder, stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.experiment import ChainSetup
 
@@ -28,6 +28,57 @@ def dense_cdf():
     """The dense reference for inverse-CDF sampling, built from the matrix
     alone: (u[:, None] >= dense_cdf(K.to_dense())[states]).sum(axis=1)."""
     return _dense_cdf
+
+
+def _init_ensemble(initial, n0: int) -> Ensemble:
+    # n0 particles of weight 1/n0 with deterministic per-state counts
+    # matching n0 * initial by largest remainder
+    if n0 < 1:
+        raise ValueError("n0 must be >= 1")
+    counts = largest_remainder(n0 * initial.weights, n0)
+    states = np.repeat(np.arange(initial.n_states), counts)
+    return Ensemble(0, states, np.full(n0, 1.0 / n0))
+
+
+@pytest.fixture(scope="session")
+def init_ensemble():
+    """A one-replicate initial ensemble of n0 equal weights, spread over the
+    states of a Distribution by largest remainder."""
+    return _init_ensemble
+
+
+def _conditional_mutation_variance(e, beta, g, p) -> float:
+    # sum_j w_j^2 / beta_j [K g_{p+1}^2 - g_p^2](xi_j); particles with zero
+    # local variance add nothing, so beta = 0 is tolerated there only
+    beta = np.asarray(beta, dtype=float)
+    var = g.local_var[p][e.states]
+    if np.any(beta < 0) or np.any((beta == 0) & (var > 0)):
+        raise ValueError("beta must be positive wherever the local variance is")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(var > 0, e.weights**2 * var / beta, 0.0)
+    return float(terms.sum())
+
+
+@pytest.fixture(scope="session")
+def conditional_mutation_variance():
+    """The pre-selection mutation variance of mean children counts beta at
+    generation p, the quantity the square-root allocation rule minimizes."""
+    return _conditional_mutation_variance
+
+
+def _optimal_allocation(e, g, p, total_target: float) -> np.ndarray:
+    # beta_j proportional to w_j sqrt(local variance at xi_j), summing to N
+    score = e.weights * np.sqrt(g.local_var[p][e.states])
+    denom = score.sum()
+    if denom <= 0:
+        raise ValueError("all local variances vanish; every allocation is optimal")
+    return total_target * score / denom
+
+
+@pytest.fixture(scope="session")
+def optimal_allocation():
+    """The variance-minimizing mean children counts for an expected total."""
+    return _optimal_allocation
 
 
 def _general_hill_average(pi, g, F) -> float:
@@ -54,7 +105,8 @@ def _source_sink_cell(spec, bins, mode, n, reps, seed, n_particles, per_bin_targ
     setup = ChainSetup(K, bins, Observable.indicator(sorted(spec.sink), K.n_states))
     cfg = ExperimentConfig(mode=mode, n_particles=n_particles,
                            per_bin_target=per_bin_target, seed=seed)
-    [(_, [res])] = cli.cells(cfg, setup, cli.coarse_model(cfg, setup, n), (n,), reps)
+    [(_, [res])] = cli.cells(cfg, setup, cli.coarse_model(cfg, setup, n), (n,), reps,
+                             traces=False)
     return res
 
 

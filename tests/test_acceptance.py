@@ -30,10 +30,8 @@ from weighted_ensemble import (
 from weighted_ensemble import cli
 from weighted_ensemble.coarse import compute_v
 from weighted_ensemble.diagnostics import (
-    conditional_mutation_variance,
     doob_terms,
     g_sequence,
-    optimal_allocation,
     run_checks,
 )
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
@@ -241,7 +239,8 @@ def test_04_doob_identity(setup, model30, init150):
     assert rep.passed
 
 
-def test_05_optimal_allocation_grid_search(two_state):
+def test_05_optimal_allocation_grid_search(two_state, optimal_allocation,
+                                           conditional_mutation_variance):
     f = Observable(np.array([0.0, 1.0]))
     g = g_sequence(two_state, f, 2)
     e = Ensemble(0, np.array([0, 0, 1]), np.array([0.2, 0.3, 0.5]))

@@ -65,3 +65,8 @@ def test_probe_traces_a_small_hill_run(tmp_path):
     assert layers["hill.source_sink_kernel"]["calls"] == 2
     assert layers["experiment.run_sweep_cell"]["calls"] == 2
     assert layers["coarse.build_coarse_model"]["calls"] == 2
+    # hill records generation n alone; it still draws a select and a mutate
+    # stream per generation and chunk, and mutates the particles it did
+    # when it recorded every generation
+    assert layers["engine.rng_at"]["calls"] == 2 * 2 * 5
+    assert layers["engine.mutate"]["particles"] == 2089

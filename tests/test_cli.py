@@ -411,7 +411,7 @@ class TestHill:
                             f=Observable.indicator(F, 90))
             n = cfg.hill_horizon
             [(_, [res])] = cli.cells(cfg, chain, cli.coarse_model(cfg, chain, n), (n,),
-                                     cfg.reps)
+                                     cfg.reps, traces=False)
             return res
 
         _, body = read_csv(out / "hill.csv")

@@ -12,15 +12,12 @@ from weighted_ensemble import (
     Observable,
     TraditionalPolicy,
     TransitionMatrix,
-    init_ensemble,
     select,
 )
 from weighted_ensemble.diagnostics import (
     GSequence,
-    conditional_mutation_variance,
     g_sequence,
     mutation_variance_term,
-    optimal_allocation,
     run_checks,
     selection_variance_term,
 )
@@ -164,7 +161,7 @@ class TestSelectionVarianceTerm:
                 "large": 1e6 + 0.5 + rng.uniform(-0.25, 0.25, n)}[kind]
         e = Ensemble(0, rng.integers(0, 5, n), rng.uniform(0.01, 1.0, n))
         gp = rng.normal(size=5)
-        g = GSequence(g=np.array([gp, gp]), kg2=np.zeros((1, 5)), local_var=np.zeros((1, 5)))
+        g = GSequence(g=np.array([gp, gp]), local_var=np.zeros((1, 5)))
         got = float(selection_variance_term(e, beta, g, 0)[0])
 
         def exact_term(w, b, x):
@@ -185,35 +182,35 @@ class TestSelectionVarianceTerm:
 
 
 class TestOptimalAllocation:
-    def test_identical_particles_share_equally(self, two_state, f01):
+    def test_identical_particles_share_equally(self, two_state, f01, optimal_allocation):
         g = g_sequence(two_state, f01, 2)
         e = Ensemble(0, np.zeros(4, np.int64), np.full(4, 0.25))
         beta = optimal_allocation(e, g, 0, 8.0)
         assert np.allclose(beta, 2.0)
 
-    def test_ratio_follows_local_standard_deviations(self):
+    def test_ratio_follows_local_standard_deviations(self, optimal_allocation):
         # two equal-weight particles with local std devs 0.3 and 0.1 -> (3, 1)
         g = GSequence(
             g=np.zeros((2, 2)),
-            kg2=np.array([[0.09, 0.01]]),
             local_var=np.array([[0.09, 0.01]]),
         )
         e = Ensemble(0, np.array([0, 1]), np.array([0.5, 0.5]))
         beta = optimal_allocation(e, g, 0, 4.0)
         assert np.allclose(beta, [3.0, 1.0])
 
-    def test_sums_to_total(self, setup, init150):
+    def test_sums_to_total(self, setup, init150, optimal_allocation):
         g = g_sequence(setup.K, setup.f, 10)
         beta = optimal_allocation(init150, g, 3, 150.0)
         assert beta.sum() == pytest.approx(150.0)
 
-    def test_zero_denominator_errors(self, two_state):
+    def test_zero_denominator_errors(self, two_state, optimal_allocation):
         g = g_sequence(two_state, Observable(np.ones(2)), 2)
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         with pytest.raises(ValueError):
             optimal_allocation(e, g, 0, 4.0)
 
-    def test_achieves_the_lagrange_minimum_value(self, setup, init150):
+    def test_achieves_the_lagrange_minimum_value(self, setup, init150, optimal_allocation,
+                                                 conditional_mutation_variance):
         g = g_sequence(setup.K, setup.f, 10)
         p = 4
         beta = optimal_allocation(init150, g, p, 150.0)
@@ -221,7 +218,8 @@ class TestOptimalAllocation:
         score = init150.weights * np.sqrt(g.local_var[p][init150.states])
         assert achieved == pytest.approx(score.sum() ** 2 / 150.0)
 
-    def test_beats_uniform_per_bin_allocation(self, setup, init150):
+    def test_beats_uniform_per_bin_allocation(self, setup, init150, optimal_allocation,
+                                              conditional_mutation_variance):
         # at p = n-1 the local variances differ across bins, so the optimal
         # allocation is strictly better than five children per bin
         n = 10
@@ -255,23 +253,23 @@ class TestChecks:
         with pytest.raises(ValueError):
             checks(setup, NaivePolicy(), init150, 1, 10, 0)
 
-    def test_unbiasedness_naive_small(self, two_state_setup):
+    def test_unbiasedness_naive_small(self, two_state_setup, init_ensemble):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 20)
         report, _ = checks(two_state_setup, NaivePolicy(), init, 3, 500, 1)
         assert report.passed and report.check == "unbiasedness"
 
-    def test_doob_identity_horizon_zero_is_exact(self, two_state_setup):
+    def test_doob_identity_horizon_zero_is_exact(self, two_state_setup, init_ensemble):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
         _, report = checks(two_state_setup, NaivePolicy(), init, 0, 200, 2)
         assert report.passed and report.check == "doob_identity"
         assert report.value == pytest.approx(report.reference)
 
-    def test_doob_identity_single_walker(self, two_state_setup):
+    def test_doob_identity_single_walker(self, two_state_setup, init_ensemble):
         init = init_ensemble(Distribution.point_mass(0, 2), 1)
         _, report = checks(two_state_setup, NaivePolicy(), init, 4, 2000, 3)
         assert report.passed
 
-    def test_doob_identity_traditional_policy(self, two_state_setup):
+    def test_doob_identity_traditional_policy(self, two_state_setup, init_ensemble):
         init = init_ensemble(Distribution(np.array([0.5, 0.5])), 10)
         policy = TraditionalPolicy(two_state_setup.bins, 5.0)
         _, report = checks(two_state_setup, policy, init, 4, 2000, 4)

@@ -23,7 +23,6 @@ from weighted_ensemble import (
     bin_totals,
     build_coarse_model,
     empirical_estimate,
-    init_ensemble,
     mutate,
     run_we,
     select,
@@ -298,15 +297,15 @@ class TestLargestRemainder:
 
 
 class TestInitEnsemble:
-    def test_point_mass(self):
+    def test_point_mass(self, init_ensemble):
         e = init_ensemble(Distribution.point_mass(1, 3), 4)
         assert np.all(e.states == 1) and np.all(e.weights == 0.25)
 
-    def test_single_particle(self):
+    def test_single_particle(self, init_ensemble):
         e = init_ensemble(Distribution.point_mass(0, 2), 1)
         assert e.n_particles == 1 and e.weights[0] == 1.0
 
-    def test_stratified_counts_match_largest_remainder(self):
+    def test_stratified_counts_match_largest_remainder(self, init_ensemble):
         d = Distribution(np.array([0.5, 0.3, 0.2]))
         e = init_ensemble(d, 7)
         counts = np.bincount(e.states, minlength=3)
@@ -389,6 +388,15 @@ class TestStochasticRound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             stochastic_round(np.array([1.5, -0.1]), np.full(2, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_infinite_beta(self, bad):
+        # a NaN beta fails no comparison with 0, and an infinite one casts
+        # to the most negative int64; both would pass as counts
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            stochastic_round(np.array([bad, 1.5]), np.full(2, 0.3))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            stochastic_round(np.array([0.5, bad]), np.full(2, 0.3))
 
     def test_rejects_one_uniform_short(self):
         with pytest.raises(ValueError):
@@ -760,6 +768,54 @@ class TestRunWe:
         whole, chunks = self.run_pass_and_its_chunks(
             two_state, Observable(np.ones(2)), policy, e, 5, 4)
         assert [c.tau_kill for c in chunks] == [3, 2, 1] and whole.tau_kill == 3
+
+    @staticmethod
+    def check_generation_n_alone(K, f, policy, init, n, seed, reps):
+        """run_we without traces against run_we with them, both observed by
+        the Doob terms: generation n's eta, total weight, count and extinct
+        flags, tau_kill, the final ensemble and every Doob term agree bit for
+        bit, so recording one generation moves no draw."""
+        gseq = g_sequence(K, f, n)
+        runs = []
+        for traces in (True, False):
+            observe, mut, sel = doob_terms(gseq, len(reps))
+            runs.append((run_we(K, f, policy, init, n, seed, reps, observe=observe,
+                                traces=traces), mut, sel))
+        (every, *every_terms), (last, *last_terms) = runs
+        assert every.eta_f.shape == (len(reps), n + 1)
+        assert last.eta_f.shape == last.num_particles.shape == (len(reps), 1)
+        for field in ("eta_f", "num_particles", "total_weight"):
+            assert np.array_equal(getattr(last, field)[:, 0], getattr(every, field)[:, n])
+        assert np.array_equal(last.extinct, every.extinct)
+        assert last.tau_kill == every.tau_kill
+        for name in ("states", "weights", "offsets"):
+            assert np.array_equal(getattr(last.final, name), getattr(every.final, name))
+        for a, b in zip(every_terms, last_terms):
+            assert np.array_equal(a, b)
+        # and without an observer
+        plain = run_we(K, f, policy, init, n, seed, reps, traces=False)
+        assert np.array_equal(plain.eta_f, last.eta_f)
+        assert np.array_equal(plain.final.states, last.final.states)
+        return every, last
+
+    @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+    def test_generation_n_alone_reads_as_every_generation(self, setup, model30,
+                                                          init150, mode):
+        policy = make_policy(mode, setup.bins, 150, v=model30.v)
+        self.check_generation_n_alone(setup.K, setup.f, policy, init150, 6, 4,
+                                      range(2 * CHUNK + 6))
+
+    def test_generation_n_alone_after_chunks_die_out(self, two_state):
+        # the kill-heavy pass of test_a_pass_runs_on_after_one_chunk_dies_out,
+        # whose chunks die out at generations 3, 2 and 1, before n = 5; then
+        # a milder target, under which 31 of the 70 replicates die out and
+        # the rest reach n
+        bins, e = BinPartition(np.array([0, 0])), Ensemble(0, np.array([0]), np.array([1.0]))
+        for target, tau_kill, extinct in ((0.1, 3, 70), (0.9, None, 31)):
+            every, _ = self.check_generation_n_alone(
+                two_state, Observable(np.ones(2)), TraditionalPolicy(bins, target),
+                e, 5, 4 if tau_kill else 0, range(2 * CHUNK + 6))
+            assert every.tau_kill == tau_kill and every.extinct.sum() == extinct
 
     def test_a_child_weight_that_underflows_is_refused(self, two_state):
         # 5e-324 / 5 rounds to 0, so the particle's children would weigh nothing

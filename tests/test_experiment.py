@@ -24,6 +24,37 @@ def test_final_holds_the_passes_in_replicate_order(setup, init150):
         assert np.array_equal(getattr(last, name), getattr(chunk, name))
 
 
+@pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+def test_a_cell_without_traces_keeps_generation_n(setup, model30, init150, mode):
+    # what hill and diagnose read: the etas, extinctions, final ensembles and
+    # Doob sums of a cell that records generation n alone are those of one
+    # that records every generation
+    policy = make_policy(mode, setup.bins, 150, v=model30.v)
+    for doob in (False, True):
+        [full] = run_sweep_cell(setup, init150, policy, (4,), 70, 3, doob=doob)
+        [last] = run_sweep_cell(setup, init150, policy, (4,), 70, 3, doob=doob,
+                                traces=False)
+        assert last.traces.shape == (70, 1) and full.traces.shape == (70, 5)
+        for name in ("traces", "weight_traces", "count_traces"):
+            assert np.array_equal(getattr(last, name)[:, 0], getattr(full, name)[:, -1])
+        assert np.array_equal(last.etas, full.etas)
+        assert np.array_equal(last.extinct_flags, full.extinct_flags)
+        if doob:
+            assert np.array_equal(last.variance, full.variance)
+        else:
+            assert np.array_equal(last.final_eta(setup.f), full.final_eta(setup.f))
+
+
+def test_cells_that_share_a_run_keep_every_generation(setup, init150):
+    # a shorter horizon's cell is a prefix of the longest run, so that run
+    # records every generation even without traces
+    policy = make_policy("traditional", setup.bins, 150)
+    short, full = run_sweep_cell(setup, init150, policy, (2, 4), 40, 3, traces=False)
+    want_short, want_full = run_sweep_cell(setup, init150, policy, (2, 4), 40, 3)
+    assert np.array_equal(short.traces, want_short.traces)
+    assert np.array_equal(full.traces, want_full.traces)
+
+
 def test_adaptive_needs_a_v_table_as_long_as_its_horizons(setup, model30, init150):
     policy = make_policy("adaptive", setup.bins, 150,
                          v=compute_v(model30.P, model30.u, 3))

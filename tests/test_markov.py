@@ -161,14 +161,18 @@ class TestTransitionMatrix:
 
     def test_guide_brackets_hold_at_most_two_slots(self):
         # the smallest guide that leaves one halving step: 128 buckets on the
-        # three-well K, whose rows have at most 9 positive entries
+        # three-well K, whose rows have at most 9 positive entries; each
+        # row's slots count from its first flat slot, i * W
         _, K = build_three_well_chain()
         t = K.cdf_tables()
-        assert t.cumsums.shape == (90, 9) and t.guide.shape == (90, 129)
-        assert t.rounds == 1 and np.diff(t.guide, axis=1).max() == 1
+        assert t.cumsums.shape == (90, 9) and t.slots.shape == (90, 129)
+        assert t.slots.dtype == np.uint16  # the narrowest type that holds S W = 810
+        guide = t.slots - 9 * np.arange(90)[:, None]
+        assert guide.min() == 0 and guide.max() < 9
+        assert t.rounds == 1 and np.diff(guide, axis=1).max() == 1
         # cumsums 1/3 and 2/3 below 1: two buckets separate them
         uniform = TransitionMatrix.from_dense(np.full((3, 3), 1 / 3)).cdf_tables()
-        assert uniform.guide.tolist() == [[0, 1, 2]] * 3
+        assert uniform.slots.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
     @pytest.mark.parametrize("n_states", [1, 2, 3, 8, 9, 90, 300])
     def test_step_matches_the_count_rule(self, n_states, dense_cdf):
@@ -207,7 +211,7 @@ class TestTransitionMatrix:
         if n_states == 300:
             assert K.cdf_tables().rounds > 1  # the halving steps are exercised
         cum = dense_cdf(K.to_dense())
-        buckets = K.cdf_tables().guide.shape[1] - 1
+        buckets = K.cdf_tables().slots.shape[1] - 1
         for s, row in enumerate(cum):
             u = np.concatenate([np.arange(buckets) / buckets, row,
                                 np.nextafter(row, 0.0)])
