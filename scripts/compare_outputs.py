@@ -19,12 +19,13 @@ and 2:
     run --mode all --reps 100, with coarse_samples = 300
 
 and `coarse`, which takes no --threads, once per seed, exact and with
-coarse_samples = 300. A coarse model of 300 samples has no unique pi at
-either seed, so those commands reach the sampled builder and the power
-iteration from uniform in `markov.stationary`. The script prints each
-command whose exit codes differ and each output file that differs or exists
-on one side only, and exits 1 on any difference, 0 when every exit code and
-every byte matches. It says what kind of difference each differing file
+coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
+several closed classes at either seed, so those commands reach the sampled
+builder and the several-class path of `markov.stationary`, which weights
+each class's law by the mass that uniform sends into it. The script prints
+each command whose exit codes differ and each output file that differs or
+exists on one side only, and exits 1 on any difference, 0 when every exit
+code and every byte matches. It says what kind of difference each differing file
 holds: a structural one (a file on one side only, another number of rows or
 cells, or a differing cell that is not a float, integers and text included),
 or float cells only. For the latter it prints how many cells differ, the
@@ -52,7 +53,8 @@ COMMANDS = {
     "run_sampled": (["run", "--mode", "all", "--reps", "100"], SAMPLED_CONFIG),
 }
 # the same, run once per seed: coarse takes no --threads
-COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG}
+COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,
+          "coarse_sampled900": "coarse_samples = 900\n"}
 
 
 def cases() -> list[tuple[str, list[str], str]]:

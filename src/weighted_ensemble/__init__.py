@@ -32,7 +32,6 @@ from .hill import (
     source_sink_kernel,
 )
 from .markov import (
-    ConvergenceError,
     Distribution,
     Observable,
     TransitionMatrix,

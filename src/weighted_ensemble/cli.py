@@ -28,7 +28,6 @@ from .hill import (
     source_sink_kernel,
 )
 from .markov import (
-    ConvergenceError,
     Distribution,
     Observable,
     second_eigenvalue_modulus,
@@ -327,9 +326,6 @@ def main(argv=None) -> int:
     (out / "config.txt").write_bytes(text.encode())
     try:
         return handler(cfg, setup, out, config_hash(text), *specs)
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

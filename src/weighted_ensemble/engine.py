@@ -278,9 +278,9 @@ def stationary_init_ensemble(
     Bins with zero coarse mass (possible on source-sink chains, whose sink
     interior is transient: `markov.stationary` gives it exactly 0) receive
     no particles: a zero-weight particle would never be selected and is not
-    allowed. So do bins whose mass is so small (a subnormal left by power
-    iteration) that mu_r / n_particles underflows to 0; a bin that keeps k <=
-    n_particles particles then gives each a positive weight.
+    allowed. So do bins whose mass is so small (a subnormal) that
+    mu_r / n_particles underflows to 0; a bin that keeps k <= n_particles
+    particles then gives each a positive weight.
     """
     R = bins.n_bins
     if n_particles < R:
@@ -311,8 +311,9 @@ def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     This is the minimal-second-moment integer law with mean beta.
     """
-    # false for NaN as well: min and max propagate it
-    if beta.size and not (beta.min() >= 0 and beta.max() < np.inf):
+    # false for NaN as well (min and max propagate it), and for a beta whose
+    # floor int64 does not hold
+    if beta.size and not (beta.min() >= 0 and beta.max() < 2.0**63):
         raise ValueError("beta must be finite and >= 0")
     if u.shape != beta.shape:
         raise ValueError("need one uniform per beta")

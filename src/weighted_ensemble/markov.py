@@ -13,14 +13,6 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative solver failed to reach tolerance; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic kernel on a finite state space in ELL rows (Bell &
@@ -315,14 +307,14 @@ def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np
     return start, dst[np.argsort(src, kind="stable")]
 
 
-def _levels(n: int, sources, *graphs) -> np.ndarray:
+def _levels(n: int, sources, graph) -> np.ndarray:
     """Breadth-first level of every state from the ``sources`` along the
-    edges of the ``graphs`` (`_adjacency` lists); -1 where none reaches.
+    edges of ``graph`` (`_adjacency` lists); -1 where none reaches.
 
     A Python loop over the edges, about 0.1 us each: a level-synchronous
     numpy search pays a dozen calls per level, and a banded chain has S / b
     levels."""
-    lists = [(start.tolist(), succ.tolist()) for start, succ in graphs]
+    start, succ = (a.tolist() for a in graph)
     level = [-1] * n
     frontier = sorted(set(np.asarray(sources, dtype=np.intp).tolist()))
     for x in frontier:
@@ -331,14 +323,57 @@ def _levels(n: int, sources, *graphs) -> np.ndarray:
     while frontier:
         depth += 1
         reached = []
-        for start, succ in lists:
-            for x in frontier:
-                for y in succ[start[x]:start[x + 1]]:
-                    if level[y] < 0:
-                        level[y] = depth
-                        reached.append(y)
+        for x in frontier:
+            for y in succ[start[x]:start[x + 1]]:
+                if level[y] < 0:
+                    level[y] = depth
+                    reached.append(y)
         frontier = reached
     return np.array(level, dtype=np.intp)
+
+
+def _closed_classes(n: int, graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's closed class (one that no edge of ``graph``, `_adjacency`
+    lists, leaves), or -1 for a transient state, and each class's lowest
+    state, the classes numbered in that state's order. Tarjan's strongly
+    connected components (SIAM J. Comput. 1972) with an explicit path, in
+    O(states + edges); a visited state is on ``stack`` until labelled."""
+    start, succ = (a.tolist() for a in graph)
+    nxt, index, low, comp = start[:-1], [-1] * n, [0] * n, [-1] * n
+    stack, path, count, found = [], [], 0, 0
+    for root in range(n):
+        w = root if index[root] < 0 else -1
+        while w >= 0 or path:
+            if w >= 0:
+                index[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                path.append(w)
+            v = path[-1]
+            k, end, lv = nxt[v], start[v + 1], low[v]
+            w = -1
+            while k < end:  # up to v's next unvisited successor w
+                w = succ[k]
+                if index[w] < 0:
+                    break  # its edge is read again, for its low, once w is done
+                if comp[w] < 0 and low[w] < lv:
+                    lv = low[w]
+                k, w = k + 1, -1
+            nxt[v], low[v] = k, lv
+            if w < 0:  # v is done
+                path.pop()
+                if lv == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = found
+                    found += 1
+    comp = np.array(comp, dtype=np.intp)
+    src = np.repeat(np.arange(n), np.diff(graph[0]))
+    closed = np.bincount(comp[src], weights=comp[src] != comp[graph[1]],
+                         minlength=found) == 0
+    lowest = np.sort(np.unique(comp, return_index=True)[1][closed])
+    label = np.full(found, -1, np.intp)
+    label[comp[lowest]] = np.arange(lowest.size)
+    return label[comp], lowest
 
 
 # -------------------------------------------------------------------- solves
@@ -440,69 +475,48 @@ def occupation(K: TransitionMatrix, keep, start) -> np.ndarray:
     return solve_identity_minus(len(keep), dst[inner], src[inner], p[inner], start, leak)
 
 
-# the residual max|pi K - pi| that `stationary` accepts, and the most power
-# iterations it takes to reach it
+# the residual max|pi K - pi| that `stationary` accepts
 STATIONARY_TOL = 1e-12
-POWER_ITERS = 10**6
 
 
 def stationary(K: TransitionMatrix) -> Distribution:
-    """Stationary distribution pi with pi K = pi, max|pi K - pi| <=
-    `STATIONARY_TOL`.
+    """Stationary distribution pi with pi K = pi: the Cesaro limit of the
+    chain's laws from uniform. ValueError if max|pi K - pi| > `STATIONARY_TOL`.
 
-    Pins pi at a state k that every state reaches and solves the balance
-    equations of the other states k reaches,
-    pi_j - sum_{i != k} pi_i K(i, j) = K(k, j), by `occupation` (they flow
-    only to each other and to k, so each one's leak is its flow into k). States that k does not reach are
-    transient and get exactly 0. The states go from the farthest from k (in
-    steps to k) to the nearest, the order in which Grassmann, Taksar and
-    Heyman eliminate; it also keeps the states a restart row joins (a
-    source-sink chain's) near each other, so the band stays narrow. When no
-    state is reached by every state (two closed classes, so pi is not
-    unique) or the solve fails or is negative beyond roundoff (at least
-    -STATIONARY_TOL * max pi is clipped to 0), it starts from uniform
-    instead; either way up to `POWER_ITERS` power iterations then refine pi
-    until the residual is within the tolerance, and it raises
-    ConvergenceError if the residual is not (a periodic chain from a start
-    that is not stationary, or a slow one from uniform).
+    Pins each closed class's law at its lowest state k and solves the
+    balance equations of its other states,
+    pi_j - sum_{i != k} pi_i K(i, j) = K(k, j), by one `occupation` call for
+    all classes (each state's leak is its flow into its class's k).
+    Transient states get exactly 0. Within a class the states go from the
+    farthest from k (in steps to k) to the nearest, the order in which
+    Grassmann, Taksar and Heyman eliminate; it also keeps the states a
+    restart row joins (a source-sink chain's) near each other, so the band
+    stays narrow. With several classes, each law is weighted by the mass
+    that uniform sends into its class (Kemeny and Snell, Finite Markov
+    Chains, 1960, ch. 3): its own share plus y K, y the `occupation` of the
+    transient states from uniform.
     """
     n = K.n_states
     src, dst, _ = K.entries()
-    ahead_graph, back_graph = _adjacency(n, src, dst), _adjacency(n, dst, src)
-    pin = 0
-    while True:
-        ahead = _levels(n, [pin], ahead_graph)
-        steps = _levels(n, [pin], back_graph)  # from each state to the pin
-        beyond = (ahead >= 0) & (steps < 0)
-        if not beyond.any():
-            break
-        pin = int(np.argmax(np.where(beyond, ahead, -1)))  # the deepest of them
-    pi = np.full(n, 1.0 / n)
-    if np.all(steps >= 0):
-        live = ahead >= 0
-        live[pin] = False
-        solved = np.flatnonzero(live)
-        solved = solved[np.argsort(-steps[solved], kind="stable")]
-        pinned = np.bincount(K.columns[pin], weights=K.probs[pin], minlength=n)
-        try:
-            x = occupation(K, solved, pinned[solved])
-        except np.linalg.LinAlgError:  # a block singular in working precision
-            x = None
-        if x is not None and (x.min(initial=0.0)
-                              >= -STATIONARY_TOL * max(x.max(initial=0.0), 1.0)):
-            pi = np.zeros(n)
-            pi[pin] = 1.0
-            pi[solved] = np.maximum(x, 0.0)
-            pi /= pi.sum()
+    cls, pins = _closed_classes(n, _adjacency(n, src, dst))
+    steps = _levels(n, pins, _adjacency(n, dst, src))  # from each state to its pin
+    order = np.lexsort((-steps, cls))
+    solved = order[(cls[order] >= 0) & (steps[order] > 0)]
+    pi = np.zeros(n)
+    pi[pins] = 1.0
+    pi[solved] = np.maximum(occupation(K, solved, K.push(pi)[solved]), 0.0)
+    if pins.size > 1:
+        transient, closed = order[cls[order] < 0], cls >= 0
+        y = np.zeros(n)
+        y[transient] = occupation(K, transient, np.ones(transient.size))
+        # n times the mass that uniform sends into each class, over its law's sum
+        weight = (np.bincount(cls[closed], weights=1.0 + K.push(y)[closed])
+                  / np.bincount(cls[closed], weights=pi[closed]))
+        pi[closed] *= weight[cls[closed]]
+    pi /= pi.sum()
     residual = np.abs(K.push(pi) - pi).max()
-    for _ in range(POWER_ITERS):
-        if residual <= STATIONARY_TOL:
-            break
-        pi = K.push(pi)
-        pi = pi / pi.sum()
-        residual = np.abs(K.push(pi) - pi).max()
-    if residual > STATIONARY_TOL:
-        raise ConvergenceError("stationary distribution did not converge", residual)
+    if not residual <= STATIONARY_TOL:
+        raise ValueError(f"stationary solve missed its tolerance: residual {residual:.3e}")
     return Distribution(pi)
 
 

@@ -16,6 +16,7 @@ from weighted_ensemble import (
     cli,
     markov,
     source_sink_kernel,
+    stationary_init_ensemble,
 )
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
@@ -277,11 +278,21 @@ class TestRun:
         _, table = read_csv(run("coarse", coarse_samples="20000") / "v.csv")
         assert sampled == [row for row in table if row[0] in ("0", "2")]
 
-    def test_a_subnormal_bin_mass_gets_no_particles(self, tmp_path):
-        """At seed 7, power iteration on the 300-sample coarse model leaves a
-        transient bin mu = 5e-324, whose share per particle underflows to 0:
-        the bin is left empty, and the run goes on."""
+    def test_transient_bins_get_no_mass_and_no_particles(self, tmp_path):
+        """At seed 7, the 300-sample coarse model has transient bins, ones
+        that reach a bin that does not reach them back. They get mu = 0
+        exactly and no particle, and the run goes on."""
         cfg = write_config(tmp_path, coarse_samples="300", horizons="1", reps="2")
+        conf = ExperimentConfig.from_file(cfg, seed=7)
+        setup = conf.build_setup()
+        model = cli.coarse_model(conf, setup, 1)
+        reach = (model.P.to_dense() > 0) | np.eye(model.P.n_states, dtype=bool)
+        for _ in range(model.P.n_states):
+            reach |= (reach.astype(int) @ reach.astype(int)) > 0
+        transient = np.flatnonzero((reach & ~reach.T).any(axis=1))
+        assert transient.size and np.all(model.mu.weights[transient] == 0.0)
+        init = stationary_init_ensemble(model.mu, setup.bins, conf.n_particles)
+        assert not np.isin(setup.bins.bin_of[init.states], transient).any()
         assert cli.main(["run", "--mode", "all", "--seed", "7", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 0
 
@@ -534,13 +545,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
-    def test_power_iteration_past_its_cap_is_numerical_error(self, tmp_path,
-                                                              monkeypatch, capsys):
-        # the coarse model of 300 samples at seed 0 needs 136 power iterations
-        monkeypatch.setattr(markov, "POWER_ITERS", 135)
-        cfg = write_config(tmp_path, coarse_samples="300", horizons="1", reps="2")
+    def test_stationary_residual_miss_is_numerical_error(self, tmp_path, capsys):
+        # a birth-death chain with up 0.4 and down 0.1, whose pi spans 4^89:
+        # the solves for its mu and pi miss the residual, and it exits at once
+        n = 90
+        rows = []
+        for i in range(n):
+            to = {i - 1: 0.1 * (i > 0), i + 1: 0.4 * (i < n - 1)}
+            to[i] = 1.0 - sum(to.values())
+            rows += [f"{i + 1},{j + 1},{p!r}" for j, p in to.items() if p > 0]
+        path = tmp_path / "K.csv"
+        path.write_text("\n".join(["i,j,value", *rows]) + "\n")
+        cfg = write_config(tmp_path, chain=f"csv:{path}", horizons="1", reps="2")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "stationary distribution did not converge" in capsys.readouterr().err
+        assert "stationary solve missed its tolerance" in capsys.readouterr().err
 
     def test_solve_wider_than_max_block_is_numerical_error(self, tmp_path, capsys):
         # each state i steps to state 1, to its mirror S + 1 - i and to i + 1

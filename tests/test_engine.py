@@ -389,10 +389,11 @@ class TestStochasticRound:
         with pytest.raises(ValueError):
             stochastic_round(np.array([1.5, -0.1]), np.full(2, 0.5))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e19, 2.0**63])
     def test_rejects_nan_and_infinite_beta(self, bad):
-        # a NaN beta fails no comparison with 0, and an infinite one casts
-        # to the most negative int64; both would pass as counts
+        # a NaN beta fails no comparison with 0, and an infinite one or a
+        # finite one of 2^63 or more casts to a negative int64; all would
+        # pass as counts
         with pytest.raises(ValueError, match="finite and >= 0"):
             stochastic_round(np.array([bad, 1.5]), np.full(2, 0.3))
         with pytest.raises(ValueError, match="finite and >= 0"):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weighted_ensemble import (
-    ConvergenceError,
     Distribution,
     Observable,
     RngStream,
@@ -87,22 +87,40 @@ def reachable_from(m: np.ndarray, state: int) -> np.ndarray:
     return reached
 
 
+def fraction_solve(a, b):
+    """x with a x = b by Gauss-Jordan elimination on Fractions: exact."""
+    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(a, b)]
+    for c in range(len(rows)):
+        pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [r[-1] for r in rows]
+
+
 @st.composite
 def banded_chains(draw, transient=True):
-    """(K, t): a random chain of bandwidth 1..S whose states t..S-1 form its
-    one closed class (a birth-death backbone plus random entries in the
-    band) and whose states 0..t-1 are transient: they move up to t and
-    nothing enters them from the closed class."""
+    """(K, t, cuts): a random chain of bandwidth 1..S whose states t..S-1
+    form one to three closed classes, the runs of states between
+    consecutive ``cuts`` (t first, S last), each a birth-death backbone plus
+    random entries in the band, and whose states 0..t-1 are transient: they
+    move up to t and nothing enters them from a closed class. Without
+    ``transient``, t = 0 and the chain is one class."""
     n = draw(st.integers(1, 150))
     band = draw(st.integers(1, max(n - 1, 1)))
     t = draw(st.integers(0, n - 1)) if transient else 0
+    inner = draw(st.lists(st.integers(t + 1, n), max_size=2)) if transient else []
+    cuts = sorted({t, *inner, n})
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     i, j = np.indices((n, n))
     m = np.where((np.abs(i - j) <= band) & (rng.random((n, n)) < 0.5),
                  rng.uniform(0.5, 1.0, (n, n)), 0.0)
     m[(np.abs(i - j) == 1) | (i == j)] += 0.1
-    m[(i >= t) & (j < t)] = 0.0
-    return TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True)), t
+    cls = np.searchsorted(cuts, np.arange(n), side="right")
+    m[(i >= t) & (cls[i] != cls[j])] = 0.0
+    return TransitionMatrix.from_dense(m / m.sum(axis=1, keepdims=True)), t, cuts
 
 
 class TestTransitionMatrix:
@@ -351,33 +369,92 @@ class TestStationary:
     def sampled_coarse_matrix(setup):
         """The three-well chain's coarse P from 300 one-step samples of seed
         0, as `coarse_samples = 300` builds it. No bin is reached from every
-        bin, so its pi is not unique and comes from power iteration from
-        uniform, which takes 136 iterations."""
+        bin: it has three closed classes, so its pi is not unique."""
         P, _ = build_coarse_mc(setup.K, setup.bins, setup.f, 300,
                                RngStream(0).at(0, "coarse"))
         assert not any(markov.reaches(P, [k]).all() for k in range(P.n_states))
         return P
 
-    def test_sampled_coarse_model_converges_by_power_iteration(self, setup):
+    def test_sampled_coarse_model_meets_the_residual(self, setup):
         P = self.sampled_coarse_matrix(setup)
         pi = stationary(P).weights
         assert np.abs(P.push(pi) - pi).max() <= 1e-12
 
-    def test_power_iteration_accepts_its_last_step(self, setup, monkeypatch):
+    def test_sampled_coarse_model_matches_a_long_power_iteration(self, setup):
+        # the classes are aperiodic, so power iteration from uniform tends to
+        # the Cesaro limit; 2000 steps take it to roundoff, and its transient
+        # bins below 1e-80
         P = self.sampled_coarse_matrix(setup)
-        monkeypatch.setattr(markov, "POWER_ITERS", 136)
         pi = stationary(P).weights
-        assert np.abs(P.push(pi) - pi).max() <= markov.STATIONARY_TOL
+        x = np.full(P.n_states, 1.0 / P.n_states)
+        for _ in range(2000):
+            x = P.push(x)
+            x /= x.sum()
+        live = pi > 0
+        assert np.count_nonzero(~live) == 16 and np.all(x[~live] < 1e-80)
+        assert np.all(np.abs(x - pi)[live] <= 1e-14 * pi[live])
 
-    def test_power_iteration_past_its_cap_raises(self, setup, monkeypatch):
-        P = self.sampled_coarse_matrix(setup)
-        monkeypatch.setattr(markov, "POWER_ITERS", 135)
-        with pytest.raises(ConvergenceError):
-            stationary(P)
+    def test_a_residual_miss_raises_value_error(self):
+        # up 0.4 and down 0.1: pi spans 4^89, about 4e53, and the solve
+        # pinned at its lightest state misses the residual by far
+        n = 90
+        m = np.diag(np.full(n - 1, 0.4), 1) + np.diag(np.full(n - 1, 0.1), -1)
+        K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
+        with pytest.raises(ValueError, match="missed its tolerance"):
+            stationary(K)
 
-    def test_a_solved_chain_needs_no_power_iteration(self, two_state, monkeypatch):
-        monkeypatch.setattr(markov, "POWER_ITERS", 0)
-        assert np.allclose(stationary(two_state).weights, [2 / 3, 1 / 3], atol=1e-12)
+    def test_two_periodic_classes_and_a_transient_state_are_exact(self):
+        # 0 <-> 1, 2 <-> 3 and 4 -> 0: uniform sends 3/5 of its mass into
+        # {0, 1} and 2/5 into {2, 3}, each split evenly: the Cesaro limit,
+        # where power iteration from uniform oscillates
+        m = np.zeros((5, 5))
+        m[[0, 1, 2, 3, 4], [1, 0, 3, 2, 0]] = 1.0
+        pi = stationary(TransitionMatrix.from_dense(m)).weights
+        assert pi.tolist() == [0.3, 0.3, 0.2, 0.2, 0.0]
+
+    def test_two_aperiodic_classes_match_exact_absorption(self):
+        # classes {1, 4} and {3, 5, 6}; transient 0 feeds the first and 2,
+        # and 2 feeds the second and 0. Each class's mass is its uniform
+        # share plus what the transient states send into it, from the
+        # fundamental matrix (I - Q_T)^-1, all in exact fractions
+        entries = {(0, 0): 0.25, (0, 1): 0.5, (0, 2): 0.25,
+                   (1, 1): 0.5, (1, 4): 0.5,
+                   (2, 0): 0.125, (2, 3): 0.625, (2, 5): 0.25,
+                   (3, 3): 0.25, (3, 5): 0.75,
+                   (4, 1): 0.75, (4, 4): 0.25,
+                   (5, 3): 0.5, (5, 6): 0.5,
+                   (6, 3): 0.75, (6, 6): 0.25}
+        n = 7
+        k = [[Fraction(entries.get((a, b), 0.0)) for b in range(n)] for a in range(n)]
+        transient = [0, 2]
+        visits = fraction_solve(
+            [[(a == b) - k[b][a] for b in transient] for a in transient], [1, 1])
+        want = [Fraction(0)] * n
+        for cls in ([1, 4], [3, 5, 6]):
+            # the class's law: its balance equations with the first replaced
+            # by the sum being 1
+            law = fraction_solve(
+                [[1] * len(cls)] + [[(a == b) - k[b][a] for b in cls] for a in cls[1:]],
+                [1] + [0] * (len(cls) - 1))
+            into = len(cls) + sum(y * k[i][j] for y, i in zip(visits, transient)
+                                  for j in cls)
+            for j, share in zip(cls, law):
+                want[j] = into / n * share
+        rows, cols = zip(*entries)
+        pi = stationary(TransitionMatrix.from_entries(n, rows, cols,
+                                                      list(entries.values()))).weights
+        assert pi[transient].tolist() == [0.0, 0.0]
+        assert np.allclose(pi, [float(w) for w in want], rtol=4e-16, atol=0.0)
+
+    def test_hundred_thousand_closed_classes_in_a_second(self):
+        # the identity: every state is its own class. A class search that
+        # costs a pass over the chain per class would take minutes
+        n = 10**5
+        K = TransitionMatrix.from_entries(n, np.arange(n), np.arange(n), np.ones(n))
+        start = time.perf_counter()
+        pi = stationary(K).weights
+        assert time.perf_counter() - start <= 1.0
+        assert np.allclose(pi, 1.0 / n, rtol=1e-12, atol=0.0)
 
 
 class TestSolves:
@@ -395,18 +472,29 @@ class TestSolves:
     @settings(max_examples=60, deadline=None)
     @given(banded_chains(), st.sampled_from([1, 2, 3, 64]))
     def test_stationary_matches_a_dense_solve(self, chain, min_block):
-        K, t = chain
+        # each closed class's dense pi, weighted by the mass that uniform
+        # sends into the class: its share plus y K, y (I - Q_T) = 1 on the
+        # transient states
+        K, t, cuts = chain
         with mock.patch.object(markov, "MIN_BLOCK", min_block):
             pi = stationary(K).weights
         assert np.all(pi[:t] == 0.0)
-        ref, cond = dense_stationary(K.to_dense()[t:, t:])
-        assert np.abs(pi[t:] - ref).max() <= COND_EPS * cond * ref.max()
+        m = K.to_dense()
+        a = np.eye(t) - m[:t, :t]
+        visits = np.linalg.solve(a.T, np.ones(t))
+        cond = np.linalg.cond(a) if t else 1.0
+        ref = np.zeros(m.shape[0])
+        for lo, hi in zip(cuts, cuts[1:]):
+            law, class_cond = dense_stationary(m[lo:hi, lo:hi])
+            ref[lo:hi] = (hi - lo + visits @ m[:t, lo:hi].sum(axis=1)) / m.shape[0] * law
+            cond = max(cond, class_cond)
+        assert np.abs(pi[t:] - ref[t:]).max() <= COND_EPS * cond * ref.max()
 
     @settings(max_examples=60, deadline=None)
     @given(banded_chains(transient=False), st.sampled_from([1, 2, 3, 64]),
            st.data())
     def test_direct_mfpt_matches_a_dense_solve(self, chain, min_block, data):
-        K, _ = chain
+        K, _, _ = chain
         n = K.n_states
         if n < 2:
             return
@@ -454,9 +542,9 @@ class TestSolves:
         pi = stationary(K).weights
         assert np.allclose(pi, ref / ref.sum(), rtol=1e-9, atol=0.0)
 
-    def test_two_closed_classes_fall_back_to_power_iteration(self):
-        # no state is reached by every state, so pi is not unique; power
-        # iteration from uniform keeps each class's share
+    def test_two_closed_classes_get_their_uniform_shares(self):
+        # no state is reached by every state, so pi is not unique; each
+        # class keeps the share that uniform gives it
         pi = stationary(TransitionMatrix.from_dense(np.eye(2))).weights
         assert pi.tolist() == [0.5, 0.5]
 
