@@ -19,9 +19,11 @@ by `python -m compileall` on their src/ and bench/, so neither side's
 in each copy, REF first in even pairs and the working tree first in odd
 ones, so both sides see the same seed and a drift of the host favours
 neither. For every end-to-end metric of BENCHMARK.json it prints each pair's
-two values, each side's median and quartiles, and in how many pairs the
-working tree did better, by the metric's direction. With --json it also
-writes all of it to PATH. It exits 1 when a round reports a failed check,
+two values, each side's median and quartiles, the ratio of the medians
+(work/ref), the median of the per-pair ratios (work/ref), which a drift of
+the host over the pairs moves less, and in how many pairs the working tree
+did better, by the metric's direction. With --json it also writes all of it
+to PATH. It exits 1 when a round reports a failed check,
 and 2 when a round cannot run.
 """
 from __future__ import annotations
@@ -131,11 +133,15 @@ def main(argv: list[str]) -> int:
         summary[name] = {side: {**spread(values[side]), "values": values[side]}
                          for side in SIDES}
         summary[name]["work_wins"] = wins
+        summary[name]["median_pair_ratio"] = statistics.median(
+            w / r for r, w in zip(values["ref"], values["work"]))
         ref, work = summary[name]["ref"], summary[name]["work"]
         print(f"  {name} ({direction} is better): ref median {ref['median']:.6g} "
               f"[{ref['q1']:.6g}, {ref['q3']:.6g}], work median {work['median']:.6g} "
-              f"[{work['q1']:.6g}, {work['q3']:.6g}], ratio "
-              f"{work['median'] / ref['median']:.4f}, work better in {wins} of {args.pairs}")
+              f"[{work['q1']:.6g}, {work['q3']:.6g}], ratio of medians "
+              f"{work['median'] / ref['median']:.4f}, median pair ratio "
+              f"{summary[name]['median_pair_ratio']:.4f}, "
+              f"work better in {wins} of {args.pairs}")
     failed = {side: sum(r[side]["failed"] for r in rounds) for side in SIDES}
     print(f"  failed operations: ref {failed['ref']}, work {failed['work']}")
     if args.json is not None:

@@ -17,12 +17,18 @@ and 2:
         and hill_horizon = 100
     diagnose --mode all
     run --mode all --reps 100, with coarse_samples = 300
+    run --mode all --reps 30, with horizons = 0,1,3,6,12,260,
+        n_particles = 60 and per_bin_target = 0.5
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
 several closed classes at either seed, so those commands reach the sampled
 builder and the several-class path of `markov.stationary`, which weights
-each class's law by the mass that uniform sends into it. The script prints
+each class's law by the mass that uniform sends into it. On the last `run`
+the traditional replicates die out between horizons (0/0/3/22/30/30 of 30
+at seed 0, 0/0/1/17/30/30 at seed 7), so its runs files carry extinct flags
+that differ by horizon, and its horizon 260 is wider than a block of
+`serialize.BLOCK_ROWS` rows, so each block holds one replicate. The script prints
 each command whose exit codes differ and each output file that differs or
 exists on one side only, and exits 1 on any difference, 0 when every exit
 code and every byte matches. It says what kind of difference each differing file
@@ -44,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 HIT_CONFIG = "hit_a = 11..30\nhit_b = 61..75\nn_particles = 60\nhill_horizon = 100\n"
 SAMPLED_CONFIG = "coarse_samples = 300\n"
+DYING_CONFIG = ("horizons = 0,1,3,6,12,260\nn_particles = 60\n"
+                "per_bin_target = 0.5\n")
 # name -> (we-sample arguments, config text or None)
 COMMANDS = {
     "run": (["run", "--mode", "all", "--reps", "100"], None),
@@ -51,6 +59,7 @@ COMMANDS = {
     "hill_hit": (["hill", "--reps", "70"], HIT_CONFIG),
     "diagnose": (["diagnose", "--mode", "all"], None),
     "run_sampled": (["run", "--mode", "all", "--reps", "100"], SAMPLED_CONFIG),
+    "run_dying": (["run", "--mode", "all", "--reps", "30"], DYING_CONFIG),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,

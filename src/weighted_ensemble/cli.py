@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -34,11 +34,11 @@ from .markov import (
     stationary,
 )
 from .serialize import (
-    BLOCK_ROWS,
     array_rows,
     config_hash,
     write_matrix_csv,
     write_rows,
+    write_runs,
     write_v_table_csv,
     write_vector_csv,
 )
@@ -171,20 +171,12 @@ def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     return hist / max(res.reps - res.extinct_count, 1)
 
 
-def run_rows(res: SweepResult) -> Iterator[tuple]:
-    """The rows of runs_<mode>_n<n>.csv, one per replicate and generation:
-    (replicate, p, eta_f, total_weight, num_particles, extinct), converted
-    to Python cells by tolist() a block of replicates at a time."""
-    reps, width = res.traces.shape
-    step = max(1, BLOCK_ROWS // width)
-    for lo in range(0, reps, step):
-        block = slice(lo, lo + step)
-        for rep, etas, weights, counts, extinct in zip(
-                range(lo, reps), res.traces[block].tolist(),
-                res.weight_traces[block].tolist(), res.count_traces[block].tolist(),
-                res.extinct_flags[block].tolist()):
-            yield from zip(repeat(rep), range(width), etas, weights, counts,
-                           repeat(extinct))
+def runs_of(results: list[SweepResult]) -> Iterator[list[SweepResult]]:
+    """A mode's cells grouped by the run they come from, in horizon order:
+    `run_sweep_cell` makes each cell a view of its run's traces, so the cells
+    of one run share their traces' base array, and the last is the widest."""
+    for _, run in groupby(results, lambda res: id(res.traces.base)):
+        yield list(run)
 
 
 def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
@@ -197,6 +189,10 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
     hist_rows = []
     extinct_total = 0
     for mode, results in cells(cfg, setup, model, cfg.horizons, cfg.reps):
+        for run in runs_of(results):
+            write_runs([(out / f"runs_{mode}_n{res.n}.csv", res.n, res.extinct_flags)
+                        for res in run],
+                       run[-1].traces, run[-1].weight_traces, run[-1].count_traces, h)
         for res in results:
             n = res.n
             extinct_total += res.extinct_count
@@ -204,9 +200,6 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
                 mode, n, cfg.reps, res.mean, res.std, res.std_err,
                 res.exact, pi_f, res.extinct_count,
             ))
-            write_rows(out / f"runs_{mode}_n{n}.csv",
-                       ("replicate", "p", "eta_f", "total_weight",
-                        "num_particles", "extinct"), run_rows(res), h)
             if res.final is not None:
                 count_frac, weight_frac = histograms(res, n_states).tolist()
                 hist_rows += zip(repeat(mode), range(1, n_states + 1), count_frac,

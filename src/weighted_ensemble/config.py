@@ -14,13 +14,16 @@ from .serialize import observable_from_csv, read_matrix_csv
 
 def parse_state_set(text: str) -> list[int]:
     """1-indexed state list: '81..90' for an interval or '1,5,7'. Returns
-    0-indexed sorted indices."""
+    0-indexed sorted indices; an empty text gives none. Raises ValueError
+    for a reversed interval, such as '90..81', and a state below 1."""
     text = text.strip()
     if not text:
         return []
     if ".." in text:
-        lo, hi = text.split("..")
-        states = range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(".."))
+        if hi < lo:
+            raise ValueError(f"interval {text!r} ends before it starts")
+        states = range(lo, hi + 1)
     else:
         states = [int(t) for t in text.split(",")]
     out = sorted(set(int(s) - 1 for s in states))
@@ -58,8 +61,8 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES + ('all',)}, got {self.mode!r}")
         if self.n_particles < 1 or self.reps < 1:
             raise ValueError("n_particles and reps must be positive")
-        if sorted(self.horizons) != list(self.horizons):
-            raise ValueError("horizons must be sorted ascending")
+        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
+            raise ValueError("horizons must be strictly ascending")
         if any(n < 0 for n in self.horizons):
             raise ValueError("horizons must be nonnegative")
         if self.per_bin_target <= 0:

@@ -8,9 +8,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
-from itertools import islice
+from contextlib import ExitStack, contextmanager
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -79,6 +80,20 @@ def _lines(block: list, width: int) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+@contextmanager
+def _open_csv(path: Path, header: Sequence[str], cfg_hash: Optional[str]
+              ) -> Iterator[TextIO]:
+    """A new CSV at path, open for writing while the context lasts, with its
+    ``# config_hash=`` line when cfg_hash is given and its header written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        if cfg_hash is not None:
+            fh.write(f"# config_hash={cfg_hash}\n")
+        fh.write(_lines([tuple(header)], len(header)))
+        yield fh
+
+
 def write_rows(
     path: Path,
     header: Sequence[str],
@@ -90,18 +105,59 @@ def write_rows(
     \\r\\n and strings are quoted as the csv module quotes them. Rows are
     formatted BLOCK_ROWS at a time, a column at a time (see `_format`), so
     callers pass Python cells, as ndarray.tolist() gives them, in rows."""
-    path = Path(path)
     width = len(header)
     if width == 0:
         raise ValueError("a CSV needs at least one column")
     rows = iter(rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if cfg_hash is not None:
-            fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(_lines([tuple(header)], width))
+    with _open_csv(path, header, cfg_hash) as fh:
         while block := list(islice(rows, BLOCK_ROWS)):
             fh.write(_lines(block, width))
+
+
+RUNS_HEADER = ("replicate", "p", "eta_f", "total_weight", "num_particles", "extinct")
+# a runs row's last cell and line end, by its extinct flag
+_RUN_ENDS = tuple(f",{flag}\r\n" for flag in _FLAGS)
+
+
+def write_runs(
+    files: Sequence[tuple[Path, int, np.ndarray]],
+    etas: np.ndarray,
+    weights: np.ndarray,
+    counts: np.ndarray,
+    cfg_hash: Optional[str] = None,
+):
+    """Write the runs files of one run, whose (replicates, generations) eta,
+    total weight and integer particle count traces are given: for each
+    (path, n, extinct) of ``files``, a CSV like write_rows's with header
+    RUNS_HEADER and a row (replicate, p, eta_f, total_weight, num_particles,
+    extinct) per replicate and generation p = 0..n, the replicate's extinct
+    flag repeated on its rows. Each n is below the traces' width.
+
+    Every file is open at once. The traces are formatted one block of
+    replicates (of at most BLOCK_ROWS rows, or one replicate) at a time, a
+    column at a time, with `_format`'s formatters, and each file takes the
+    first n + 1 lines of each replicate of the block."""
+    reps, width = etas.shape
+    step = max(1, BLOCK_ROWS // width)
+    number, real = _format(int), _format(float)
+    generations = list(map(number, range(width)))
+    with ExitStack() as stack:
+        handles = [stack.enter_context(_open_csv(path, RUNS_HEADER, cfg_hash))
+                   for path, _, _ in files]
+        for lo in range(0, reps, step):
+            block = slice(lo, lo + step)
+            replicates = range(lo, min(lo + step, reps))
+            lines = list(map(",".join, zip(
+                chain.from_iterable(map(repeat, map(number, replicates), repeat(width))),
+                generations * len(replicates),
+                map(real, etas[block].ravel().tolist()),
+                map(real, weights[block].ravel().tolist()),
+                map(number, counts[block].ravel().tolist()))))
+            starts = range(0, len(lines), width)
+            for fh, (_, n, extinct) in zip(handles, files):
+                ends = map(_RUN_ENDS.__getitem__, extinct[block].tolist())
+                fh.write("".join(end.join(lines[k:k + n + 1]) + end
+                                 for k, end in zip(starts, ends)))
 
 
 def array_rows(*columns: np.ndarray) -> Iterator[tuple]:

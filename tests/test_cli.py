@@ -3,6 +3,7 @@ import hashlib
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from weighted_ensemble import (
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.diagnostics import CheckReport
 from weighted_ensemble.experiment import SweepResult
-from weighted_ensemble.serialize import BLOCK_ROWS, write_matrix_csv
+from weighted_ensemble.serialize import BLOCK_ROWS, write_matrix_csv, write_rows
 
 
 def read_csv(path):
@@ -47,6 +48,10 @@ def write_config(tmp_path, **kv):
 
 
 SMALL_RUN = dict(mode="all", horizons="1,2", reps="10", n_particles="60")
+# a config on which traditional replicates die out between horizons 1, 3, 6
+# and 12
+DYING_RUN = dict(mode="all", reps="30", seed="5", n_particles="60",
+                 per_bin_target="0.5")
 
 
 def assert_threads_do_not_change_outputs(tmp_path, command, cfg, threads):
@@ -163,12 +168,10 @@ class TestRun:
         """A sweep reports each horizon as a sweep run at that horizon alone
         would. On this config traditional replicates die out between the
         horizons, so the per-horizon extinction flags are compared too."""
-        dying = dict(mode="all", reps="30", seed="5", n_particles="60",
-                     per_bin_target="0.5")
 
         def run(horizons):
             out = tmp_path / horizons
-            cfg = write_config(tmp_path, horizons=horizons, **dying)
+            cfg = write_config(tmp_path, horizons=horizons, **DYING_RUN)
             assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             return out
 
@@ -215,6 +218,63 @@ class TestRun:
             rows = [row for row in hist_body if row[0] == mode]
             assert np.array_equal(column(rows, 2), want[0])
             assert np.array_equal(column(rows, 3), want[1])
+
+    @staticmethod
+    def reference_run_rows(res):
+        """The rows of a runs file as the writer that formatted each horizon's
+        file on its own built them: (replicate, p, eta_f, total_weight,
+        num_particles, extinct) per replicate and generation, from the
+        cell's own traces and extinct flags."""
+        reps, width = res.traces.shape
+        step = max(1, BLOCK_ROWS // width)
+        for lo in range(0, reps, step):
+            block = slice(lo, lo + step)
+            for rep, etas, weights, counts, extinct in zip(
+                    range(lo, reps), res.traces[block].tolist(),
+                    res.weight_traces[block].tolist(), res.count_traces[block].tolist(),
+                    res.extinct_flags[block].tolist()):
+                yield from zip(repeat(rep), range(width), etas, weights, counts,
+                               repeat(extinct))
+
+    # (config, flags, whether traditional replicates die out between horizons)
+    @pytest.mark.parametrize("config, flags, dying", [
+        (dict(DYING_RUN, horizons="1,3,6,12"), [], True),
+        (dict(mode="all", horizons="0,2", reps="7", n_particles="60"), [], False),
+        # wider than a block: each block holds one replicate
+        (dict(mode="all", horizons=f"3,{BLOCK_ROWS + 4}", reps="3",
+              n_particles="40"), [], False),
+        # 25 replicates a block at width 10, so the last block holds 12
+        (dict(mode="all", horizons="5,9", reps="37", n_particles="40"), [], False),
+        (dict(SMALL_RUN, reps="40"), ["--threads", "2"], False),
+    ], ids=["dying", "horizon_zero", "one_replicate_a_block", "short_last_block",
+            "threads"])
+    def test_runs_files_match_the_per_file_writer(self, tmp_path, config, flags,
+                                                    dying):
+        """Each runs file holds the bytes of its cell's rows written on their
+        own by write_rows, with the cells run again by `cli.cells`."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, **config)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         *flags]) == 0
+        cfg = ExperimentConfig.from_file(cfg_path)
+        setup = cfg.build_setup()
+        model = cli.coarse_model(cfg, setup, max(cfg.horizons))
+        h = hashlib.sha256((out / "config.txt").read_bytes()).hexdigest()[:16]
+        extinct = []
+        for mode, results in cli.cells(cfg, setup, model, cfg.horizons, cfg.reps):
+            for res in results:
+                want = tmp_path / "want.csv"
+                write_rows(want, ("replicate", "p", "eta_f", "total_weight",
+                                  "num_particles", "extinct"),
+                           self.reference_run_rows(res), h)
+                name = f"runs_{mode}_n{res.n}.csv"
+                assert (out / name).read_bytes() == want.read_bytes(), name
+                if mode == "traditional":
+                    extinct.append(res.extinct_count)
+        assert sorted(path.name for path in out.glob("runs_*.csv")) == sorted(
+            f"runs_{mode}_n{n}.csv" for mode in cfg.modes for n in cfg.horizons)
+        if dying:
+            assert len(set(extinct)) > 2
 
     # at 40 and 70 replicates and 2 threads the workers run several batches
     # each, the last one short, so a fold in any order but the replicate
@@ -500,6 +560,9 @@ class TestExitCodes:
         ("run", {"chain": "nope"}),
         ("run", {"bin_width": "7"}),
         ("run", {"f_states": "95"}),
+        # a reversed interval would name no state at all
+        ("run", {"f_states": "33..28"}),
+        ("hill", {"hit_a": "30..11", "hit_b": "61..75"}),
         ("hill", {"source_state": "95"}),
         ("hill", {"source_state": "0"}),
         ("hill", {"hit_a": "1..10", "hit_b": "91"}),
@@ -525,7 +588,8 @@ class TestExitCodes:
         ("diagnose", {"diag_reps": "99"}),
         ("diagnose", {"diag_horizon": "-1"}),
         ("hill", {"hill_horizon": "-3"}),
-    ], ids=["chain", "bin_width", "f_states", "source_above", "source_zero",
+    ], ids=["chain", "bin_width", "f_states", "f_states_reversed", "hit_a_reversed",
+            "source_above", "source_zero",
             "hit_b", "hit_a_alone", "hit_overlap", "sink_empty", "source_in_sink",
             "source_in_hit_a", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
             "csv_chain_nan", "csv_chain_lag", "diag_reps", "diag_horizon", "hill_horizon"])
@@ -578,6 +642,13 @@ class TestExitCodes:
                            horizons="1", reps="2")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"couples states {n - 3} apart" in capsys.readouterr().err
+
+    def test_repeated_horizons_are_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, horizons="2,2", reps="2")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "horizons must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent")]) == 1

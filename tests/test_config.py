@@ -20,6 +20,14 @@ class TestParseStateSet:
         with pytest.raises(ValueError):
             parse_state_set("0,3")
 
+    @pytest.mark.parametrize("text", ["33..28", "2..1"])
+    def test_rejects_a_reversed_interval(self, text):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            parse_state_set(text)
+
+    def test_one_state_interval(self):
+        assert parse_state_set("7..7") == [6]
+
 
 class TestExperimentConfig:
     def test_defaults_validate(self):
@@ -49,6 +57,14 @@ class TestExperimentConfig:
         p = tmp_path / "cfg"
         p.write_text("horizons = 5,1\n")
         with pytest.raises(ValueError):
+            ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("horizons", ["2,2", "0,3,3,7", "1,1,1"])
+    def test_repeated_horizons_error(self, tmp_path, horizons):
+        # each horizon names its own runs files and summary row
+        p = tmp_path / "cfg"
+        p.write_text(f"horizons = {horizons}\n")
+        with pytest.raises(ValueError, match="horizons must be strictly ascending"):
             ExperimentConfig.from_file(p)
 
     def test_canonical_text_distinguishes_configs(self):

@@ -7,11 +7,13 @@ from weighted_ensemble import TransitionMatrix
 from weighted_ensemble.serialize import (
     BLOCK_ROWS,
     NONZERO_LIMIT,
+    RUNS_HEADER,
     config_hash,
     read_matrix_csv,
     read_vector_csv,
     write_matrix_csv,
     write_rows,
+    write_runs,
     write_v_table_csv,
     write_vector_csv,
 )
@@ -96,6 +98,28 @@ def test_blocks_match_the_reference_writer(tmp_path):
 
 def test_header_only_matches_the_reference_writer(tmp_path):
     assert_same_bytes(tmp_path, ("a", "b"), [])
+
+
+# a block of one replicate wider than BLOCK_ROWS; blocks of 25 replicates of
+# 10 generations, the last one short
+@pytest.mark.parametrize("reps, width", [(4, BLOCK_ROWS + 3), (30, 10)])
+def test_runs_files_match_the_reference_writer(tmp_path, reps, width):
+    """Each file of one run takes its prefix of every replicate's traces,
+    with its own extinct flags, in the bytes of the per-cell writer."""
+    rng = np.random.default_rng(width)
+    etas = rng.choice(AWKWARD_FLOATS, (reps, width))
+    weights = (rng.standard_normal((reps, width))
+               * 10.0 ** rng.integers(-300, 300, (reps, width)))
+    counts = rng.integers(0, 2**62, (reps, width))
+    files = [(tmp_path / f"n{n}.csv", n, rng.random(reps) < 0.5)
+             for n in (0, 1, width // 2, width - 1)]
+    write_runs(files, etas, weights, counts, "deadbeef")
+    for path, n, extinct in files:
+        want = tmp_path / "want.csv"
+        reference_write_rows(want, RUNS_HEADER, [
+            (r, p, etas[r, p], weights[r, p], counts[r, p], extinct[r])
+            for r in range(reps) for p in range(n + 1)], "deadbeef")
+        assert path.read_bytes() == want.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("cell", [np.int64(3), np.bool_(True), None, np.float32(0.5),
