@@ -8,6 +8,7 @@ the config.txt written beside them.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from itertools import groupby, repeat
@@ -51,7 +52,7 @@ EXIT_CHECK_FAILED = 3
 
 def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", type=Path, default=None, help="key=value config file")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
+    sub.add_argument("--seed", type=int, default=None, help="RNG seed, a nonnegative integer")
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--reps", type=int, default=None,
                      help="replicate count (diag_reps for diagnose)")
@@ -299,7 +300,19 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str,
     return EXIT_OK
 
 
+_heap_frozen = False
+
+
 def main(argv=None) -> int:
+    global _heap_frozen
+    if not _heap_frozen:
+        # once per process, move the heap a command starts with (numpy's and
+        # this package's modules, functions and dicts: about 22 000 objects
+        # and no garbage) to the permanent generation, which no collection
+        # examines: the collection at interpreter exit then skips it, which
+        # saves about 20 ms. Fork-started workers inherit it frozen.
+        gc.freeze()
+        _heap_frozen = True
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

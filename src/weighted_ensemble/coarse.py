@@ -51,6 +51,22 @@ def build_coarse_exact(
     return TransitionMatrix.from_entries(R, rows, pairs % R, flow), u
 
 
+def check_sample_budget(bins: BinPartition, total_samples: int) -> None:
+    """Raise ValueError unless `build_coarse_mc` starts a step in every bin
+    from ``total_samples`` samples.
+
+    The leftover samples of the even spread go to the lowest states, as
+    `largest_remainder` breaks ties by index, so a budget below the state
+    count starts one step from each of its first ``total_samples`` states.
+    The least budget that visits every bin is therefore 1 + the largest
+    first state of a bin (0-indexed): S - w + 1 for bins of width w.
+    """
+    need = int(np.unique(bins.bin_of, return_index=True)[1].max()) + 1
+    if total_samples < need:
+        raise ValueError(f"coarse_samples = {total_samples} leaves a bin unsampled; "
+                         f"the least budget that samples every bin is {need}")
+
+
 def build_coarse_mc(
     K: TransitionMatrix,
     bins: BinPartition,
@@ -61,12 +77,12 @@ def build_coarse_mc(
     """Monte Carlo coarse model from one-step trajectories.
 
     The sample budget is spread evenly over the start states (stratified),
-    so every bin is visited when the budget allows. The steps are sampled by
-    `TransitionMatrix.step`, the inverse CDF that `engine.mutate` uses.
+    and `check_sample_budget` refuses a budget that would leave a bin
+    unvisited. The steps are sampled by `TransitionMatrix.step`, the inverse
+    CDF that `engine.mutate` uses.
     """
+    check_sample_budget(bins, total_samples)
     R = bins.n_bins
-    if total_samples < R:
-        raise ValueError(f"need at least {R} samples, one per bin")
     S = K.n_states
     n_starts = largest_remainder(total_samples * np.full(S, 1.0 / S), total_samples)
     starts = np.repeat(np.arange(S), n_starts)
@@ -74,11 +90,6 @@ def build_coarse_mc(
     sb = bins.bin_of[starts]
     eb = bins.bin_of[ends]
     visits = np.bincount(sb, minlength=R)
-    if np.any(visits == 0):
-        bad = int(np.argmin(visits)) + 1
-        raise ValueError(
-            f"bin {bad} received no samples; increase the sample budget"
-        )
     pairs, counts = np.unique(sb * R + eb, return_counts=True)
     rows = pairs // R
     u_num = np.bincount(sb, weights=f.values[starts], minlength=R)

@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .binning import BinPartition
+from .coarse import check_sample_budget
 from .diagnostics import MIN_CHECK_REPS
 from .experiment import MODES, ChainSetup
 from .markov import Observable, build_three_well_chain
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.coarse_samples < 0:
+            raise ValueError("coarse_samples must be >= 0 (0 = exact coarse model)")
         if self.diag_horizon < 0 or self.hill_horizon < 0:
             raise ValueError("diag_horizon and hill_horizon must be nonnegative")
         if self.diag_reps < MIN_CHECK_REPS:
@@ -135,7 +138,8 @@ class ExperimentConfig:
         return states
 
     def build_setup(self) -> ChainSetup:
-        """Materialize the chain, bins and observable."""
+        """Materialize the chain, bins and observable, and check a sampled
+        coarse model's budget against the bins."""
         if self.chain == "three-well":
             K = build_three_well_chain(self.lag)[1]
         elif self.chain.startswith("csv:"):
@@ -146,6 +150,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown chain {self.chain!r}")
         n = K.n_states
         bins = BinPartition.from_width(n, self.bin_width)
+        if self.coarse_samples:
+            check_sample_budget(bins, self.coarse_samples)
         if self.f_states.startswith("csv:"):
             f = observable_from_csv(Path(self.f_states[4:]))
             if f.n_states != n:

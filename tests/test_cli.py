@@ -1,13 +1,16 @@
 import csv
 import hashlib
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weighted_ensemble
 from weighted_ensemble import (
     Distribution,
     Ensemble,
@@ -52,6 +55,20 @@ SMALL_RUN = dict(mode="all", horizons="1,2", reps="10", n_particles="60")
 # and 12
 DYING_RUN = dict(mode="all", reps="30", seed="5", n_particles="60",
                  per_bin_target="0.5")
+
+
+def write_steep_chain(tmp_path):
+    """A birth-death chain with up 0.4 and down 0.1, whose pi spans 4^89: the
+    solves for its mu and pi miss the residual, so a run on it exits 2."""
+    n = 90
+    rows = []
+    for i in range(n):
+        to = {i - 1: 0.1 * (i > 0), i + 1: 0.4 * (i < n - 1)}
+        to[i] = 1.0 - sum(to.values())
+        rows += [f"{i + 1},{j + 1},{p!r}" for j, p in to.items() if p > 0]
+    path = tmp_path / "K.csv"
+    path.write_text("\n".join(["i,j,value", *rows]) + "\n")
+    return path
 
 
 def assert_threads_do_not_change_outputs(tmp_path, command, cfg, threads):
@@ -610,17 +627,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_stationary_residual_miss_is_numerical_error(self, tmp_path, capsys):
-        # a birth-death chain with up 0.4 and down 0.1, whose pi spans 4^89:
-        # the solves for its mu and pi miss the residual, and it exits at once
-        n = 90
-        rows = []
-        for i in range(n):
-            to = {i - 1: 0.1 * (i > 0), i + 1: 0.4 * (i < n - 1)}
-            to[i] = 1.0 - sum(to.values())
-            rows += [f"{i + 1},{j + 1},{p!r}" for j, p in to.items() if p > 0]
-        path = tmp_path / "K.csv"
-        path.write_text("\n".join(["i,j,value", *rows]) + "\n")
-        cfg = write_config(tmp_path, chain=f"csv:{path}", horizons="1", reps="2")
+        cfg = write_config(tmp_path, chain=f"csv:{write_steep_chain(tmp_path)}",
+                           horizons="1", reps="2")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "stationary solve missed its tolerance" in capsys.readouterr().err
 
@@ -652,6 +660,66 @@ class TestExitCodes:
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent")]) == 1
+
+    # bins of width 3 on the 90-state chain: a budget below 90 starts one step
+    # from each of its first states, and the last bin starts at state 88
+    @pytest.mark.parametrize("budget", ["-5", "29", "30", "87"])
+    def test_coarse_budget_that_misses_a_bin_is_config_error(self, tmp_path, capsys,
+                                                             budget):
+        cfg = write_config(tmp_path, horizons="1", reps="2", coarse_samples=budget)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: coarse_samples")
+        assert budget == "-5" or "samples every bin is 88" in err
+        assert not out.exists()
+
+    def test_least_coarse_budget_runs(self, tmp_path):
+        cfg = write_config(tmp_path, horizons="1", reps="2", coarse_samples="88")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_main_freezes_the_heap_once_per_process(tmp_path, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(cli, "_heap_frozen", False)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(1))
+    cfg = write_config(tmp_path, horizons="1")
+    for out in ("a", "b"):
+        assert cli.main(["coarse", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    assert frozen == [1]
+
+
+@pytest.mark.parametrize("case, code", [("run", 0), ("config_error", 1),
+                                        ("numerical_failure", 2)])
+def test_exit_of_a_process_with_a_frozen_heap(tmp_path, case, code):
+    """A frozen heap matters only at a real interpreter exit: a command run
+    as `python -m weighted_ensemble.cli` keeps its exit code, and every file
+    it writes holds the bytes of the same command run in this process."""
+    config = {"run": SMALL_RUN,
+              "config_error": dict(horizons="1", coarse_samples="29"),
+              "numerical_failure": dict(chain=f"csv:{write_steep_chain(tmp_path)}",
+                                        horizons="1", reps="2")}[case]
+    cfg = write_config(tmp_path, **config)
+    package_root = str(Path(weighted_ensemble.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    sub, ref = tmp_path / "sub", tmp_path / "ref"
+    proc = subprocess.run([sys.executable, "-m", "weighted_ensemble.cli", "run",
+                           "--config", str(cfg), "--out", str(sub)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert cli.main(["run", "--config", str(cfg), "--out", str(ref)]) == code
+    if code == 1:
+        assert proc.stderr.startswith("config error:")
+        assert not sub.exists()
+        return
+    names = sorted(path.name for path in ref.iterdir())
+    assert names == sorted(path.name for path in sub.iterdir())
+    for name in names:
+        assert (sub / name).read_bytes() == (ref / name).read_bytes(), name
+    if code == 0:
+        assert (sub / "summary.csv").read_bytes().endswith(b"\r\n")
+        assert len(read_csv(sub / "summary.csv")[1]) == 6  # 3 modes x 2 horizons
 
 
 def test_import_leaves_scipy_out():

@@ -81,6 +81,18 @@ class TestBuildCoarseMC:
                 np.random.default_rng(0),
             )
 
+    def test_least_budget_starts_a_step_in_every_bin(self):
+        # the bins' first states are 0, 1 and 4: a budget below the state
+        # count starts one step from each of its first states, so 5 reaches
+        # every bin and 4 leaves bin 3 unsampled
+        K = TransitionMatrix.from_dense(np.full((6, 6), 1 / 6))
+        bins = BinPartition(np.array([0, 1, 0, 1, 2, 2]))
+        f = Observable(np.zeros(6))
+        P, _ = build_coarse_mc(K, bins, f, 5, np.random.default_rng(0))
+        assert np.allclose(P.to_dense().sum(axis=1), 1.0)
+        with pytest.raises(ValueError, match="samples every bin is 5"):
+            build_coarse_mc(K, bins, f, 4, np.random.default_rng(0))
+
     def test_error_rate_scales_with_budget(self, setup):
         exact, _ = build_coarse_exact(setup.K, setup.bins, setup.f)
         errs = []
