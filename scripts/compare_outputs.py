@@ -19,24 +19,29 @@ and 2:
     run --mode all --reps 100, with coarse_samples = 300
     run --mode all --reps 30, with horizons = 0,1,3,6,12,260,
         n_particles = 60 and per_bin_target = 0.5
+    run --mode all --reps 10, with n_floor = 10
+    diagnose --mode all, with n_particles = 20
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
 several closed classes at either seed, so those commands reach the sampled
 builder and the several-class path of `markov.stationary`, which weights
-each class's law by the mass that uniform sends into it. On the last `run`
-the traditional replicates die out between horizons (0/0/3/22/30/30 of 30
-at seed 0, 0/0/1/17/30/30 at seed 7), so its runs files carry extinct flags
-that differ by horizon, and its horizon 260 is wider than a block of
-`serialize.BLOCK_ROWS` rows, so each block holds one replicate. The script prints
-each command whose exit codes differ and each output file that differs or
-exists on one side only, and exits 1 on any difference, 0 when every exit
-code and every byte matches. It says what kind of difference each differing file
-holds: a structural one (a file on one side only, another number of rows or
-cells, or a differing cell that is not a float, integers and text included),
-or float cells only. For the latter it prints how many cells differ, the
-largest relative difference among them, and where that one lies: its row's
-first cell and its column's header.
+each class's law by the mass that uniform sends into it. On the `run` to
+horizon 260 the traditional replicates die out between horizons
+(0/0/3/22/30/30 of 30 at seed 0, 0/0/1/17/30/30 at seed 7), so its runs
+files carry extinct flags that differ by horizon, and its horizon 260 is
+wider than a block of `serialize.BLOCK_ROWS` rows, so each block holds one
+replicate. The last two commands are config errors, an adaptive floor above
+n_particles / R and fewer particles than the R = 30 bins: each exits 1 and
+writes no output directory. The script prints each command whose exit codes
+differ and each output file that differs or exists on one side only, and
+exits 1 on any difference, 0 when every exit code and every byte matches. It
+says what kind of difference each differing file holds: a structural one (a
+file on one side only, another number of rows or cells, or a differing cell
+that is not a float, integers and text included), or float cells only. For
+the latter it prints how many cells differ, the largest relative difference
+among them, and where that one lies: its row's first cell and its column's
+header.
 """
 import csv
 import math
@@ -60,6 +65,8 @@ COMMANDS = {
     "diagnose": (["diagnose", "--mode", "all"], None),
     "run_sampled": (["run", "--mode", "all", "--reps", "100"], SAMPLED_CONFIG),
     "run_dying": (["run", "--mode", "all", "--reps", "30"], DYING_CONFIG),
+    "run_bad_floor": (["run", "--mode", "all", "--reps", "10"], "n_floor = 10\n"),
+    "diagnose_few_particles": (["diagnose", "--mode", "all"], "n_particles = 20\n"),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,

@@ -99,6 +99,14 @@ def _load_config(args) -> tuple[ExperimentConfig, ChainSetup, list[SourceSinkSpe
     if args.command == "hill" and len(cfg.modes) > 1:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
     setup = cfg.build_setup()
+    if args.command != "coarse":
+        # the starting ensemble and the adaptive policy check these again
+        R = setup.bins.n_bins
+        if cfg.n_particles < R:
+            raise ValueError(f"n_particles must be at least the bin count, {R}")
+        if "adaptive" in cfg.modes and not 0 < cfg.n_floor < cfg.n_particles / R:
+            raise ValueError(f"n_floor must lie in (0, n_particles / R) = "
+                             f"(0, {cfg.n_particles / R})")
     specs = []
     if args.command == "hill":
         n = setup.K.n_states

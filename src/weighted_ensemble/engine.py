@@ -17,15 +17,16 @@ depend only on (seed, config). Passes go through one driver, `replicates`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
+import numpy.random
 
 from .binning import BinPartition
 from .markov import Distribution, Observable, TransitionMatrix
 
-_PURPOSES = {"init": 0, "select": 1, "mutate": 2, "coarse": 3}
+_PURPOSES = {"select": 1, "mutate": 2, "coarse": 3}
 
 # replicates per stream, part of the stream definition: the chunks
 # 0..CHUNK-1, CHUNK..2*CHUNK-1, ... each draw from their first replicate's
@@ -36,28 +37,16 @@ PASS_CHUNKS = 2
 memory, which two keep within 2% of one on `diagnose`. Changing it moves no byte."""
 
 
-def _key_seed(key: np.ndarray) -> "np.random.bit_generator.ISeedSequence":
+class _KeySeed(np.random.bit_generator.ISeedSequence):
     """A seed sequence that answers Philox's one request, two uint64 words,
     with the given key. ``Philox(key=...)`` first builds a throwaway
     OS-entropy ``SeedSequence()``; seeded with this, it builds none."""
-    return _key_seed_type()(key)
 
+    def __init__(self, key: np.ndarray):
+        self.key = key
 
-@cache
-def _key_seed_type() -> type:
-    # defined on first use: its base class's package, numpy.random, takes
-    # about 20 ms to import; instances pickle through _key_seed
-    class KeySeed(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.key
-
-        def __reduce__(self):
-            return _key_seed, (self.key,)
-
-    return KeySeed
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ class RngStream:
     def at(self, generation: int, purpose: str) -> np.random.Generator:
         """A new generator at the start of the (generation, purpose) stream."""
         counter = [0, self.replicate, generation, _PURPOSES[purpose]]
-        return np.random.Generator(np.random.Philox(_key_seed(self.key),
+        return np.random.Generator(np.random.Philox(_KeySeed(self.key),
                                                     counter=counter))
 
 

@@ -605,11 +605,21 @@ class TestExitCodes:
         ("diagnose", {"diag_reps": "99"}),
         ("diagnose", {"diag_horizon": "-1"}),
         ("hill", {"hill_horizon": "-3"}),
+        # the 90 states in bins of width 3 make R = 30 bins: the adaptive
+        # floor must lie in (0, n_particles / R), and each bin needs a particle
+        ("run", {"n_floor": "10"}),
+        ("hill", {"n_floor": "0"}),
+        ("diagnose", {"mode": "all", "n_floor": "5"}),
+        ("run", {"mode": "traditional", "n_particles": "20"}),
+        ("hill", {"n_particles": "20"}),
+        ("diagnose", {"n_particles": "20"}),
     ], ids=["chain", "bin_width", "f_states", "f_states_reversed", "hit_a_reversed",
             "source_above", "source_zero",
             "hit_b", "hit_a_alone", "hit_overlap", "sink_empty", "source_in_sink",
             "source_in_hit_a", "csv_chain_index_0", "csv_f_index_0", "csv_chain_too_big",
-            "csv_chain_nan", "csv_chain_lag", "diag_reps", "diag_horizon", "hill_horizon"])
+            "csv_chain_nan", "csv_chain_lag", "diag_reps", "diag_horizon", "hill_horizon",
+            "n_floor_above", "n_floor_zero", "n_floor_at_bound", "few_particles_run",
+            "few_particles_hill", "few_particles_diagnose"])
     def test_bad_setup_input_is_config_error(self, tmp_path, capsys, command,
                                              config):
         values = {}
@@ -625,6 +635,18 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    # the floor is read by the adaptive policy alone, and coarse builds
+    # neither a policy nor a starting ensemble
+    @pytest.mark.parametrize("args, config", [
+        (["run", "--mode", "naive"], {"n_floor": "10"}),
+        (["coarse"], {"n_floor": "10"}),
+        (["coarse"], {"n_particles": "20"}),
+    ], ids=["naive_floor", "coarse_floor", "coarse_particles"])
+    def test_floor_and_particles_are_checked_only_where_used(self, tmp_path, args,
+                                                              config):
+        cfg = write_config(tmp_path, horizons="1", reps="2", **config)
+        assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_stationary_residual_miss_is_numerical_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chain=f"csv:{write_steep_chain(tmp_path)}",
@@ -729,3 +751,21 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_numpy_random_loads_with_the_package():
+    # numpy.random loads at import, so before main's heap freeze and outside
+    # every run_we span; a stream's first draw then loads nothing
+    code = ("import sys, weighted_ensemble.cli\n"
+            "assert 'numpy.random' in sys.modules\n"
+            "from weighted_ensemble import RngStream\n"
+            "before = set(sys.modules)\n"
+            "RngStream(0, 0).at(0, 'select').random(3)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    package_root = str(Path(weighted_ensemble.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

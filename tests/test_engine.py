@@ -57,7 +57,7 @@ class TestRngStream:
         assert not np.array_equal(a, d)
 
     @pytest.mark.parametrize("purpose,purpose_id",
-                             [("init", 0), ("select", 1), ("mutate", 2), ("coarse", 3)])
+                             [("select", 1), ("mutate", 2), ("coarse", 3)])
     def test_known_answer(self, purpose, purpose_id):
         # the stream definition: a Philox key from the seed and the counter
         # [draw index, replicate, generation, purpose id]
