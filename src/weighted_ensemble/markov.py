@@ -396,7 +396,8 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
     the bandwidth, blocks of B = max(b, `MIN_BLOCK`) consecutive states
     couple only to their neighbours, and only through their b states nearest
     the boundary. Each block's dense Schur complement is solved by
-    np.linalg.solve; a chain of bandwidth n is one block. Memory is
+    np.linalg.solve, or by `_gth_solve` where its LU factorisation finds the
+    block singular; a chain of bandwidth n is one block. Memory is
     O(B^2 + n b); a B above `MAX_BLOCK` raises ValueError.
 
     ``leak`` holds the column sums of I - E, each >= 0: a column's mass that
@@ -407,7 +408,9 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
     factorisation updates the diagonal by differences. So only blocks of one
     state (B = 1) keep every entry's relative accuracy; in a larger block the
     result is normwise accurate, and an entry far below the block's largest
-    can lose all of it, as one deep in a metastable well does.
+    can lose all of it, as one deep in a metastable well does. A block that
+    leaks less than a rounding error of its mass can lose its pivots to that
+    subtraction; LU then stops on a zero pivot, and `_gth_solve` takes over.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -449,7 +452,11 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
         width = min(band, n - s - m)  # the next block's states coupled to this
         upper = np.zeros((m, width))
         upper[r[above], c[above] - m] = -v[above]
-        sol = np.linalg.solve(d, np.column_stack((upper, b)))
+        b = np.column_stack((upper, b))
+        try:
+            sol = np.linalg.solve(d, b)
+        except np.linalg.LinAlgError:
+            sol = _gth_solve(d, leak[s:s + m] + down[s:s + m], b)
         blocks.append((sol[:, :width], sol[:, width]))
     x = np.empty(n)
     after = np.empty(0)
@@ -457,6 +464,25 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
         g, y = blocks[k]
         after = y - g @ after[:g.shape[1]]
         x[k * size:k * size + y.size] = after
+    return x
+
+
+def _gth_solve(a: np.ndarray, colsum: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, a a nonsingular M-matrix whose column sums ``colsum``
+    are each >= 0. Gaussian elimination without pivoting in which, as in
+    `solve_identity_minus` across blocks, each pivot is rebuilt from its
+    column's leak and off-diagonal entries and the leak is carried to the
+    columns left; no step subtracts. One numpy round trip per state."""
+    a, b, c = a.copy(), b.copy(), np.array(colsum, dtype=float)
+    for k in range(len(c)):
+        a[k, k] = c[k] - a[k + 1:, k].sum()
+        f = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(f, a[k, k + 1:])
+        b[k + 1:] -= np.outer(f, b[k])
+        c[k + 1:] -= a[k, k + 1:] * (c[k] / a[k, k])
+    x = np.empty_like(b)
+    for k in range(len(c) - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
     return x
 
 

@@ -522,6 +522,29 @@ class TestSolves:
             got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
         assert abs(got - want) <= 1e-12 * want
 
+    def test_a_block_that_lu_finds_singular_is_solved_by_gth(self):
+        # the same chain on 120 states, E_1[tau_0] about 9e21: the block of
+        # states 1..3 leaks 0.2 of mass per step against visits near 1e21,
+        # LU's pivots cancel to zero, and the leak-carrying elimination
+        # solves it instead
+        n, up, down = 120, 0.3, 0.2
+        m = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+        K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
+        ratio = Fraction(up) / Fraction(down)
+        want = float(sum(ratio**k for k in range(n - 1)) / Fraction(down))
+        with mock.patch.object(markov, "MIN_BLOCK", 3):
+            got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_gth_solve_matches_a_dense_solve(self):
+        rng = np.random.default_rng(5)
+        e = rng.uniform(0.0, 1.0, (6, 6)) * (rng.random((6, 6)) < 0.6)
+        e *= rng.uniform(0.5, 1.0, 6) / np.maximum(e.sum(axis=0), 1e-300)
+        a = np.eye(6) - e
+        b = rng.uniform(0.0, 1.0, (6, 2))
+        got = markov._gth_solve(a, a.sum(axis=0), b)
+        assert np.allclose(got, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+
     def test_hundred_thousand_state_birth_death_chain(self):
         # detailed balance pi[i + 1] / pi[i] = up[i] / down[i + 1] on a
         # three-well landscape with per-state rates: a metastable chain whose
