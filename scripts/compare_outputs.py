@@ -21,6 +21,7 @@ and 2:
         n_particles = 60 and per_bin_target = 0.5
     run --mode all --reps 10, with n_floor = 10
     diagnose --mode all, with n_particles = 20
+    run --mode all --reps 100 on a csv: chain, with bin_width = 3
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
@@ -31,16 +32,20 @@ horizon 260 the traditional replicates die out between horizons
 (0/0/3/22/30/30 of 30 at seed 0, 0/0/1/17/30/30 at seed 7), so its runs
 files carry extinct flags that differ by horizon, and its horizon 260 is
 wider than a block of `serialize.BLOCK_ROWS` rows, so each block holds one
-replicate. The last two commands are config errors, an adaptive floor above
-n_particles / R and fewer particles than the R = 30 bins: each exits 1 and
-writes no output directory. The script prints each command whose exit codes
-differ and each output file that differs or exists on one side only, and
-exits 1 on any difference, 0 when every exit code and every byte matches. It
-says what kind of difference each differing file holds: a structural one (a
-file on one side only, another number of rows or cells, or a differing cell
-that is not a float, integers and text included), or float cells only. For
-the latter it prints how many cells differ, the largest relative difference
-among them, and where that one lies: its row's first cell and its column's
+replicate. The run_bad_floor and diagnose_few_particles commands are config
+errors, an adaptive floor above n_particles / R and fewer particles than the
+R = 30 bins: each exits 1 and writes no output directory. The csv: chain is
+`bench/workloads.banded_chain` on 300 states (chain seed 0), so R = 100. It
+is written once into the temporary directory, with comment lines, a blank
+line after every row and CRLF line endings, which the chain reader skips.
+The script prints each command whose exit codes differ and each output file
+that differs or exists on one side only, and exits 1 on any difference, 0
+when every exit code and every byte matches. It says what kind of
+difference each differing file holds: a structural one (a file on one side
+only, another number of rows or cells, or a differing cell that is not a
+float, integers and text included), or float cells only. For the latter it
+prints how many cells differ, the largest relative difference among them,
+and where that one lies: its row's first cell and its column's
 header.
 """
 import csv
@@ -53,10 +58,19 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # bench/ is read, never written
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
 HIT_CONFIG = "hit_a = 11..30\nhit_b = 61..75\nn_particles = 60\nhill_horizon = 100\n"
 SAMPLED_CONFIG = "coarse_samples = 300\n"
 DYING_CONFIG = ("horizons = 0,1,3,6,12,260\nn_particles = 60\n"
                 "per_bin_target = 0.5\n")
+# the csv: chain, written beside both sides' output directories, which the
+# commands run in
+CSV_CHAIN = "banded_300.csv"
+CSV_CONFIG = (f"chain = csv:../{CSV_CHAIN}\nbin_width = 3\n"
+              "f_states = {}..{}\n".format(*workloads.banded_f_states(300)))
 # name -> (we-sample arguments, config text or None)
 COMMANDS = {
     "run": (["run", "--mode", "all", "--reps", "100"], None),
@@ -67,6 +81,7 @@ COMMANDS = {
     "run_dying": (["run", "--mode", "all", "--reps", "30"], DYING_CONFIG),
     "run_bad_floor": (["run", "--mode", "all", "--reps", "10"], "n_floor = 10\n"),
     "diagnose_few_particles": (["diagnose", "--mode", "all"], "n_particles = 20\n"),
+    "run_csv": (["run", "--mode", "all", "--reps", "100"], CSV_CONFIG),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,
@@ -95,6 +110,20 @@ def export(ref: str, into: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {ref} failed")
+
+
+def write_csv_chain(path: Path) -> None:
+    """The 300-state banded chain as an i,j,value CSV with a comment line
+    before its header and every 100 rows, a blank line after every row and
+    CRLF line endings."""
+    K = workloads.banded_chain(0, 300).K
+    lines = ["# banded chain, 300 states", "i,j,value"]
+    for k, (i, j, v) in enumerate(zip(K.rows.tolist(), K.cols.tolist(),
+                                      K.vals.tolist())):
+        if k % 100 == 0:
+            lines.append(f"# rows {k + 1}..")
+        lines += [f"{i + 1},{j + 1},{v!r}", ""]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
 
 def run_case(tree: Path, out: Path, name: str, args: list[str], config) -> int:
@@ -172,6 +201,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         export(ref, tmp / "ref")
+        write_csv_chain(tmp / CSV_CHAIN)
         sides = {"ref": tmp / "ref", "work": ROOT}
         for side in sides:
             (tmp / f"out_{side}").mkdir()

@@ -50,10 +50,11 @@ def backward(K: TransitionMatrix, f: Observable, n: int) -> np.ndarray:
     p = 0..n, as an (n+1, states) array."""
     if n < 0:
         raise ValueError("horizon must be >= 0")
+    apply = K.applier()
     g = np.empty((n + 1, K.n_states))
     g[n] = f.values
     for p in range(n - 1, -1, -1):
-        g[p] = K.apply(g[p + 1])
+        g[p] = apply(g[p + 1])
     return g
 
 
@@ -65,10 +66,10 @@ def g_sequence(K: TransitionMatrix, f: Observable, n: int) -> GSequence:
     Jensen and signals a bug in K or f, so it raises ValueError.
     """
     g = backward(K, f, n)
-    m = K.n_states
-    kg2 = np.empty((n, m))
+    apply = K.applier()
+    kg2 = np.empty((n, K.n_states))
     for p in range(n):
-        kg2[p] = K.apply(g[p + 1] ** 2)
+        kg2[p] = apply(g[p + 1] ** 2)
     local_var = kg2 - g[:n] ** 2
     if local_var.size and local_var.min() < -1e-10:
         raise ValueError(

@@ -279,18 +279,16 @@ def stationary_init_ensemble(
     quotas = np.where(mu.weights / n_particles > 0, n_particles / R, 0.0)
     scale = n_particles / quotas.sum()
     per_bin = largest_remainder(quotas * scale, n_particles)
-    states = []
-    weights = []
-    for r in range(R):
-        if per_bin[r] == 0:
-            continue
-        members = bins.states_in(r)
-        k = int(per_bin[r])
-        # round-robin over the bin's states
-        chosen = members[np.arange(k) % members.size]
-        states.append(np.sort(chosen))
-        weights.append(np.full(k, mu.weights[r] / k))
-    return Ensemble(0, np.concatenate(states), np.concatenate(weights))
+    # a bin's k particles sit round-robin on its m states, ascending, so its
+    # j-th state takes k // m + (j < k % m) of them: one pass over the states
+    # in (bin, state) order, each with its rank in its bin
+    size = np.bincount(bins.bin_of, minlength=R)
+    rank = np.arange(bins.n_states) - np.repeat(np.cumsum(size) - size, size)
+    k, m = np.repeat(per_bin, size), np.repeat(size, size)
+    states = np.repeat(np.argsort(bins.bin_of, kind="stable"), k // m + (rank < k % m))
+    occupied = per_bin > 0
+    weights = np.repeat(mu.weights[occupied] / per_bin[occupied], per_bin[occupied])
+    return Ensemble(0, states, weights)
 
 
 def stochastic_round(beta: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ everything is a 0-indexed numpy array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -110,8 +111,17 @@ class TransitionMatrix:
         """Kg, the one-step expectation (Kg)(x) = sum_y K(x, y) g(y)."""
         g = np.asarray(g, dtype=float)
         _check_dims(self.n_states, g.shape[0], "apply")
+        return self.applier()(g)
+
+    def applier(self) -> Callable[[np.ndarray], np.ndarray]:
+        """`apply` for the many steps of a recursion on this kernel: the same
+        gather, product and row sum, so the same bits, with the ones vector
+        made once, and without the conversion and shape check, so each step
+        is given a float vector over the states."""
+        probs, columns = self.probs, self.columns
         # a product with ones sums each row in a third of the time of .sum
-        return (self.probs * g[self.columns]) @ np.ones(self.probs.shape[1])
+        ones = np.ones(probs.shape[1])
+        return lambda g: (probs * g[columns]) @ ones
 
     def push(self, x: np.ndarray) -> np.ndarray:
         """xK, a row vector pushed one step forward: a distribution's law

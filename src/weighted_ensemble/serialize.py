@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+import warnings
 from contextlib import ExitStack, contextmanager
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -185,45 +186,52 @@ def write_v_table_csv(path: Path, v: np.ndarray, cfg_hash: Optional[str] = None)
     write_rows(path, ("p", "r", "value"), array_rows(p, r + 1, v.ravel()), cfg_hash)
 
 
-# data lines parsed per numpy call: a chain's file is read in slices of this
-# size, so reading holds one slice of text at a time
+# raw lines parsed per numpy call: a chain's file is read in slices of this
+# many lines, so reading holds one slice of text at a time
 _CHUNK_LINES = 1 << 16
 
 
-def _data_lines(path: Path) -> Iterator[str]:
-    """The lines of a CSV after its comment lines, blank lines and header."""
-    with open(path, newline="") as fh:
-        lines = (line for line in fh if line.strip() and not line.startswith("#"))
-        next(lines, None)
-        yield from lines
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that hold data: those not blank once the comment a `#`
+    starts, which runs to the end of its line, is cut off."""
+    return (line for line in lines if line.partition("#")[0].strip())
 
 
 def _row_text(path: Path, k: int) -> str:
-    """Data row k of a CSV, as written."""
-    return next(islice(_data_lines(path), k, None)).rstrip("\r\n")
+    """Data row k of a CSV, counted after its header, as written."""
+    with open(path, newline="") as fh:
+        return next(islice(_data_lines(fh), k + 1, None)).rstrip("\r\n")
 
 
 def _parse(path: Path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each line's width integer indices and its value, by numpy's parser; by
-    the csv module's where that one fails, which also reads quoted fields and
-    names a row with the wrong number of fields."""
+    """The width integer indices and the value of each data row of a slice
+    of raw lines, by numpy's parser, which skips comments and empty lines; by
+    the csv module's where that one fails, which also skips lines of
+    whitespace, reads quoted fields and names a row with the wrong number of
+    fields."""
     try:
         dtype = [(f"i{k}", np.int64) for k in range(width)] + [("value", float)]
-        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        with warnings.catch_warnings():
+            # a slice of comments alone holds no data: that is no error
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, delimiter=",", comments="#", dtype=dtype,
+                               ndmin=1)
         index = np.column_stack([table[f"i{k}"] for k in range(width)])
         return index, table["value"]
     except ValueError:
-        rows = list(csv.reader(lines))
+        rows = list(csv.reader(line.partition("#")[0] for line in _data_lines(lines)))
     for row in rows:
         if len(row) != width + 1:
             raise ValueError(f"{path}: row {','.join(row)!r} needs {width + 1} fields")
-    index = np.array([[int(t) for t in row[:width]] for row in rows], dtype=np.int64)
+    index = np.array([[int(t) for t in row[:width]] for row in rows],
+                     dtype=np.int64).reshape(-1, width)
     return index, np.array([float(row[width]) for row in rows])
 
 
 def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The data rows of an i,value (width 1) or i,j,value (width 2) CSV: the
     state count n, the largest i; each row's 0-indexed indices; its values.
+    The first data line is the header; a `#` starts a comment.
 
     Raises ValueError, naming the row, for a row with the wrong field count,
     for the nonzero value that passes NONZERO_LIMIT, for an index outside
@@ -231,19 +239,22 @@ def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, np.ndarray]:
     NONZERO_LIMIT. Each check comes before anything of size n is allocated.
     """
     indices, values = [], []
-    nonzero = 0
-    lines = _data_lines(path)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        index, value = _parse(path, chunk, width)
-        nz = np.flatnonzero(value != 0.0)
-        if nonzero + nz.size > NONZERO_LIMIT:
-            row = chunk[nz[NONZERO_LIMIT - nonzero]].rstrip("\r\n")
-            raise ValueError(f"{path}: row {row!r} is nonzero entry "
-                             f"{NONZERO_LIMIT + 1}; a CSV holds at most {NONZERO_LIMIT}")
-        nonzero += nz.size
-        indices.append(index)
-        values.append(value)
-    if not values:
+    rows = nonzero = 0
+    with open(path, newline="") as fh:
+        next(_data_lines(fh), None)
+        while chunk := list(islice(fh, _CHUNK_LINES)):
+            index, value = _parse(path, chunk, width)
+            nz = np.flatnonzero(value != 0.0)
+            if nonzero + nz.size > NONZERO_LIMIT:
+                row = _row_text(path, rows + int(nz[NONZERO_LIMIT - nonzero]))
+                raise ValueError(f"{path}: row {row!r} is nonzero entry "
+                                 f"{NONZERO_LIMIT + 1}; a CSV holds at most "
+                                 f"{NONZERO_LIMIT}")
+            rows += value.size
+            nonzero += nz.size
+            indices.append(index)
+            values.append(value)
+    if not rows:
         raise ValueError(f"{path} has no data rows")
     index = np.concatenate(indices) - 1
     n = int(index[:, 0].max()) + 1

@@ -47,6 +47,31 @@ def init_ensemble():
     return _init_ensemble
 
 
+def _per_bin_init_ensemble(mu, bins, n_particles: int) -> Ensemble:
+    # stationary_init_ensemble as a loop over the bins: bin r's
+    # largest-remainder share of k particles sits round-robin on its states
+    # (members[arange(k) % m], sorted) and each carries mu_r / k
+    R = bins.n_bins
+    quotas = np.where(mu.weights / n_particles > 0, n_particles / R, 0.0)
+    per_bin = largest_remainder(quotas * (n_particles / quotas.sum()), n_particles)
+    states, weights = [], []
+    for r in range(R):
+        if per_bin[r] == 0:
+            continue
+        members = bins.states_in(r)
+        k = int(per_bin[r])
+        states.append(np.sort(members[np.arange(k) % members.size]))
+        weights.append(np.full(k, mu.weights[r] / k))
+    return Ensemble(0, np.concatenate(states), np.concatenate(weights))
+
+
+@pytest.fixture(scope="session")
+def per_bin_init_ensemble():
+    """The per-bin loop that stationary_init_ensemble replaced, as the
+    reference it must match bit for bit."""
+    return _per_bin_init_ensemble
+
+
 def _conditional_mutation_variance(e, beta, g, p) -> float:
     # sum_j w_j^2 / beta_j [K g_{p+1}^2 - g_p^2](xi_j); particles with zero
     # local variance add nothing, so beta = 0 is tolerated there only

@@ -11,11 +11,14 @@ from weighted_ensemble import (
     NaivePolicy,
     Observable,
     TraditionalPolicy,
+    SourceSinkSpec,
     TransitionMatrix,
     select,
+    source_sink_kernel,
 )
 from weighted_ensemble.diagnostics import (
     GSequence,
+    backward,
     g_sequence,
     mutation_variance_term,
     run_checks,
@@ -61,6 +64,25 @@ class TestGSequence:
     def test_local_var_nonnegative(self, setup):
         g = g_sequence(setup.K, setup.f, 10)
         assert g.local_var.min() >= 0.0
+
+    def test_steps_match_apply_bit_for_bit(self, setup):
+        # the recursions give the bits of K g written out: a gather, a
+        # product and a row sum by a product with ones, one step at a time
+        spec = SourceSinkSpec(setup.K, frozenset(range(80, 90)),
+                              Distribution.point_mass(0, 90))
+        for K in (setup.K, source_sink_kernel(spec)):
+            n = 40
+            seq = g_sequence(K, setup.f, n)
+            g = np.empty((n + 1, K.n_states))
+            g[n] = setup.f.values
+            ones = np.ones(K.probs.shape[1])
+            for p in range(n - 1, -1, -1):
+                g[p] = (K.probs * g[p + 1][K.columns]) @ ones
+            kg2 = np.array([(K.probs * (g[p + 1] ** 2)[K.columns]) @ ones
+                            for p in range(n)])
+            assert seq.g.tobytes() == g.tobytes()
+            assert seq.local_var.tobytes() == np.maximum(kg2 - g[:n] ** 2, 0.0).tobytes()
+            assert backward(K, setup.f, n).tobytes() == g.tobytes()
 
 
 class TestMutationVarianceTerm:

@@ -367,6 +367,34 @@ class TestStationaryInitEnsemble:
         assert np.all(mu[setup.bins.bin_of[e.states]] > 0.0)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_bin_loop_bit_for_bit(self, per_bin_init_ensemble, data):
+        # bins in any order over the states, some of zero or subnormal mass,
+        # and more particles than a bin has states, so the round-robin wraps
+        R = data.draw(st.integers(1, 8), label="R")
+        extra = data.draw(st.lists(st.integers(0, R - 1), max_size=24), label="extra")
+        bin_of = data.draw(st.permutations([*range(R), *extra]), label="bin_of")
+        kind = data.draw(st.lists(st.sampled_from(["positive", "zero", "subnormal"]),
+                                  min_size=R, max_size=R), label="kind")
+        kind[data.draw(st.integers(0, R - 1), label="positive bin")] = "positive"
+        mass = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=R,
+                                           max_size=R), label="mass"))
+        tiny = np.array(data.draw(st.lists(st.sampled_from([5e-324, 1e-310, 2.2e-308]),
+                                           min_size=R, max_size=R), label="tiny"))
+        positive = np.array(kind) == "positive"
+        w = np.where(np.array(kind) == "subnormal", tiny, 0.0)
+        w[positive] = mass[positive] / mass[positive].sum()
+        mu = Distribution(w)
+        bins = BinPartition(np.array(bin_of), R)
+        n = data.draw(st.integers(R, 4 * len(bin_of) + R), label="n_particles")
+        got = stationary_init_ensemble(mu, bins, n)
+        want = per_bin_init_ensemble(mu, bins, n)
+        assert got.states.dtype == want.states.dtype
+        assert got.weights.dtype == want.weights.dtype
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
 class TestStochasticRound:
     def test_integer_is_deterministic(self):
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from weighted_ensemble import TransitionMatrix
+from weighted_ensemble import TransitionMatrix, serialize
 from weighted_ensemble.serialize import (
     BLOCK_ROWS,
     NONZERO_LIMIT,
@@ -181,16 +181,42 @@ def write_csv(path, header, *rows):
     return path
 
 
-@pytest.mark.parametrize("rows, match", [
+def write_noisy_csv(path, header, *rows, fill=("", "# between rows")):
+    """The same CSV with comment and blank lines before its header, a line of
+    ``fill`` (in turn) after each row, and CRLF line endings. The readers
+    skip them all; numpy's parser fails on a line of whitespace, so a slice
+    that holds one is read by the csv module's."""
+    lines = ["# a comment", "", header, "# another"]
+    for k, row in enumerate(rows):
+        lines += [row, fill[k % len(fill)]]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return path
+
+
+BAD_MATRIX_ROWS = [
     (("1,1,1.0", "2,2,1.0", "0,1,1.0"), "row '0,1,1.0' has an index outside 1..2"),
     (("1,1,1.0", "2,3,1.0"), "row '2,3,1.0' has an index outside 1..2"),
     (("1,1,1.0", "2,-1,1.0"), "row '2,-1,1.0' has an index outside 1..2"),
     (("1,1,0.5", "2,2,1.0", "1,1,0.5"), "row '1,1,0.5' repeats the index"),
     (("1,1,1.0", "2,2"), "row '2,2' needs 3 fields"),
     ((), "no data rows"),
-], ids=["index_0", "column_above_n", "negative", "repeat", "short_row", "empty"])
+]
+BAD_MATRIX_IDS = ["index_0", "column_above_n", "negative", "repeat", "short_row", "empty"]
+
+
+@pytest.mark.parametrize("rows, match", BAD_MATRIX_ROWS, ids=BAD_MATRIX_IDS)
 def test_matrix_reader_rejects_bad_rows(tmp_path, rows, match):
     path = write_csv(tmp_path / "K.csv", "i,j,value", *rows)
+    with pytest.raises(ValueError, match=match):
+        read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("fill", [("", "# between rows"), ("# c", "   ", "\t")],
+                         ids=["comments", "whitespace"])
+@pytest.mark.parametrize("rows, match", BAD_MATRIX_ROWS, ids=BAD_MATRIX_IDS)
+def test_bad_rows_are_named_past_comments(tmp_path, rows, match, fill):
+    # the same row is named, counted in data rows, by either parser
+    path = write_noisy_csv(tmp_path / "K.csv", "i,j,value", *rows, fill=fill)
     with pytest.raises(ValueError, match=match):
         read_matrix_csv(path)
 
@@ -257,3 +283,77 @@ def test_quoted_fields_read_as_unquoted_ones(tmp_path):
 def test_sparse_rows_leave_zeros(tmp_path):
     path = write_csv(tmp_path / "K.csv", "i,j,value", "2,1,1.0", "1,2,1.0")
     assert np.array_equal(read_matrix_csv(path).to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+
+
+CHAIN_ROWS = ("1,1,0.25", "1,2,0.75", "2,1,0.5", "2,3,0.5", "3,3,1.0")
+
+
+def same_kernel(a, b):
+    return (np.array_equal(a.columns, b.columns)
+            and a.probs.tobytes() == b.probs.tobytes())
+
+
+def test_comment_blank_and_crlf_lines_are_skipped(tmp_path, monkeypatch):
+    plain = read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", *CHAIN_ROWS))
+    spaced = write_noisy_csv(tmp_path / "Ks.csv", "i,j,value", *CHAIN_ROWS,
+                             fill=("  ", "\t", " # indented"))
+    assert same_kernel(read_matrix_csv(spaced), plain)
+    # numpy's parser skips the others itself
+    monkeypatch.setattr(serialize.csv, "reader", None)
+    noisy = write_noisy_csv(tmp_path / "Kn.csv", "i,j,value", *CHAIN_ROWS)
+    assert b"\r\n\r\n1,2,0.75\r\n# between rows\r\n" in noisy.read_bytes()
+    assert same_kernel(read_matrix_csv(noisy), plain)
+    crlf = tmp_path / "Kc.csv"
+    crlf.write_bytes(("\r\n".join(["i,j,value", *CHAIN_ROWS]) + "\r\n").encode())
+    assert same_kernel(read_matrix_csv(crlf), plain)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_slices_that_end_on_comments(tmp_path, monkeypatch, chunk):
+    # the file is parsed a slice of raw lines at a time; a slice may begin
+    # or end on a comment or hold nothing else
+    plain = read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", *CHAIN_ROWS))
+    rows = [CHAIN_ROWS[0], "# a", "# b", "# c", *CHAIN_ROWS[1:], "# d", "# e"]
+    path = write_csv(tmp_path / "Kn.csv", "i,j,value", *rows)
+    monkeypatch.setattr(serialize, "_CHUNK_LINES", chunk)
+    assert same_kernel(read_matrix_csv(path), plain)
+    with pytest.raises(ValueError, match="row '1,2,0.75' repeats the index"):
+        read_matrix_csv(write_csv(tmp_path / "Kr.csv", "i,j,value", *rows, "1,2,0.75"))
+
+
+@pytest.mark.parametrize("chunk", [2, 1 << 16])
+def test_nonzero_limit_names_its_data_row_past_comments(tmp_path, monkeypatch, chunk):
+    # comment and zero rows before it do not count toward the limit
+    monkeypatch.setattr(serialize, "NONZERO_LIMIT", 3)
+    monkeypatch.setattr(serialize, "_CHUNK_LINES", chunk)
+    path = write_csv(tmp_path / "K.csv", "i,j,value", "# one", "1,1,0.5", "# two",
+                     "1,2,0.0", "", "1,3,0.5", "# three", "2,1,1.0", "3,3,1.0",
+                     "# four", "3,1,0.0")
+    with pytest.raises(ValueError, match="row '3,3,1.0' is nonzero entry 4; "
+                                         "a CSV holds at most 3"):
+        read_matrix_csv(path)
+
+
+def test_quoted_fields_among_comments(tmp_path):
+    # a quoted field sends its slice to the csv module's parser, which skips
+    # the same lines and cuts the same comments as numpy's
+    plain = read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", *CHAIN_ROWS))
+    path = write_noisy_csv(tmp_path / "Kq.csv", '"i","j","value"', '"1",1,0.25',
+                           '1,2,"0.75" # quoted', *CHAIN_ROWS[2:])
+    assert same_kernel(read_matrix_csv(path), plain)
+    with pytest.raises(ValueError, match="row '2,3,0.5' repeats the index"):
+        read_matrix_csv(write_noisy_csv(tmp_path / "Kr.csv", "i,j,value",
+                                        '"1",1,0.25', *CHAIN_ROWS[1:], "2,3,0.5"))
+
+
+@pytest.mark.parametrize("rows", [
+    ("1,1,0.25 # note", "1,2,0.75#note", "2,1,0.5", "2,3,0.5 #", "3,3,1.0"),
+    ('"1",1,0.25 # note', "1,2,0.75#note", "2,1,0.5", "2,3,0.5 #", "3,3,1.0"),
+], ids=["numpy", "csv_module"])
+def test_a_comment_may_follow_a_value(tmp_path, rows):
+    # a # starts a comment that runs to the end of its line, after data too
+    plain = read_matrix_csv(write_csv(tmp_path / "K.csv", "i,j,value", *CHAIN_ROWS))
+    path = write_csv(tmp_path / "Kn.csv", "i,j,value # header", *rows)
+    assert same_kernel(read_matrix_csv(path), plain)
+    v = read_vector_csv(write_csv(tmp_path / "v.csv", "i,value", "1,0.25 # a", "2,-1.5"))
+    assert v.tolist() == [0.25, -1.5]
