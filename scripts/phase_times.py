@@ -11,11 +11,13 @@ tree's bench/workloads.py. REF and the working tree are copied and
 byte-compiled as `bench_pairs.py` copies them. Round i runs W's `we-sample`
 command once in each copy, REF first in even rounds and the working tree
 first in odd ones. Each run is a fresh, single-threaded process that imports
-`weighted_ensemble.cli`, wraps `engine.run_we` with `bench/probe.py`'s
-`replace_everywhere`, and calls `cli.main`. For each side it prints the
-median and quartiles, in ms, of five phases:
+`numpy` and `numpy.random`, then `weighted_ensemble.cli`, wraps
+`engine.run_we` with `bench/probe.py`'s `replace_everywhere`, and calls
+`cli.main`. For each side it prints the median and quartiles, in ms, of six
+phases:
 
-    spawn + import  from the spawn to the end of `import weighted_ensemble.cli`
+    spawn + numpy   from the spawn to the end of `import numpy, numpy.random`
+    package import  from there to the end of `import weighted_ensemble.cli`
     setup           from there to the first `run_we` call
     run_we          the summed spans of the `run_we` calls
     rest of main    the rest of `cli.main`
@@ -44,13 +46,15 @@ from bench_pairs import ROOT, SIDES, compile_tree, copy_work, export_ref, spread
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
-PHASES = ("spawn + import", "setup", "run_we", "rest of main", "exit")
+PHASES = ("spawn + numpy", "package import", "setup", "run_we", "rest of main", "exit")
 
 # run in the tree's directory: argv is REPORT.json, then the we-sample arguments
 CHILD = """\
 import json, sys, time
 sys.path.insert(0, "bench")
 from probe import replace_everywhere
+import numpy, numpy.random
+numpy_loaded = time.monotonic()
 import weighted_ensemble.cli as cli
 imported = time.monotonic()
 spans = []
@@ -68,7 +72,8 @@ replace_everywhere("engine", "run_we", span_of)
 code = cli.main(sys.argv[2:])
 returned = time.monotonic()
 with open(sys.argv[1], "w") as fh:
-    json.dump({"imported": imported, "spans": spans, "returned": returned}, fh)
+    json.dump({"numpy_loaded": numpy_loaded, "imported": imported, "spans": spans,
+               "returned": returned}, fh)
 sys.exit(code)
 """
 
@@ -99,7 +104,8 @@ def run_phases(tree: Path, work: workloads.Workload, report: Path) -> tuple[dict
         raise SystemExit(2)
     run_we = sum(b - a for a, b in spans)
     phases = dict(zip(PHASES, (
-        marks["imported"] - start,
+        marks["numpy_loaded"] - start,
+        marks["imported"] - marks["numpy_loaded"],
         spans[0][0] - marks["imported"],
         run_we,
         marks["returned"] - spans[0][0] - run_we,

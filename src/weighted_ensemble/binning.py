@@ -1,23 +1,17 @@
 """Disjoint bin partitions of a finite state space."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass(frozen=True)
 class BinPartition:
     """Maps each state to one of R bins; every bin must be nonempty."""
 
-    bin_of: np.ndarray = field(repr=False)  # 0-indexed bin per 0-indexed state
-    n_bins: int = 0
-
-    def __post_init__(self):
-        b = np.asarray(self.bin_of, dtype=np.int64)
+    def __init__(self, bin_of: np.ndarray, n_bins: int = 0):
+        b = np.asarray(bin_of, dtype=np.int64)
         if b.ndim != 1 or b.size < 1:
             raise ValueError("bin_of must be a nonempty vector")
-        r = int(self.n_bins) if self.n_bins else int(b.max()) + 1
+        r = int(n_bins) if n_bins else int(b.max()) + 1
         if b.min() < 0 or b.max() >= r:
             raise ValueError("bin indices out of range")
         present = np.bincount(b, minlength=r)
@@ -25,8 +19,8 @@ class BinPartition:
             empty = int(np.argmin(present)) + 1
             raise ValueError(f"bin {empty} contains no states")
         b.setflags(write=False)
-        object.__setattr__(self, "bin_of", b)
-        object.__setattr__(self, "n_bins", r)
+        self.bin_of = b  # 0-indexed bin per 0-indexed state
+        self.n_bins = r
 
     @property
     def n_states(self) -> int:

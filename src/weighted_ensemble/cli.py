@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -264,8 +263,8 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str,
     def restart_run(spec: SourceSinkSpec) -> tuple[ChainSetup, SweepResult]:
         """The chain that restarts from rho on entering F, with f = 1_F, and
         its cell of replicates to the hill horizon."""
-        chain = replace(setup, K=source_sink_kernel(spec),
-                        f=Observable.indicator(spec.sink, n_states))
+        chain = setup._replace(K=source_sink_kernel(spec),
+                               f=Observable.indicator(spec.sink, n_states))
         [(_, [res])] = cells(cfg, chain, coarse_model(cfg, chain, n), (n,), cfg.reps,
                              traces=False)
         if res.mean <= 0:
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
     global _heap_frozen
     if not _heap_frozen:
         # once per process, move the heap a command starts with (numpy's and
-        # this package's modules, functions and dicts: about 22 000 objects
+        # this package's modules, functions and dicts: about 22 300 objects
         # and no garbage) to the permanent generation, which no collection
         # examines: the collection at interpreter exit then skips it, which
         # saves about 20 ms. Fork-started workers inherit it frozen.

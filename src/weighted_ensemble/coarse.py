@@ -6,7 +6,7 @@ K(K^{n-p-1}f)^2 - (K^{n-p}f)^2 that drives the square-root allocation rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,14 +16,13 @@ from .engine import RngStream, largest_remainder
 from .markov import Distribution, Observable, TransitionMatrix, stationary
 
 
-@dataclass(frozen=True)
-class CoarseModel:
+class CoarseModel(NamedTuple):
     """Coarse transition matrix over bins plus everything derived from it."""
 
     P: TransitionMatrix
-    u: np.ndarray = field(repr=False)
+    u: np.ndarray
     mu: Distribution
-    v: np.ndarray = field(repr=False)
+    v: np.ndarray
 
     @property
     def n_bins(self) -> int:

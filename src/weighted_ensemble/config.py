@@ -1,7 +1,6 @@
 """Flat key=value experiment configuration with flag overrides."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -33,29 +32,50 @@ def parse_state_set(text: str) -> list[int]:
     return out
 
 
-@dataclass
+# every config key with its default, in canonical_text's order; a value read
+# from a file takes the type of its key's default
+DEFAULTS = {
+    "chain": "three-well",  # or csv:<path> to an i,j,value matrix
+    "lag": 4,
+    "bin_width": 3,
+    "mode": "adaptive",  # adaptive | traditional | naive | all
+    "n_particles": 150,
+    "n_floor": 1.0,
+    "per_bin_target": 5.0,
+    "horizons": (5, 10, 15, 20, 25, 30),
+    "reps": 1000,
+    "seed": 0,
+    "out": "out",
+    "threads": 1,
+    "f_states": "28..33",  # interval/list, or csv:<path> to an i,value vector
+    "coarse_samples": 0,  # 0 = exact coarse builder
+    "source_state": 1,
+    "sink_states": "81..90",
+    "hill_horizon": 500,
+    "hit_a": "",
+    "hit_b": "",
+    "diag_horizon": 5,
+    "diag_reps": 2000,
+}
+
+
 class ExperimentConfig:
-    chain: str = "three-well"  # or csv:<path> to an i,j,value matrix
-    lag: int = 4
-    bin_width: int = 3
-    mode: str = "adaptive"  # adaptive | traditional | naive | all
-    n_particles: int = 150
-    n_floor: float = 1.0
-    per_bin_target: float = 5.0
-    horizons: tuple[int, ...] = (5, 10, 15, 20, 25, 30)
-    reps: int = 1000
-    seed: int = 0
-    out: str = "out"
-    threads: int = 1
-    f_states: str = "28..33"  # interval/list, or csv:<path> to an i,value vector
-    coarse_samples: int = 0  # 0 = exact coarse builder
-    source_state: int = 1
-    sink_states: str = "81..90"
-    hill_horizon: int = 500
-    hit_a: str = ""
-    hit_b: str = ""
-    diag_horizon: int = 5
-    diag_reps: int = 2000
+    """The value of every `DEFAULTS` key, as attributes: the default unless
+    given by keyword."""
+
+    def __init__(self, **values):
+        unknown = set(values) - set(DEFAULTS)
+        if unknown:
+            raise TypeError(f"unknown config keys: {sorted(unknown)}")
+        for key, default in DEFAULTS.items():
+            setattr(self, key, values.get(key, default))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self):
+        items = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"ExperimentConfig({items})"
 
     def validate(self):
         if self.mode not in MODES + ("all",):
@@ -88,13 +108,13 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         lines = []
-        for f in fields(self):
-            if f.name in self._UNHASHED:
+        for key in DEFAULTS:
+            if key in self._UNHASHED:
                 continue
-            value = getattr(self, f.name)
+            value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
+            lines.append(f"{key}={value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -110,9 +130,7 @@ class ExperimentConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 values[key] = val
         values.update({k: v for k, v in overrides.items() if v is not None})
-        # each value takes the type of its field's default
-        kind = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(values) - set(kind)
+        unknown = set(values) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict = {}
@@ -122,7 +140,7 @@ class ExperimentConfig:
                     val = tuple(int(t) for t in val.split(","))
                 kwargs[key] = tuple(val)
             else:
-                kwargs[key] = kind[key](val)
+                kwargs[key] = type(DEFAULTS[key])(val)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -143,7 +161,7 @@ class ExperimentConfig:
         if self.chain == "three-well":
             K = build_three_well_chain(self.lag)[1]
         elif self.chain.startswith("csv:"):
-            if self.lag != ExperimentConfig.lag:
+            if self.lag != DEFAULTS["lag"]:
                 raise ValueError("lag applies only to the three-well chain")
             K = read_matrix_csv(Path(self.chain[4:]))
         else:

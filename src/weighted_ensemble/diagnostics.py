@@ -14,8 +14,7 @@ statistics on the cell it returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -29,16 +28,15 @@ Z_THRESHOLD = 4.0
 MIN_CHECK_REPS = 100  # fewest replicates the z-checks are run on
 
 
-@dataclass(frozen=True)
-class GSequence:
+class GSequence(NamedTuple):
     """g[p] = K^{n-p} f for p = 0..n, plus the derived local-variance vectors.
 
     local_var[p](x) = K g_{p+1}^2 (x) - g_p(x)^2 is the one-step conditional
     variance of g_{p+1} started at x; it is nonnegative by Jensen.
     """
 
-    g: np.ndarray = field(repr=False)  # (n+1, states)
-    local_var: np.ndarray = field(repr=False)  # (n, states)
+    g: np.ndarray  # (n+1, states)
+    local_var: np.ndarray  # (n, states)
 
     @property
     def horizon(self) -> int:
@@ -109,8 +107,7 @@ def selection_variance_term(
     return e.replicate_sums(term * term * frac * (1.0 - frac))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """One verification row; `value` is the MC side, `reference` the exact or
     analytically accumulated side."""
 
@@ -125,20 +122,22 @@ class CheckReport:
 
 
 def doob_terms(
-    gseq: GSequence, n_replicates: int = 1,
+    gseq: GSequence, n_replicates: int = 1, naive: bool = False,
 ) -> tuple[Callable[[int, Ensemble, SelectionOutcome], None], np.ndarray, np.ndarray]:
     """Observer for `run_we` plus the (replicates x n) arrays it fills: the
     exact per-generation (mutation, selection) conditional variance terms
     along each run of a batch, computed as the runs go. Generations a run
     never selects at (it went extinct, or it is shorter than the g sequence)
-    keep 0."""
+    keep 0. So does every selection term of a ``naive`` run: its beta is 1
+    everywhere, so each of its terms is exactly 0."""
     mut = np.zeros((n_replicates, gseq.horizon))
     sel = np.zeros((n_replicates, gseq.horizon))
 
     def observe(p: int, e: Ensemble, outcome: SelectionOutcome) -> None:
         if p < gseq.horizon:
             mut[:, p] = mutation_variance_term(outcome, gseq, p)
-            sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
+            if not naive:
+                sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
 
     return observe, mut, sel
 

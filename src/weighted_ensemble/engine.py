@@ -16,9 +16,8 @@ depend only on (seed, config). Passes go through one driver, `replicates`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 import numpy.random
@@ -49,7 +48,6 @@ class _KeySeed(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-@dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream keyed by (seed, replicate, generation, purpose).
 
@@ -61,8 +59,8 @@ class RngStream:
     only on the key, never on execution order or thread count.
     """
 
-    seed: int
-    replicate: int = 0
+    def __init__(self, seed: int, replicate: int = 0):
+        self.seed, self.replicate = seed, replicate
 
     @cached_property
     def key(self) -> np.ndarray:
@@ -80,12 +78,11 @@ class _Replicates:
     by replicate and cut by ``offsets``: replicate b owns the particles
     ``offsets[b]:offsets[b + 1]``; no offsets means one replicate."""
 
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=float)
-        o = np.asarray([0, s.size] if self.offsets is None else self.offsets, np.int64)
+    def __init__(self, states: np.ndarray, weights: np.ndarray,
+                 offsets: Optional[np.ndarray] = None):
+        s = np.asarray(states, dtype=np.int64)
+        w = np.asarray(weights, dtype=float)
+        o = np.asarray([0, s.size] if offsets is None else offsets, np.int64)
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("states and weights must be matching vectors")
         # false for NaN as well: min and max propagate it
@@ -94,9 +91,9 @@ class _Replicates:
         if (o.ndim != 1 or o.size < 2 or o[0] != 0 or o[-1] != s.size
                 or (o[1:] < o[:-1]).any()):
             raise ValueError("offsets must rise from 0 to the particle count")
-        for name, a in (("states", s), ("weights", w), ("offsets", o)):
+        for a in (s, w, o):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        self.states, self.weights, self.offsets = s, w, o
 
     @classmethod
     def _trusted(cls, **fields):
@@ -134,7 +131,6 @@ class _Replicates:
         return sums
 
 
-@dataclass(frozen=True)
 class Ensemble(_Replicates):
     """Particle populations of a pass of replicates at one generation: states
     and strictly positive weights.
@@ -144,10 +140,10 @@ class Ensemble(_Replicates):
     replicate. An extinct replicate owns no particles.
     """
 
-    generation: int
-    states: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    offsets: Optional[np.ndarray] = field(repr=False, default=None)
+    def __init__(self, generation: int, states: np.ndarray, weights: np.ndarray,
+                 offsets: Optional[np.ndarray] = None):
+        super().__init__(states, weights, offsets)
+        self.generation = generation
 
     @property
     def n_particles(self) -> int:
@@ -160,24 +156,19 @@ class Ensemble(_Replicates):
         return self.replicate_sums(self.weights)
 
 
-@dataclass(frozen=True)
 class NaivePolicy:
     """No selection: every particle is copied exactly once with its own weight."""
 
 
-@dataclass(frozen=True)
 class TraditionalPolicy:
     """Fixed target number of particles per occupied bin."""
 
-    bins: BinPartition
-    per_bin_target: float
-
-    def __post_init__(self):
-        if self.per_bin_target <= 0:
+    def __init__(self, bins: BinPartition, per_bin_target: float):
+        if per_bin_target <= 0:
             raise ValueError("per_bin_target must be positive")
+        self.bins, self.per_bin_target = bins, per_bin_target
 
 
-@dataclass(frozen=True)
 class AdaptivePolicy:
     """Coarse-model-guided targets: proportional to bin weight times sqrt(v),
     floored at n_floor particles per bin.
@@ -188,25 +179,22 @@ class AdaptivePolicy:
     generation p, which is row p of the table for horizon n, bit for bit.
     """
 
-    bins: BinPartition
-    total_target: float
-    n_floor: float
-    v: np.ndarray = field(repr=False)
-    root_v: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        R = self.bins.n_bins
-        if not 0 < self.n_floor < self.total_target / R:
-            raise ValueError(f"floor must lie in (0, N/R) = (0, {self.total_target / R})")
-        v = np.array(self.v, dtype=float)  # a missing table has shape ()
+    def __init__(self, bins: BinPartition, total_target: float, n_floor: float,
+                 v: np.ndarray):
+        R = bins.n_bins
+        if not 0 < n_floor < total_target / R:
+            raise ValueError(f"floor must lie in (0, N/R) = (0, {total_target / R})")
+        v = np.array(v, dtype=float)  # a missing table has shape ()
         if v.ndim != 2 or v.shape[1] != R:
             raise ValueError(f"v table must have {R} columns, one per bin; "
                              f"its shape is {v.shape}")
         if not (np.isfinite(v).all() and (v >= 0).all()):
             raise ValueError("variance proxies must be finite and nonnegative")
-        for name, a in (("v", v), ("root_v", np.sqrt(v))):
+        root_v = np.sqrt(v)
+        for a in (v, root_v):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        self.bins, self.total_target, self.n_floor = bins, total_target, n_floor
+        self.v, self.root_v = v, root_v
 
     def row(self, p: int, n: Optional[int] = None) -> int:
         """The table row of generation p in a run to horizon n (default H)."""
@@ -216,7 +204,6 @@ class AdaptivePolicy:
 SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
 
 
-@dataclass(frozen=True)
 class SelectionOutcome(_Replicates):
     """Result of one selection step over a pass.
 
@@ -226,13 +213,12 @@ class SelectionOutcome(_Replicates):
     children as in `Ensemble`.
     """
 
-    states: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    parent_of: np.ndarray = field(repr=False)
-    children_count: np.ndarray = field(repr=False)
-    mean_children: np.ndarray = field(repr=False)
-    generation: int = 0
-    offsets: Optional[np.ndarray] = field(repr=False, default=None)
+    def __init__(self, states: np.ndarray, weights: np.ndarray, parent_of: np.ndarray,
+                 children_count: np.ndarray, mean_children: np.ndarray,
+                 generation: int = 0, offsets: Optional[np.ndarray] = None):
+        super().__init__(states, weights, offsets)
+        self.parent_of, self.children_count = parent_of, children_count
+        self.mean_children, self.generation = mean_children, generation
 
     @property
     def n_selected(self) -> int:
@@ -421,8 +407,7 @@ def empirical_estimate(e: Ensemble, f: Observable) -> np.ndarray:
     return e.replicate_sums(e.weights * f.values[e.states])
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     """Traces of a pass of WE runs, one row per replicate: a column per
     generation 0..n, or generation n's alone for a run without traces."""
 

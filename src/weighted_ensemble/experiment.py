@@ -12,9 +12,8 @@ the worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from .markov import Observable, TransitionMatrix
 MODES = ("adaptive", "traditional", "naive")
 
 
-@dataclass(frozen=True)
-class ChainSetup:
+class ChainSetup(NamedTuple):
     """A chain plus binning and observable for experiments."""
 
     K: TransitionMatrix
@@ -68,24 +66,24 @@ def policy_name(policy: SelectionPolicy) -> str:
     return type(policy).__name__.removesuffix("Policy").lower()
 
 
-@dataclass
 class SweepResult:
     """Replicate statistics for one (mode, horizon) cell."""
 
-    mode: str
-    n: int
-    exact: float  # eta_0 K^n f from the deterministic initial ensemble
-    # (reps, n+1) per generation, or (reps, 1), generation n's alone, for a
-    # cell run without traces
-    traces: np.ndarray  # eta
-    weight_traces: np.ndarray  # total weight
-    count_traces: np.ndarray  # particle counts, 0 from extinction on
-    # every replicate's last ensemble, one per pass in replicate order; largest n only
-    final: Optional[list[Ensemble]] = None
-    # each replicate's sum_p (mut_p + sel_p), largest n of a doob=True call only
-    variance: Optional[np.ndarray] = None
-
-    def __post_init__(self):
+    def __init__(self, mode: str, n: int, exact: float, traces: np.ndarray,
+                 weight_traces: np.ndarray, count_traces: np.ndarray,
+                 final: Optional[list[Ensemble]] = None,
+                 variance: Optional[np.ndarray] = None):
+        self.mode, self.n = mode, n
+        self.exact = exact  # eta_0 K^n f from the deterministic initial ensemble
+        # (reps, n+1) per generation, or (reps, 1), generation n's alone, for a
+        # cell run without traces
+        self.traces = traces  # eta
+        self.weight_traces = weight_traces  # total weight
+        self.count_traces = count_traces  # particle counts, 0 from extinction on
+        # every replicate's last ensemble, one per pass in replicate order; largest n only
+        self.final = final
+        # each replicate's sum_p (mut_p + sel_p), largest n of a doob=True call only
+        self.variance = variance
         self.reps = self.traces.shape[0]
         self.etas = self.traces[:, -1].copy()  # final eta_n(f) per replicate
         self.extinct_flags = self.count_traces[:, -1] == 0
@@ -116,7 +114,7 @@ def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
     sel_p); without, that second value is None."""
     if gseq is None:
         return run_we(K, f, policy, init, n, seed, reps, traces=traces), None
-    observe, mut, sel = doob_terms(gseq, len(reps))
+    observe, mut, sel = doob_terms(gseq, len(reps), isinstance(policy, NaivePolicy))
     rec = run_we(K, f, policy, init, n, seed, reps, observe=observe, traces=traces)
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 

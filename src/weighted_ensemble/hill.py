@@ -9,34 +9,28 @@ estimates pi(F) by running WE on this chain like any other stationary average.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .markov import Distribution, TransitionMatrix, occupation, reaches
 
 
-@dataclass(frozen=True)
 class SourceSinkSpec:
     """Base kernel plus a sink set F and a source distribution rho whose
     support must avoid F."""
 
-    base_kernel: TransitionMatrix
-    sink: frozenset[int]  # 0-indexed states
-    source: Distribution
-
-    def __post_init__(self):
-        sink = frozenset(int(s) for s in self.sink)
+    def __init__(self, base_kernel: TransitionMatrix, sink: frozenset[int],
+                 source: Distribution):
+        sink = frozenset(int(s) for s in sink)  # 0-indexed states
         if not sink:
             raise ValueError("sink set must be nonempty")
-        n = self.base_kernel.n_states
+        n = base_kernel.n_states
         if any(s < 0 or s >= n for s in sink):
             raise ValueError("sink states out of range")
-        if self.source.n_states != n:
+        if source.n_states != n:
             raise ValueError("source distribution has wrong dimension")
-        if self.source.weights[sorted(sink)].sum() > 0:
+        if source.weights[sorted(sink)].sum() > 0:
             raise ValueError("source distribution has mass on the sink set")
-        object.__setattr__(self, "sink", sink)
+        self.base_kernel, self.sink, self.source = base_kernel, sink, source
 
 
 def source_sink_kernel(spec: SourceSinkSpec) -> TransitionMatrix:

@@ -6,15 +6,13 @@ everything is a 0-indexed numpy array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic kernel on a finite state space in ELL rows (Bell &
     Garland, "Implementing sparse matrix-vector multiplication on
@@ -28,12 +26,9 @@ class TransitionMatrix:
     Memory is 16 S W bytes; `from_entries` and `from_dense` build it.
     """
 
-    columns: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.columns, dtype=np.intp)
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, columns: np.ndarray, probs: np.ndarray):
+        c = np.asarray(columns, dtype=np.intp)
+        p = np.asarray(probs, dtype=float)
         if p.ndim != 2 or c.shape != p.shape or p.shape[1] < 1:
             raise ValueError("ELL columns and probs must share one shape (S, W), W >= 1")
         n = p.shape[0]
@@ -57,8 +52,8 @@ class TransitionMatrix:
                              "in ascending column order")
         for a in (c, p):
             a.setflags(write=False)
-        object.__setattr__(self, "columns", c)
-        object.__setattr__(self, "probs", p)
+        self.columns, self.probs = c, p
+        self._cdf_tables = None  # built by the first `cdf_tables` call
 
     @classmethod
     def from_entries(cls, n: int, rows, cols, vals) -> "TransitionMatrix":
@@ -137,11 +132,9 @@ class TransitionMatrix:
         Built on the first call, not at construction, so kernels that are only
         solved never hold them; cached read-only after that.
         """
-        t = self.__dict__.get("_cdf_tables")
-        if t is None:
-            t = CdfTables.of(self.probs)
-            object.__setattr__(self, "_cdf_tables", t)
-        return t
+        if self._cdf_tables is None:
+            self._cdf_tables = CdfTables.of(self.probs)
+        return self._cdf_tables
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One step from each given state, inverting that state's row CDF at
@@ -177,8 +170,7 @@ class TransitionMatrix:
 MAX_GUIDE_BUCKETS = 1024
 
 
-@dataclass(frozen=True)
-class CdfTables:
+class CdfTables(NamedTuple):
     """Each ELL row's CDF over its positive entries, with a guide table that
     narrows each inverse-CDF search to a bracket of one or two slots
     (Chen & Asau, AIIE Trans. 1974; Devroye, Non-Uniform Random Variate
@@ -235,14 +227,11 @@ class CdfTables:
         return cls(cumsums, slots, rounds)
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Probability vector over states."""
 
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("distribution must be a vector")
         if np.any(w < 0):
@@ -250,7 +239,7 @@ class Distribution:
         if not abs(w.sum() - 1.0) <= ROW_SUM_TOL:  # NaN and inf fail too
             raise ValueError(f"distribution sums to {float(w.sum())!r}, not 1")
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self.weights = w
 
     @property
     def n_states(self) -> int:
@@ -264,20 +253,17 @@ class Distribution:
         return cls(w)
 
 
-@dataclass(frozen=True)
 class Observable:
     """Real-valued function on states, stored as a vector."""
 
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("observable must be a vector")
         if not np.all(np.isfinite(v)):
             raise ValueError("observable has non-finite entries")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values = v
 
     @property
     def n_states(self) -> int:

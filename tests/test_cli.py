@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -495,8 +494,8 @@ class TestHill:
 
         def cell(F):
             spec = SourceSinkSpec(setup.K, frozenset(F), rho)
-            chain = replace(setup, K=source_sink_kernel(spec),
-                            f=Observable.indicator(F, 90))
+            chain = setup._replace(K=source_sink_kernel(spec),
+                                   f=Observable.indicator(F, 90))
             n = cfg.hill_horizon
             [(_, [res])] = cli.cells(cfg, chain, cli.coarse_model(cfg, chain, n), (n,),
                                      cfg.reps, traces=False)
@@ -769,3 +768,17 @@ def test_numpy_random_loads_with_the_package():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_dataclasses_out():
+    # the package's types are plain classes and NamedTuples: a dataclass
+    # generates and execs its methods at every import, which bytecode does
+    # not cache, so its classes alone once took about 10 ms of each command
+    code = "import sys, weighted_ensemble.cli; print('dataclasses' in sys.modules)"
+    package_root = str(Path(weighted_ensemble.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

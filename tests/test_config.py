@@ -1,9 +1,7 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
-from weighted_ensemble.config import ExperimentConfig, parse_state_set
+from weighted_ensemble.config import DEFAULTS, ExperimentConfig, parse_state_set
 
 
 class TestParseStateSet:
@@ -83,14 +81,15 @@ class TestExperimentConfig:
             source_state=4, sink_states="1,2,9", hill_horizon=70, hit_a="11..12",
             hit_b="20", diag_horizon=2, diag_reps=120)
         defaults = ExperimentConfig()
-        assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
+        assert all(getattr(cfg, key) != getattr(defaults, key) for key in DEFAULTS)
+        assert cfg != defaults
         path = tmp_path / "config.txt"
         path.write_text(cfg.canonical_text())
         back = ExperimentConfig.from_file(path, out=cfg.out, threads=cfg.threads)
         assert back == cfg
         assert back.canonical_text() == cfg.canonical_text()
-        assert [type(getattr(back, f.name)) for f in fields(cfg)] == [
-            type(getattr(cfg, f.name)) for f in fields(cfg)]
+        assert [type(getattr(back, key)) for key in DEFAULTS] == [
+            type(getattr(cfg, key)) for key in DEFAULTS]
 
     def test_build_setup_three_well(self):
         setup = ExperimentConfig.from_file(None).build_setup()

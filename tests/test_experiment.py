@@ -1,10 +1,17 @@
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 
 from weighted_ensemble import run_we
 from weighted_ensemble.coarse import compute_v
-from weighted_ensemble.diagnostics import doob_terms, g_sequence
-from weighted_ensemble.experiment import make_policy, run_sweep_cell
+from weighted_ensemble.diagnostics import (
+    g_sequence,
+    mutation_variance_term,
+    selection_variance_term,
+)
+from weighted_ensemble.experiment import _batch, make_policy, run_sweep_cell
 
 
 def test_final_holds_the_passes_in_replicate_order(setup, init150):
@@ -67,7 +74,7 @@ def doob_cells(setup, model30, init150):
     """mode -> (plain cell, doob cell) at n = 4 of a sweep over n = 2 and 4,
     40 replicates (two batches); the doob sweep's n = 2 cell comes third."""
     cells = {}
-    for mode in ("adaptive", "traditional"):
+    for mode in ("adaptive", "traditional", "naive"):
         policy = make_policy(mode, setup.bins, 150, v=model30.v)
         _, plain = run_sweep_cell(setup, init150, policy, (2, 4), 40, 5)
         short, doob = run_sweep_cell(setup, init150, policy, (2, 4), 40, 5, doob=True)
@@ -85,17 +92,45 @@ def test_doob_readout_keeps_the_etas(doob_cells, mode):
     assert short.variance is None and short.final is None
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "traditional"])
+@pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
 def test_doob_variance_is_the_observer_row_sums(setup, model30, init150,
                                                 doob_cells, mode):
+    # naive's cells leave the selection terms at 0 without computing them;
+    # this observer computes both terms for every policy, and its sums are
+    # the same bits
     policy = make_policy(mode, setup.bins, 150, v=model30.v)
     gseq = g_sequence(setup.K, setup.f, 4)
     expected = []
     for chunk in (range(0, 32), range(32, 40)):  # the driver's two batches
-        observe, mut, sel = doob_terms(gseq, len(chunk))
+        mut, sel = np.zeros((2, len(chunk), 4))
+
+        def observe(p, e, outcome):
+            mut[:, p] = mutation_variance_term(outcome, gseq, p)
+            sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
         run_we(setup.K, setup.f, policy, init150, 4, 5, chunk, observe=observe)
         expected.append(mut.sum(axis=1) + sel.sum(axis=1))
     assert np.array_equal(doob_cells[mode][1].variance, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("doob", [False, True])
+@pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
+def test_a_pickled_pass_runs_as_the_original(setup, model30, init150, mode, doob):
+    # what the forkserver start method sends each worker; under pytest the
+    # workers fork and receive it unpickled, so only this pickles it
+    policy = make_policy(mode, setup.bins, 150, v=model30.v)
+    gseq = g_sequence(setup.K, setup.f, 4) if doob else None
+    one = partial(_batch, setup.K, setup.f, policy, init150, 4, 5, gseq, True)
+    (want, want_variance), (got, got_variance) = (
+        call(range(32, 72)) for call in (one, pickle.loads(pickle.dumps(one))))
+    for name in ("eta_f", "num_particles", "total_weight", "extinct"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.tau_kill == want.tau_kill
+    for name in ("generation", "states", "weights", "offsets"):
+        assert np.array_equal(getattr(got.final, name), getattr(want.final, name)), name
+    if doob:
+        assert np.array_equal(got_variance, want_variance)
+    else:
+        assert got_variance is None and want_variance is None
 
 
 def test_doob_variance_does_not_depend_on_threads(setup, model30, init150,
