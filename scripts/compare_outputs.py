@@ -22,6 +22,8 @@ and 2:
     run --mode all --reps 10, with n_floor = 10
     diagnose --mode all, with n_particles = 20
     run --mode all --reps 100 on a csv: chain, with bin_width = 3
+    hill --reps 60 on a steep csv: chain, with source_state = 2 and
+        sink_states = 1
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
@@ -38,6 +40,9 @@ R = 30 bins: each exits 1 and writes no output directory. The csv: chain is
 `bench/workloads.banded_chain` on 300 states (chain seed 0), so R = 100. It
 is written once into the temporary directory, with comment lines, a blank
 line after every row and CRLF line endings, which the chain reader skips.
+The steep chain is the 90-state birth-death walk with up 0.3 and down 0.2
+and reflecting ends, whose E_2[tau_1] is about 4.7e16: its mfpt oracle
+moves by more than roundoff when a solver loses accuracy on steep chains.
 The script prints each command whose exit codes differ and each output file
 that differs or exists on one side only, and exits 1 on any difference, 0
 when every exit code and every byte matches. It says what kind of
@@ -71,6 +76,8 @@ DYING_CONFIG = ("horizons = 0,1,3,6,12,260\nn_particles = 60\n"
 CSV_CHAIN = "banded_300.csv"
 CSV_CONFIG = (f"chain = csv:../{CSV_CHAIN}\nbin_width = 3\n"
               "f_states = {}..{}\n".format(*workloads.banded_f_states(300)))
+STEEP_CHAIN = "steep_90.csv"
+STEEP_CONFIG = f"chain = csv:../{STEEP_CHAIN}\nsource_state = 2\nsink_states = 1\n"
 # name -> (we-sample arguments, config text or None)
 COMMANDS = {
     "run": (["run", "--mode", "all", "--reps", "100"], None),
@@ -82,6 +89,7 @@ COMMANDS = {
     "run_bad_floor": (["run", "--mode", "all", "--reps", "10"], "n_floor = 10\n"),
     "diagnose_few_particles": (["diagnose", "--mode", "all"], "n_particles = 20\n"),
     "run_csv": (["run", "--mode", "all", "--reps", "100"], CSV_CONFIG),
+    "hill_steep": (["hill", "--reps", "60"], STEEP_CONFIG),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,
@@ -124,6 +132,16 @@ def write_csv_chain(path: Path) -> None:
             lines.append(f"# rows {k + 1}..")
         lines += [f"{i + 1},{j + 1},{v!r}", ""]
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+
+def write_steep_chain(path: Path) -> None:
+    """The 90-state walk with up 0.3 and down 0.2, an i,j,value CSV."""
+    n, lines = 90, ["i,j,value"]
+    for i in range(n):
+        to = {i - 1: 0.2 * (i > 0), i + 1: 0.3 * (i < n - 1)}
+        to[i] = 1.0 - sum(to.values())
+        lines += [f"{i + 1},{j + 1},{p!r}" for j, p in sorted(to.items()) if p > 0]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run_case(tree: Path, out: Path, name: str, args: list[str], config) -> int:
@@ -202,6 +220,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export(ref, tmp / "ref")
         write_csv_chain(tmp / CSV_CHAIN)
+        write_steep_chain(tmp / STEEP_CHAIN)
         sides = {"ref": tmp / "ref", "work": ROOT}
         for side in sides:
             (tmp / f"out_{side}").mkdir()

@@ -374,12 +374,10 @@ def _closed_classes(n: int, graph) -> tuple[np.ndarray, np.ndarray]:
 
 # -------------------------------------------------------------------- solves
 
-# the block-tridiagonal solve cuts the states into blocks of
-# max(bandwidth, MIN_BLOCK): larger blocks cost B^3 flops each, smaller ones
-# a numpy round trip each
-MIN_BLOCK = 64
-# most states in one block: its dense B x B matrix takes 8 B^2 bytes, 32 MB here
+# most states apart that the solve may couple; it takes about 70 n b bytes
+# at bandwidth b
 MAX_BLOCK = 2048
+PANEL = 32  # states per panel of `_gth_eliminate`
 
 
 def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
@@ -387,107 +385,106 @@ def solve_identity_minus(n: int, rows, cols, vals, rhs, leak) -> np.ndarray:
     (rows[k], cols[k]), each position at most once, and I - E a nonsingular
     M-matrix (E >= 0, substochastic in columns, with every state leaking).
 
-    Block-tridiagonal elimination (Stewart, Introduction to the Numerical
-    Solution of Markov Chains, 1994, ch. 2 and 4): with b = max |row - col|,
-    the bandwidth, blocks of B = max(b, `MIN_BLOCK`) consecutive states
-    couple only to their neighbours, and only through their b states nearest
-    the boundary. Each block's dense Schur complement is solved by
-    np.linalg.solve, or by `_gth_solve` where its LU factorisation finds the
-    block singular; a chain of bandwidth n is one block. Memory is
-    O(B^2 + n b); a B above `MAX_BLOCK` raises ValueError.
-
-    ``leak`` holds the column sums of I - E, each >= 0: a column's mass that
-    leaves the system. Each Schur complement's diagonal is rebuilt from its
-    leak and off-diagonal entries, and the leak is carried from block to
-    block, as Grassmann, Taksar and Heyman (Oper. Res. 1985) do state by
-    state; neither step subtracts. The solve of each block does: its LU
-    factorisation updates the diagonal by differences. So only blocks of one
-    state (B = 1) keep every entry's relative accuracy; in a larger block the
-    result is normwise accurate, and an entry far below the block's largest
-    can lose all of it, as one deep in a metastable well does. A block that
-    leaks less than a rounding error of its mass can lose its pivots to that
-    subtraction; LU then stops on a zero pivot, and `_gth_solve` takes over.
+    ``leak`` holds the column sums of I - E, each >= 0, and E's diagonal is
+    never read: each pivot is rebuilt from its column's leak and off-diagonal
+    entries, and the leak is carried to the columns left (Grassmann, Taksar
+    and Heyman, Oper. Res. 1985). No step subtracts, so for rhs >= 0 every
+    entry of x keeps its relative accuracy (O'Cinneide, Numer. Math. 1993),
+    one deep in a metastable well too. Blocks of b = max |row - col| states
+    (one block if 2 b >= n) couple only to their neighbours, and `_reduce`
+    solves them in O(n b^2) flops and O(n b) memory; b > `MAX_BLOCK` raises.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     band = int(np.abs(rows - cols).max(initial=0))
-    size = max(band, MIN_BLOCK)
-    if size > MAX_BLOCK and n > MAX_BLOCK:
+    if band > MAX_BLOCK and n > MAX_BLOCK:
         raise ValueError(f"the linear solve couples states {band} apart, more than "
                          f"{MAX_BLOCK}: its dense blocks would not fit in memory")
-    cuts = np.searchsorted(rows, np.arange(0, n + size, size))
-    leak = np.array(leak, dtype=float)
-    # E's mass in each column from the rows of the next block
-    nxt = rows // size == cols // size + 1
-    down = np.bincount(cols[nxt], weights=vals[nxt], minlength=n)
-    blocks = []  # per block: (D^-1 U, D^-1 r), D the Schur complement
-    for k, s in enumerate(range(0, n, size)):
-        m = min(size, n - s)
-        ent = slice(cuts[k], cuts[k + 1])
-        r, c, v = rows[ent] - s, cols[ent] - s, vals[ent]
-        below, above = c < 0, c >= m
-        inside = ~(below | above)
-        d = np.eye(m)
-        d[r[inside], c[inside]] -= v[inside]
-        b = rhs[s:s + m].copy()
-        if blocks and band:
-            # eliminate the coupling to the last `band` states of the block
-            # before: D -= L (D_prev^-1 U_prev), r -= L (D_prev^-1 r_prev)
-            lower = np.zeros((m, band))
-            lower[r[below], c[below] + band] = -v[below]
-            g, y = blocks[-1]
-            d[:, :g.shape[1]] -= lower @ g[-band:]
-            b -= lower @ y[-band:]
-            leak[s:s + g.shape[1]] -= leak[s - g.shape[0]:s] @ g
-        np.fill_diagonal(d, 0.0)
-        np.fill_diagonal(d, leak[s:s + m] - d.sum(axis=0) + down[s:s + m])
-        width = min(band, n - s - m)  # the next block's states coupled to this
-        upper = np.zeros((m, width))
-        upper[r[above], c[above] - m] = -v[above]
-        b = np.column_stack((upper, b))
-        try:
-            sol = np.linalg.solve(d, b)
-        except np.linalg.LinAlgError:
-            sol = _gth_solve(d, leak[s:s + m] + down[s:s + m], b)
-        blocks.append((sol[:, :width], sol[:, width]))
-    x = np.empty(n)
-    after = np.empty(0)
-    for k in range(len(blocks) - 1, -1, -1):
-        g, y = blocks[k]
-        after = y - g @ after[:g.shape[1]]
-        x[k * size:k * size + y.size] = after
-    return x
+    size = max(n if 2 * band >= n else band, 1)
+    m = -(-n // size)
+    blocks = np.zeros((m, size, (3 if m > 1 else 1) * size + 1))
+    blocks[rows // size, rows % size, (cols - rows + rows % size) % (3 * size)] = vals
+    blocks[..., -1].flat[:n] = rhs
+    # the states past n only leak
+    leaks = np.concatenate((leak, np.ones(m * size - n))).reshape(m, size)
+    return _reduce(blocks, leaks).ravel()[:n]
 
 
-def _gth_solve(a: np.ndarray, colsum: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b, a a nonsingular M-matrix whose column sums ``colsum``
-    are each >= 0. Gaussian elimination without pivoting in which, as in
-    `solve_identity_minus` across blocks, each pivot is rebuilt from its
-    column's leak and off-diagonal entries and the leak is carried to the
-    columns left; no step subtracts. One numpy round trip per state."""
-    a, b, c = a.copy(), b.copy(), np.array(colsum, dtype=float)
-    for k in range(len(c)):
-        a[k, k] = c[k] - a[k + 1:, k].sum()
-        f = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(f, a[k, k + 1:])
-        b[k + 1:] -= np.outer(f, b[k])
-        c[k + 1:] -= a[k, k + 1:] * (c[k] / a[k, k])
-    x = np.empty_like(b)
-    for k in range(len(c) - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+def _reduce(blocks: np.ndarray, leak: np.ndarray) -> np.ndarray:
+    """x (m, B) of `solve_identity_minus`'s system in m blocks of B states,
+    block k's rows ``blocks[k]`` (overwritten: E in the columns of blocks k,
+    k + 1 and k - 1, or of k alone, then the rhs) and columns' leaks
+    ``leak[k]``. Block cyclic reduction (Heller, SIAM J. Numer. Anal. 1976):
+    `_gth_eliminate` eliminates the even blocks, their fill on the odd ones
+    is a product of nonnegative matrices, and the odd blocks' x come first."""
+    m, size = leak.shape
+    even, odd = blocks[0::2], blocks[1::2]
+    ne, no = even.shape[0], odd.shape[0]
+    w = (blocks.shape[2] - size - 1) // 2  # the width of the blocks on either side
+    # odd block i is right of even block i and left of even block i + 1; out:
+    # the rows of those odd blocks in the even blocks' columns, then the leaks
+    out = np.zeros((ne, 2 * w + 1, size))
+    if no:
+        out[:no, :w] = odd[:, :, size + w:-1]
+        out[1:, w:-1] = odd[:ne - 1, :, size:size + w]
+        odd[:, :, size:-1] = 0.0
+    out[:, -1] = leak[0::2]
+    t = np.zeros((ne, size + 1, size + 2 * w + 1))
+    t[:, :size] = even
+    t[:, -1, :size] = out.sum(axis=1)
+    pivot = _gth_eliminate(t, size)
+    own = t[:, :size, size:] / pivot[:, :, None]  # x = own . (x beside, 1)
+    x = np.zeros((m + 2, size))  # the blocks' x, between two blocks of zeros
+    if no:
+        fill = out @ own
+        odd[:, :, :size] += fill[:no, :w, :w]
+        odd[:, :, size + w:] += fill[:no, :w, w:]
+        odd[:ne - 1, :, :size] += fill[1:, w:-1, w:-1]
+        odd[:ne - 1, :, size:size + w] += fill[1:, w:-1, :w]
+        odd[:ne - 1, :, -1] += fill[1:, w:-1, -1]
+        reduced_leak = leak[1::2] + fill[:no, -1, :w]
+        reduced_leak[:ne - 1] += fill[1:, -1, w:-1]
+        del t, out, fill
+        x[2:m + 1:2] = _reduce(odd, reduced_leak)
+    beside = np.concatenate((x[2::2][:ne, :w], x[:2 * ne:2, :w], np.ones((ne, 1))), axis=1)
+    x[1:m + 1:2] = (own @ beside[:, :, None])[:, :, 0]
+    return x[1:m + 1]
+
+
+def _gth_eliminate(t: np.ndarray, size: int) -> np.ndarray:
+    """The pivots (batch, size) of Gauss-Jordan steps without pivoting, in
+    place, over the first ``size`` rows and columns of each t[b] >= 0: E of
+    (I - E) x = rhs (diagonal unread), the rhs last, then a row of leaks.
+    Each pivot is the sum of the entries below it, and each step adds a
+    nonnegative multiple of its row to every other row, leaving pivot_i x_i
+    = t[b, i, size:] . (x of the other states, 1). Updates past a panel of
+    `PANEL` states, but its own rows', wait for one product."""
+    pivot = np.empty((size, t.shape[0]))
+    for a in range(0, size, PANEL):
+        b = min(a + PANEL, size)
+        end = t.shape[2] if b == size else b  # the last panel updates every column
+        for j in range(a, b):
+            t[:, j, j] = 0.0
+            p = np.add.reduce(t[:, j + 1:, j], axis=1, out=pivot[j])
+            f = t[:, :, j, None] / p[:, None, None]
+            update = t[:, :, j + 1:end]
+            update += f * t[:, None, j, j + 1:end]
+            if end < t.shape[2]:  # each row of the panel reaches its step whole
+                below = t[:, j + 1:b, end:]
+                below += f[:, j + 1:b] * t[:, None, j, end:]
+        if end < t.shape[2]:
+            f = t[:, :, a:b] / pivot[a:b].T[:, None, :]
+            f[:, a:b][:, np.tri(b - a, dtype=bool)] = 0.0
+            past = t[:, :, end:]
+            past += f @ t[:, a:b, end:].copy()
+    return pivot.T
 
 
 def occupation(K: TransitionMatrix, keep, start) -> np.ndarray:
     """y with y (I - Q) = start, Q the kernel K restricted to the states
     ``keep`` in that order: from the measure ``start`` on them, the expected
-    visits to each before the chain leaves ``keep``. The one caller of
-    `solve_identity_minus`, on the transposed system, whose leaks are the
-    kept states' flows out of ``keep``."""
+    visits to each before the chain leaves ``keep``, each to its relative
+    accuracy. The one caller of `solve_identity_minus`, on the transposed
+    system, whose leaks are the kept states' flows out of ``keep``."""
     pos = np.full(K.n_states, -1, np.intp)
     pos[keep] = np.arange(len(keep))
     src, dst, p = K.entries()
@@ -503,30 +500,33 @@ STATIONARY_TOL = 1e-12
 
 def stationary(K: TransitionMatrix) -> Distribution:
     """Stationary distribution pi with pi K = pi: the Cesaro limit of the
-    chain's laws from uniform. ValueError if max|pi K - pi| > `STATIONARY_TOL`.
+    chain's laws from uniform. ValueError if max|pi K - pi| > `STATIONARY_TOL`
+    or if pi pinned at 1 overflows.
 
     Pins each closed class's law at its lowest state k and solves the
     balance equations of its other states,
     pi_j - sum_{i != k} pi_i K(i, j) = K(k, j), by one `occupation` call for
-    all classes (each state's leak is its flow into its class's k).
-    Transient states get exactly 0. Within a class the states go from the
-    farthest from k (in steps to k) to the nearest, the order in which
-    Grassmann, Taksar and Heyman eliminate; it also keeps the states a
-    restart row joins (a source-sink chain's) near each other, so the band
-    stays narrow. With several classes, each law is weighted by the mass
-    that uniform sends into its class (Kemeny and Snell, Finite Markov
-    Chains, 1960, ch. 3): its own share plus y K, y the `occupation` of the
-    transient states from uniform.
+    all classes (each state's leak is its flow into its class's k), so each
+    pi_j keeps its relative accuracy. Transient states get exactly 0. Within
+    a class the states go from the farthest from k (in steps to k) to the
+    nearest, by descending state within a step: that keeps the band narrow,
+    for a source-sink chain's restart rows too. With several classes, each
+    law is weighted by the mass that uniform sends into its class (Kemeny
+    and Snell, Finite Markov Chains, 1960, ch. 3): its own share plus y K,
+    y the `occupation` of the transient states from uniform.
     """
     n = K.n_states
     src, dst, _ = K.entries()
     cls, pins = _closed_classes(n, _adjacency(n, src, dst))
     steps = _levels(n, pins, _adjacency(n, dst, src))  # from each state to its pin
-    order = np.lexsort((-steps, cls))
+    order = np.lexsort((-np.arange(n), -steps, cls))
     solved = order[(cls[order] >= 0) & (steps[order] > 0)]
     pi = np.zeros(n)
     pi[pins] = 1.0
-    pi[solved] = np.maximum(occupation(K, solved, K.push(pi)[solved]), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi[solved] = occupation(K, solved, K.push(pi)[solved])
+    if not np.isfinite(pi.sum()):
+        raise ValueError("stationary solve missed its tolerance: pi overflows")
     if pins.size > 1:
         transient, closed = order[cls[order] < 0], cls >= 0
         y = np.zeros(n)

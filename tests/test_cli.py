@@ -57,9 +57,11 @@ DYING_RUN = dict(mode="all", reps="30", seed="5", n_particles="60",
 
 
 def write_steep_chain(tmp_path):
-    """A birth-death chain with up 0.4 and down 0.1, whose pi spans 4^89: the
-    solves for its mu and pi miss the residual, so a run on it exits 2."""
-    n = 90
+    """A birth-death chain on 600 states with up 0.4 and down 0.1, whose pi
+    spans 4^599, past the double range: the solves for its mu and pi
+    overflow, so a run on it exits 2. Bins of 20 states keep the bin count
+    (30) below the default n_particles."""
+    n = 600
     rows = []
     for i in range(n):
         to = {i - 1: 0.1 * (i > 0), i + 1: 0.4 * (i < n - 1)}
@@ -649,7 +651,7 @@ class TestExitCodes:
 
     def test_stationary_residual_miss_is_numerical_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chain=f"csv:{write_steep_chain(tmp_path)}",
-                           horizons="1", reps="2")
+                           bin_width="20", horizons="1", reps="2")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "stationary solve missed its tolerance" in capsys.readouterr().err
 
@@ -719,7 +721,7 @@ def test_exit_of_a_process_with_a_frozen_heap(tmp_path, case, code):
     config = {"run": SMALL_RUN,
               "config_error": dict(horizons="1", coarse_samples="29"),
               "numerical_failure": dict(chain=f"csv:{write_steep_chain(tmp_path)}",
-                                        horizons="1", reps="2")}[case]
+                                        bin_width="20", horizons="1", reps="2")}[case]
     cfg = write_config(tmp_path, **config)
     package_root = str(Path(weighted_ensemble.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

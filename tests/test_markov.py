@@ -1,6 +1,6 @@
 import time
+import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,13 +395,16 @@ class TestStationary:
         assert np.all(np.abs(x - pi)[live] <= 1e-14 * pi[live])
 
     def test_a_residual_miss_raises_value_error(self):
-        # up 0.4 and down 0.1: pi spans 4^89, about 4e53, and the solve
-        # pinned at its lightest state misses the residual by far
-        n = 90
+        # up 0.4 and down 0.1 on 600 states: pi spans 4^599, about 1e361,
+        # past the double range, so the solve pinned at its lightest state
+        # overflows
+        n = 600
         m = np.diag(np.full(n - 1, 0.4), 1) + np.diag(np.full(n - 1, 0.1), -1)
         K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
-        with pytest.raises(ValueError, match="missed its tolerance"):
-            stationary(K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="missed its tolerance"):
+                stationary(K)
 
     def test_two_periodic_classes_and_a_transient_state_are_exact(self):
         # 0 <-> 1, 2 <-> 3 and 4 -> 0: uniform sends 3/5 of its mass into
@@ -459,8 +462,8 @@ class TestStationary:
 
 class TestSolves:
     """`stationary` and `direct_mfpt` against dense oracles (np.linalg.solve
-    and state reduction), with blocks of as few as one state so that every
-    coupling path runs."""
+    and state reduction), at bandwidths from 1 to S, so that systems of one
+    block and of many, of either parity, all run."""
 
     def test_coupling_past_max_block_is_refused(self):
         # one entry joins the first and the last state: a block would hold
@@ -470,14 +473,13 @@ class TestSolves:
             markov.solve_identity_minus(n, [n - 1], [0], [0.5], np.ones(n), np.ones(n))
 
     @settings(max_examples=60, deadline=None)
-    @given(banded_chains(), st.sampled_from([1, 2, 3, 64]))
-    def test_stationary_matches_a_dense_solve(self, chain, min_block):
+    @given(banded_chains())
+    def test_stationary_matches_a_dense_solve(self, chain):
         # each closed class's dense pi, weighted by the mass that uniform
         # sends into the class: its share plus y K, y (I - Q_T) = 1 on the
         # transient states
         K, t, cuts = chain
-        with mock.patch.object(markov, "MIN_BLOCK", min_block):
-            pi = stationary(K).weights
+        pi = stationary(K).weights
         assert np.all(pi[:t] == 0.0)
         m = K.to_dense()
         a = np.eye(t) - m[:t, :t]
@@ -491,9 +493,8 @@ class TestSolves:
         assert np.abs(pi[t:] - ref[t:]).max() <= COND_EPS * cond * ref.max()
 
     @settings(max_examples=60, deadline=None)
-    @given(banded_chains(transient=False), st.sampled_from([1, 2, 3, 64]),
-           st.data())
-    def test_direct_mfpt_matches_a_dense_solve(self, chain, min_block, data):
+    @given(banded_chains(transient=False), st.data())
+    def test_direct_mfpt_matches_a_dense_solve(self, chain, data):
         K, _, _ = chain
         n = K.n_states
         if n < 2:
@@ -501,49 +502,65 @@ class TestSolves:
         F = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
         outside = np.setdiff1d(np.arange(n), sorted(F))
         source = data.draw(st.sampled_from(outside.tolist()))
-        with mock.patch.object(markov, "MIN_BLOCK", min_block):
-            got = direct_mfpt(K, Distribution.point_mass(source, n), F)
+        got = direct_mfpt(K, Distribution.point_mass(source, n), F)
         m = K.to_dense()
         a = np.eye(outside.size) - m[np.ix_(outside, outside)]
         want = dense_gth_mfpt(m, F, source)
         assert abs(got - want) <= COND_EPS * np.linalg.cond(a) * want
 
-    def test_steep_birth_death_mfpt_is_accurate_in_one_state_blocks(self):
+    @pytest.mark.parametrize("n", [90, 120])
+    def test_steep_birth_death_mfpt_is_exact(self, n):
         # up 0.3, down 0.2 and reflecting ends: pi_k is proportional to
         # (up / down)^k, so E_1[tau_0] = sum_{k >= 1} pi_k / (pi_1 down),
-        # about 4.7e16, here summed exactly. With the flows into F as the
-        # leaks, one-state blocks never subtract
-        n, up, down = 90, 0.3, 0.2
+        # about 4.7e16 on 90 states and 9.0e21 on 120, here summed exactly.
+        # The flows into F are the leaks; a solve whose pivots subtract reads
+        # these far off
+        up, down = 0.3, 0.2
         m = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
         K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
         ratio = Fraction(up) / Fraction(down)
         want = float(sum(ratio**k for k in range(n - 1)) / Fraction(down))
-        with mock.patch.object(markov, "MIN_BLOCK", 1):
-            got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
+        got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
         assert abs(got - want) <= 1e-12 * want
 
-    def test_a_block_that_lu_finds_singular_is_solved_by_gth(self):
-        # the same chain on 120 states, E_1[tau_0] about 9e21: the block of
-        # states 1..3 leaks 0.2 of mass per step against visits near 1e21,
-        # LU's pivots cancel to zero, and the leak-carrying elimination
-        # solves it instead
-        n, up, down = 120, 0.3, 0.2
-        m = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
-        K = TransitionMatrix.from_dense(m + np.diag(1.0 - m.sum(axis=1)))
-        ratio = Fraction(up) / Fraction(down)
-        want = float(sum(ratio**k for k in range(n - 1)) / Fraction(down))
-        with mock.patch.object(markov, "MIN_BLOCK", 3):
-            got = direct_mfpt(K, Distribution.point_mass(1, n), [0])
-        assert abs(got - want) <= 1e-9 * want
-
-    def test_gth_solve_matches_a_dense_solve(self):
+    def test_gth_elimination_matches_a_dense_solve(self):
+        # a batch of three systems of 70 states, over three panels, with two
+        # right-hand sides; each system's leak row holds the column sums of
+        # its I - E
+        n = 70
         rng = np.random.default_rng(5)
-        e = rng.uniform(0.0, 1.0, (6, 6)) * (rng.random((6, 6)) < 0.6)
-        e *= rng.uniform(0.5, 1.0, 6) / np.maximum(e.sum(axis=0), 1e-300)
-        a = np.eye(6) - e
-        b = rng.uniform(0.0, 1.0, (6, 2))
-        got = markov._gth_solve(a, a.sum(axis=0), b)
+        e = rng.uniform(0.0, 1.0, (3, n, n)) * (rng.random((3, n, n)) < 0.6)
+        e *= rng.uniform(0.5, 1.0, (3, 1, n)) / np.maximum(e.sum(axis=1, keepdims=True),
+                                                           1e-300)
+        a = np.eye(n) - e
+        b = rng.uniform(0.0, 1.0, (3, n, 2))
+        t = np.zeros((3, n + 1, n + 2))
+        t[:, :n, :n], t[:, :n, n:], t[:, n, :n] = e, b, a.sum(axis=1)
+        pivot = markov._gth_eliminate(t, n)
+        got = t[:, :n, n:] / pivot[:, :, None]
         assert np.allclose(got, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+
+    def test_random_steep_birth_death_chains_are_exact(self):
+        # up and down rates U(0.01, 0.5), scaled by exp(g) and exp(-g) with
+        # g ~ N(0, 1.2) per state, rows scaled to sum to at most 0.999: pi
+        # spans up to about 1e30. Each pi is checked state by state against
+        # detailed balance pi[i + 1] / pi[i] = up[i] / down[i + 1]
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(80, 151))
+            g = np.exp(rng.normal(0.0, 1.2, n))
+            up, down = rng.uniform(0.01, 0.5, n) * g, rng.uniform(0.01, 0.5, n) / g
+            up[-1] = down[0] = 0.0
+            scale = np.maximum((up + down) / 0.999, 1.0)
+            up, down = up / scale, down / scale
+            i = np.arange(n)
+            K = TransitionMatrix.from_entries(
+                n, np.concatenate((i, i[:-1], i[1:])), np.concatenate((i, i[1:], i[:-1])),
+                np.concatenate((1.0 - up - down, up[:-1], down[1:])))
+            ref = np.concatenate(([1.0], np.cumprod(up[:-1] / down[1:])))
+            ref /= ref.sum()
+            pi = stationary(K).weights
+            assert np.all(np.abs(pi - ref) <= 1e-12 * ref)
 
     def test_hundred_thousand_state_birth_death_chain(self):
         # detailed balance pi[i + 1] / pi[i] = up[i] / down[i + 1] on a
