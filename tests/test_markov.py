@@ -543,7 +543,7 @@ class TestSolves:
     def test_random_steep_birth_death_chains_are_exact(self):
         # up and down rates U(0.01, 0.5), scaled by exp(g) and exp(-g) with
         # g ~ N(0, 1.2) per state, rows scaled to sum to at most 0.999: pi
-        # spans up to about 1e30. Each pi is checked state by state against
+        # spans up to about 4e43. Each pi is checked state by state against
         # detailed balance pi[i + 1] / pi[i] = up[i] / down[i + 1]
         rng = np.random.default_rng(0)
         for _ in range(50):
