@@ -24,6 +24,8 @@ and 2:
     run --mode all --reps 100 on a csv: chain, with bin_width = 3
     hill --reps 60 on a steep csv: chain, with source_state = 2 and
         sink_states = 1
+    run --mode all --bogus 1
+    run --mode all --reps ten
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
@@ -36,7 +38,11 @@ files carry extinct flags that differ by horizon, and its horizon 260 is
 wider than a block of `serialize.BLOCK_ROWS` rows, so each block holds one
 replicate. The run_bad_floor and diagnose_few_particles commands are config
 errors, an adaptive floor above n_particles / R and fewer particles than the
-R = 30 bins: each exits 1 and writes no output directory. The csv: chain is
+R = 30 bins: each exits 1 and writes no output directory. The
+run_unknown_flag and run_bad_reps commands are malformed command lines, an
+unknown flag and a --reps that is not an integer: each exits 1 as a config
+error and writes no output directory (argparse, which read the command line
+before, exited 2 on them). The csv: chain is
 `bench/workloads.banded_chain` on 300 states (chain seed 0), so R = 100. It
 is written once into the temporary directory, with comment lines, a blank
 line after every row and CRLF line endings, which the chain reader skips.
@@ -90,6 +96,8 @@ COMMANDS = {
     "diagnose_few_particles": (["diagnose", "--mode", "all"], "n_particles = 20\n"),
     "run_csv": (["run", "--mode", "all", "--reps", "100"], CSV_CONFIG),
     "hill_steep": (["hill", "--reps", "60"], STEEP_CONFIG),
+    "run_unknown_flag": (["run", "--mode", "all", "--bogus", "1"], None),
+    "run_bad_reps": (["run", "--mode", "all", "--reps", "ten"], None),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,

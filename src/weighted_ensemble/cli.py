@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: coarse, run, diagnose, hill. Exit codes: 0 success, 1 config
-error, 2 numerical failure, 3 diagnostic check failure. All CSVs carry a
+Commands: coarse, run, diagnose, hill, each with the flags of FLAGS. Exit
+codes: 0 success (and -h/--help), 1 config error (a malformed command line
+too), 2 numerical failure, 3 diagnostic check failure. All CSVs carry a
 header row and a leading comment recording the config hash, the sha256 of
 the config.txt written beside them.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from itertools import groupby, repeat
@@ -49,56 +49,90 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", type=Path, default=None, help="key=value config file")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed, a nonnegative integer")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--reps", type=int, default=None,
-                     help="replicate count (diag_reps for diagnose)")
-    sub.add_argument("--threads", type=int, default=None, help="worker processes")
-    sub.add_argument("--mode", type=str, default=None,
-                     help="adaptive | traditional | naive | all")
+COMMANDS = {
+    "coarse": "build the coarse model and write P/u/mu/v CSVs",
+    "run": "run the replicate sweep over modes and horizons",
+    "diagnose": "unbiasedness and Doob-identity checks",
+    "hill": "source-sink MFPT and hitting-probability estimates",
+}
+# every flag, which every command reads, with its value's type and its help
+FLAGS = {
+    "config": (str, "key=value config file"),
+    "seed": (int, "RNG seed, a nonnegative integer"),
+    "out": (str, "output directory"),
+    "reps": (int, "replicate count (diag_reps for diagnose)"),
+    "threads": (int, "worker processes"),
+    "mode": (str, "adaptive | traditional | naive | all"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="we-sample",
-        description="Weighted-ensemble resampling for finite-state Markov chains.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("coarse", "build the coarse model and write P/u/mu/v CSVs"),
-        ("run", "run the replicate sweep over modes and horizons"),
-        ("diagnose", "unbiasedness and Doob-identity checks"),
-        ("hill", "source-sink MFPT and hitting-probability estimates"),
-    ):
-        sub = subs.add_parser(name, help=doc)
-        _common_flags(sub)
-    return parser
+def usage() -> str:
+    """What -h and --help print: the command line's form, the commands and
+    the flags."""
+    return "\n".join([
+        "usage: we-sample <command> [--flag value | --flag=value] ...",
+        "",
+        "Weighted-ensemble resampling for finite-state Markov chains.",
+        "",
+        "commands:",
+        *(f"  {name:10s}{doc}" for name, doc in COMMANDS.items()),
+        "",
+        "flags (a repeated flag keeps its last value):",
+        *(f"  --{name:10s}{doc}" for name, (_, doc) in FLAGS.items()),
+    ])
 
 
-def _load_config(args) -> tuple[ExperimentConfig, ChainSetup, list[SourceSinkSpec]]:
+def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
+    """The command of ``argv``, `<command> [--flag value | --flag=value] ...`,
+    and the value of each flag of FLAGS, None where absent. A repeated flag
+    keeps its last value. Raises ValueError for an unknown command or flag
+    (an abbreviation too), a flag with no value, and a value its flag's type
+    does not take."""
+    if not argv or argv[0] not in COMMANDS:
+        given = f", not {argv[0]!r}" if argv else ""
+        raise ValueError(f"the command must be one of {', '.join(COMMANDS)}{given}")
+    flags = dict.fromkeys(FLAGS)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        name = flag[2:]
+        if flag[:2] != "--" or name not in FLAGS:
+            raise ValueError(f"unknown flag {flag!r}; the flags are --"
+                             + ", --".join(FLAGS))
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+        try:
+            flags[name] = FLAGS[name][0](value)
+        except ValueError:
+            raise ValueError(f"{flag} takes an integer, not {value!r}") from None
+    return argv[0], flags
+
+
+def _load_config(command: str, flags: dict
+                 ) -> tuple[ExperimentConfig, ChainSetup, list[SourceSinkSpec]]:
     """The config phase: the config with its flag overrides, checked, the
     chain setup it builds and, for hill, its source-sink specs (on the sink,
     then on A u B when hit sets are given). Each error here is a config
     error."""
-    if args.command == "coarse":
+    if command == "coarse":
         for flag in ("reps", "threads", "mode"):
-            if getattr(args, flag) is not None:
+            if flags[flag] is not None:
                 raise ValueError(f"coarse does not take --{flag}")
-    reps_key = "diag_reps" if args.command == "diagnose" else "reps"
+    reps_key = "diag_reps" if command == "diagnose" else "reps"
     cfg = ExperimentConfig.from_file(
-        args.config,
-        seed=args.seed,
-        out=args.out,
-        threads=args.threads,
-        mode=args.mode,
-        **{reps_key: args.reps},
+        flags["config"],
+        seed=flags["seed"],
+        out=flags["out"],
+        threads=flags["threads"],
+        mode=flags["mode"],
+        **{reps_key: flags["reps"]},
     )
-    if args.command == "hill" and len(cfg.modes) > 1:
+    if command == "hill" and len(cfg.modes) > 1:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
     setup = cfg.build_setup()
-    if args.command != "coarse":
+    if command != "coarse":
         # the starting ensemble and the adaptive policy check these again
         R = setup.bins.n_bins
         if cfg.n_particles < R:
@@ -107,7 +141,7 @@ def _load_config(args) -> tuple[ExperimentConfig, ChainSetup, list[SourceSinkSpe
             raise ValueError(f"n_floor must lie in (0, n_particles / R) = "
                              f"(0, {cfg.n_particles / R})")
     specs = []
-    if args.command == "hill":
+    if command == "hill":
         n = setup.K.n_states
         [source], sink, A, B = (cfg.state_set(key, n) for key in
                                 ("source_state", "sink_states", "hit_a", "hit_b"))
@@ -320,10 +354,13 @@ def main(argv=None) -> int:
         # saves about 20 ms. Fork-started workers inherit it frozen.
         gc.freeze()
         _heap_frozen = True
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage())
+        return EXIT_OK
     try:
-        cfg, setup, specs = _load_config(args)
+        command, flags = parse_args(argv)
+        cfg, setup, specs = _load_config(command, flags)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -332,7 +369,7 @@ def main(argv=None) -> int:
         "run": cmd_run,
         "diagnose": cmd_diagnose,
         "hill": cmd_hill,
-    }[args.command]
+    }[command]
     out = Path(cfg.out)
     text = cfg.canonical_text()
     out.mkdir(parents=True, exist_ok=True)

@@ -152,10 +152,11 @@ def run_sweep_cell(
     """
     n_max = max(horizons)
     adaptive = isinstance(policy, AdaptivePolicy)
-    # exact reference eta_0 K^h f = eta_0 g[n_max - h] from the initial ensemble
+    # exact reference eta_0 K^h f = eta_0 g[n_max - h] from the initial
+    # ensemble, at the returned horizons alone
     g_max = g_sequence(setup.K, setup.f, n_max) if doob else None
     g = backward(setup.K, setup.f, n_max) if g_max is None else g_max.g
-    exact = [float(init.weights @ g_h[init.states]) for g_h in g[::-1]]
+    exact = {h: float(init.weights @ g[n_max - h][init.states]) for h in horizons}
 
     mode = policy_name(policy)
     results = []

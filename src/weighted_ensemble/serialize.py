@@ -5,7 +5,6 @@ is supplied, so outputs are traceable and byte-reproducible.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import re
 import warnings
@@ -219,6 +218,7 @@ def _parse(path: Path, lines: list[str], width: int) -> tuple[np.ndarray, np.nda
         index = np.column_stack([table[f"i{k}"] for k in range(width)])
         return index, table["value"]
     except ValueError:
+        import csv  # here alone: the module costs every command's import
         rows = list(csv.reader(line.partition("#")[0] for line in _data_lines(lines)))
     for row in rows:
         if len(row) != width + 1:

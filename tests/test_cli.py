@@ -701,6 +701,52 @@ class TestExitCodes:
         cfg = write_config(tmp_path, horizons="1", reps="2", coarse_samples="88")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    # CFG stands for a config file that runs: at horizon 1, with 2 replicates
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["walk", "--config", "CFG"],
+        ["run", "--config", "CFG", "--bogus", "1"],
+        ["run", "--conf", "CFG"],
+        ["run", "--config", "CFG", "--out", "o", "--seed"],
+        ["run", "--config", "CFG", "--seed", "abc"],
+        ["run", "--config", "CFG", "--reps", "ten"],
+        ["run", "--config", "CFG", "--threads", "1.5"],
+    ], ids=["no_arguments", "unknown_command", "unknown_flag", "abbreviation",
+            "flag_without_value", "seed_not_integer", "reps_not_integer",
+            "threads_not_integer"])
+    def test_bad_command_line_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                              argv):
+        cfg = write_config(tmp_path, horizons="1", reps="2")
+        monkeypatch.chdir(tmp_path)  # where the default out directory would go
+        assert cli.main([str(cfg) if arg == "CFG" else arg for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert [path.name for path in tmp_path.iterdir()] == ["config"]
+
+    def test_help_names_every_command_and_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--help"]) == 0
+        printed = capsys.readouterr().out
+        for name in ("coarse", "run", "diagnose", "hill", "--config", "--seed",
+                     "--out", "--reps", "--threads", "--mode"):
+            assert name in printed
+        assert not any(tmp_path.iterdir())
+
+    def test_flag_value_after_an_equals_sign(self, tmp_path):
+        # --flag=value reads as --flag value, and a repeated flag keeps its
+        # last value
+        cfg = write_config(tmp_path, horizons="1", reps="4", n_particles="60")
+        outs = {}
+        for name, seed in [("spaced", ["--seed", "7"]), ("equals", ["--seed=7"]),
+                           ("repeated", ["--seed", "3", "--seed=7"])]:
+            outs[name] = tmp_path / name
+            assert cli.main(["run", "--config", str(cfg), "--out", str(outs[name]),
+                             *seed]) == 0
+        names = sorted(path.name for path in outs["spaced"].iterdir())
+        for out in outs.values():
+            assert sorted(path.name for path in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs["spaced"] / name).read_bytes()
+
 
 def test_main_freezes_the_heap_once_per_process(tmp_path, monkeypatch):
     frozen = []
@@ -713,25 +759,27 @@ def test_main_freezes_the_heap_once_per_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case, code", [("run", 0), ("config_error", 1),
-                                        ("numerical_failure", 2)])
+                                        ("bad_flag", 1), ("numerical_failure", 2)])
 def test_exit_of_a_process_with_a_frozen_heap(tmp_path, case, code):
     """A frozen heap matters only at a real interpreter exit: a command run
     as `python -m weighted_ensemble.cli` keeps its exit code, and every file
     it writes holds the bytes of the same command run in this process."""
     config = {"run": SMALL_RUN,
               "config_error": dict(horizons="1", coarse_samples="29"),
+              "bad_flag": SMALL_RUN,
               "numerical_failure": dict(chain=f"csv:{write_steep_chain(tmp_path)}",
                                         bin_width="20", horizons="1", reps="2")}[case]
+    flags = ["--bogus", "1"] if case == "bad_flag" else []
     cfg = write_config(tmp_path, **config)
     package_root = str(Path(weighted_ensemble.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     sub, ref = tmp_path / "sub", tmp_path / "ref"
     proc = subprocess.run([sys.executable, "-m", "weighted_ensemble.cli", "run",
-                           "--config", str(cfg), "--out", str(sub)],
+                           "--config", str(cfg), "--out", str(sub), *flags],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
-    assert cli.main(["run", "--config", str(cfg), "--out", str(ref)]) == code
+    assert cli.main(["run", "--config", str(cfg), "--out", str(ref), *flags]) == code
     if code == 1:
         assert proc.stderr.startswith("config error:")
         assert not sub.exists()
@@ -784,3 +832,30 @@ def test_import_leaves_dataclasses_out():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+
+def test_import_and_a_csv_run_load_no_parser_modules(tmp_path):
+    # argparse with gettext (and locale, once a parser is built) and csv
+    # took about 3 ms of every command's import; csv now loads only where a
+    # chain file's line defeats numpy's parser, which this one's do not
+    chain = tmp_path / "K.csv"
+    chain.write_text("i,j,value\n1,1,0.9\n1,2,0.1\n2,1,0.2\n2,2,0.8\n")
+    cfg = write_config(tmp_path, chain=f"csv:{chain}", bin_width="1", f_states="2",
+                       horizons="1", reps="2", n_particles="4")
+    code = ("import sys\n"
+            "names = {'dataclasses', 'argparse', 'gettext', 'locale', 'csv'}\n"
+            "bare = names & set(sys.modules)\n"
+            "import weighted_ensemble.cli as cli\n"
+            "print(sorted(names & set(sys.modules) - bare))\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, sorted(names & set(sys.modules) - bare))\n")
+    package_root = str(Path(weighted_ensemble.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"

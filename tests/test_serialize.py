@@ -300,7 +300,7 @@ def test_comment_blank_and_crlf_lines_are_skipped(tmp_path, monkeypatch):
                              fill=("  ", "\t", " # indented"))
     assert same_kernel(read_matrix_csv(spaced), plain)
     # numpy's parser skips the others itself
-    monkeypatch.setattr(serialize.csv, "reader", None)
+    monkeypatch.setattr(csv, "reader", None)
     noisy = write_noisy_csv(tmp_path / "Kn.csv", "i,j,value", *CHAIN_ROWS)
     assert b"\r\n\r\n1,2,0.75\r\n# between rows\r\n" in noisy.read_bytes()
     assert same_kernel(read_matrix_csv(noisy), plain)
