@@ -68,7 +68,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from bench_pairs import ROOT, export_ref
+
 sys.dont_write_bytecode = True  # bench/ is read, never written
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
@@ -115,17 +116,6 @@ def cases() -> list[tuple[str, list[str], str]]:
         for name, config in COARSE.items():
             out.append((f"{name}_seed{seed}", ["coarse", "--seed", seed], config))
     return out
-
-
-def export(ref: str, into: Path) -> None:
-    """The files of ``ref`` in ``into``, by `git archive`."""
-    into.mkdir()
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
-                               stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
-        raise SystemExit(f"git archive {ref} failed")
 
 
 def write_csv_chain(path: Path) -> None:
@@ -226,7 +216,7 @@ def main(argv: list[str]) -> int:
     ref = argv[0]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        export(ref, tmp / "ref")
+        export_ref(ref, tmp / "ref")
         write_csv_chain(tmp / CSV_CHAIN)
         write_steep_chain(tmp / STEEP_CHAIN)
         sides = {"ref": tmp / "ref", "work": ROOT}

@@ -255,9 +255,10 @@ def cmd_run(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) -> int:
                summary_rows, h)
     write_rows(out / "histograms.csv",
                ("mode", "i", "count_fraction", "weight_fraction"), hist_rows, h)
-    # v tables at p = 0 and p = n_max - 1 (the figure-3 style snapshot)
+    # v tables at p = 0 and p = n_max - 1 (the figure-3 style snapshot), each
+    # generation once; a set, as np.unique without return_* imports numpy.ma
     v = model.v if n_max >= 1 else np.zeros((1, model.n_bins))
-    snap = np.array([0, n_max - 1] if n_max >= 1 else [0])
+    snap = np.array(sorted({0, max(n_max - 1, 0)}))
     p, r = np.repeat(snap, v.shape[1]), np.tile(np.arange(1, v.shape[1] + 1), snap.size)
     write_rows(out / "v_snapshot.csv", ("p", "r", "value"),
                array_rows(p, r, v[snap].ravel()), h)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .binning import BinPartition
 from .diagnostics import g_sequence
-from .engine import RngStream, largest_remainder
+from .engine import RngStream
 from .markov import Distribution, Observable, TransitionMatrix, stationary
 
 
@@ -54,9 +54,9 @@ def check_sample_budget(bins: BinPartition, total_samples: int) -> None:
     """Raise ValueError unless `build_coarse_mc` starts a step in every bin
     from ``total_samples`` samples.
 
-    The leftover samples of the even spread go to the lowest states, as
-    `largest_remainder` breaks ties by index, so a budget below the state
-    count starts one step from each of its first ``total_samples`` states.
+    Each state starts total // S steps and the first total % S states one
+    more, so a budget below the state count starts one step from each of
+    its first ``total_samples`` states.
     The least budget that visits every bin is therefore 1 + the largest
     first state of a bin (0-indexed): S - w + 1 for bins of width w.
     """
@@ -83,7 +83,7 @@ def build_coarse_mc(
     check_sample_budget(bins, total_samples)
     R = bins.n_bins
     S = K.n_states
-    n_starts = largest_remainder(total_samples * np.full(S, 1.0 / S), total_samples)
+    n_starts = total_samples // S + (np.arange(S) < total_samples % S)
     starts = np.repeat(np.arange(S), n_starts)
     ends = K.step(starts, rng.random(starts.size))
     sb = bins.bin_of[starts]

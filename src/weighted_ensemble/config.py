@@ -9,7 +9,7 @@ from .coarse import check_sample_budget
 from .diagnostics import MIN_CHECK_REPS
 from .experiment import MODES, ChainSetup
 from .markov import Observable, build_three_well_chain
-from .serialize import observable_from_csv, read_matrix_csv
+from .serialize import read_matrix_csv, read_vector_csv
 
 
 def parse_state_set(text: str) -> list[int]:
@@ -171,7 +171,7 @@ class ExperimentConfig:
         if self.coarse_samples:
             check_sample_budget(bins, self.coarse_samples)
         if self.f_states.startswith("csv:"):
-            f = observable_from_csv(Path(self.f_states[4:]))
+            f = Observable(read_vector_csv(Path(self.f_states[4:])))
             if f.n_states != n:
                 raise ValueError("observable vector length does not match chain")
         else:

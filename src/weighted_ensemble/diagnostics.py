@@ -122,22 +122,21 @@ class CheckReport(NamedTuple):
 
 
 def doob_terms(
-    gseq: GSequence, n_replicates: int = 1, naive: bool = False,
+    gseq: GSequence, n_replicates: int = 1,
 ) -> tuple[Callable[[int, Ensemble, SelectionOutcome], None], np.ndarray, np.ndarray]:
     """Observer for `run_we` plus the (replicates x n) arrays it fills: the
     exact per-generation (mutation, selection) conditional variance terms
     along each run of a batch, computed as the runs go. Generations a run
     never selects at (it went extinct, or it is shorter than the g sequence)
-    keep 0. So does every selection term of a ``naive`` run: its beta is 1
-    everywhere, so each of its terms is exactly 0."""
+    keep 0. A naive run's beta is 1 everywhere, so each of its selection
+    terms is exactly 0."""
     mut = np.zeros((n_replicates, gseq.horizon))
     sel = np.zeros((n_replicates, gseq.horizon))
 
     def observe(p: int, e: Ensemble, outcome: SelectionOutcome) -> None:
         if p < gseq.horizon:
             mut[:, p] = mutation_variance_term(outcome, gseq, p)
-            if not naive:
-                sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
+            sel[:, p] = selection_variance_term(e, outcome.mean_children, gseq, p)
 
     return observe, mut, sel
 

@@ -214,11 +214,11 @@ class SelectionOutcome(_Replicates):
     """
 
     def __init__(self, states: np.ndarray, weights: np.ndarray, parent_of: np.ndarray,
-                 children_count: np.ndarray, mean_children: np.ndarray,
-                 generation: int = 0, offsets: Optional[np.ndarray] = None):
+                 mean_children: np.ndarray, generation: int = 0,
+                 offsets: Optional[np.ndarray] = None):
         super().__init__(states, weights, offsets)
-        self.parent_of, self.children_count = parent_of, children_count
-        self.mean_children, self.generation = mean_children, generation
+        self.parent_of, self.mean_children = parent_of, mean_children
+        self.generation = generation
 
     @property
     def n_selected(self) -> int:
@@ -226,29 +226,12 @@ class SelectionOutcome(_Replicates):
         return self.states.shape[0]
 
 
-def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
-    """Integer apportionment of `total` seats to fractional quotas.
-
-    Floors every quota, then hands the leftover seats to the largest
-    remainders, breaking ties by lower index.
-    """
-    quotas = np.asarray(quotas, dtype=float)
-    base = np.floor(quotas).astype(np.int64)
-    leftover = total - int(base.sum())
-    if leftover < 0:
-        raise ValueError("quotas exceed the total")
-    if leftover > 0:
-        remainders = quotas - base
-        order = np.lexsort((np.arange(quotas.size), -remainders))
-        base[order[:leftover]] += 1
-    return base
-
-
 def stationary_init_ensemble(
     mu: Distribution, bins: BinPartition, n_particles: int
 ) -> Ensemble:
     """Spread particles evenly over bins with weights from the coarse stationary
-    vector: each bin gets ~N/R particles, each carrying mu_r / (count in bin).
+    vector: each of the k occupied bins gets N // k particles, the first N % k
+    of them one more, each carrying mu_r / (count in bin).
 
     Bins with zero coarse mass (possible on source-sink chains, whose sink
     interior is transient: `markov.stationary` gives it exactly 0) receive
@@ -262,9 +245,11 @@ def stationary_init_ensemble(
         raise ValueError(f"need at least {R} particles so no bin is empty")
     if mu.n_states != R:
         raise ValueError("mu must be a distribution over bins")
-    quotas = np.where(mu.weights / n_particles > 0, n_particles / R, 0.0)
-    scale = n_particles / quotas.sum()
-    per_bin = largest_remainder(quotas * scale, n_particles)
+    occupied = mu.weights / n_particles > 0
+    n_occupied = int(occupied.sum())
+    per_bin = np.zeros(R, np.int64)
+    per_bin[occupied] = (n_particles // n_occupied
+                         + (np.arange(n_occupied) < n_particles % n_occupied))
     # a bin's k particles sit round-robin on its m states, ascending, so its
     # j-th state takes k // m + (j < k % m) of them: one pass over the states
     # in (bin, state) order, each with its rank in its bin
@@ -272,7 +257,6 @@ def stationary_init_ensemble(
     rank = np.arange(bins.n_states) - np.repeat(np.cumsum(size) - size, size)
     k, m = np.repeat(per_bin, size), np.repeat(size, size)
     states = np.repeat(np.argsort(bins.bin_of, kind="stable"), k // m + (rank < k % m))
-    occupied = per_bin > 0
     weights = np.repeat(mu.weights[occupied] / per_bin[occupied], per_bin[occupied])
     return Ensemble(0, states, weights)
 
@@ -359,7 +343,6 @@ def select(
     if isinstance(policy, NaivePolicy):
         return SelectionOutcome._trusted(
             states=e.states, weights=e.weights, parent_of=np.arange(e.n_particles),
-            children_count=np.ones(e.n_particles, np.int64),
             mean_children=np.ones(e.n_particles), generation=e.generation,
             offsets=e.offsets)
     if u is None:
@@ -377,13 +360,11 @@ def select(
         raise ValueError("child weights must be positive and finite")
     child_weight = omega_bar.ravel()[key]
     beta = e.weights / child_weight
-    counts = stochastic_round(beta, u)
-    parent_of = np.repeat(np.arange(e.n_particles), counts)
+    parent_of = np.repeat(np.arange(e.n_particles), stochastic_round(beta, u))
     return SelectionOutcome._trusted(
         states=e.states[parent_of],
         weights=child_weight[parent_of],
         parent_of=parent_of,
-        children_count=counts,
         mean_children=beta,
         generation=e.generation,
         # replicate b's children are those of parents below offsets[b + 1]
@@ -414,7 +395,6 @@ class RunRecord(NamedTuple):
     eta_f: np.ndarray  # (replicates, n+1), or (replicates, 1)
     num_particles: np.ndarray
     total_weight: np.ndarray
-    extinct: np.ndarray  # (replicates,) bool: no particle left at generation n
     tau_kill: Optional[int]  # generation the whole pass was extinct at, if any
     final: Ensemble
 
@@ -497,7 +477,6 @@ def run_we(
         eta_f=eta,
         num_particles=num,
         total_weight=tot,
-        extinct=num[:, -1] == 0,
         tau_kill=tau_kill,
         final=e,
     )

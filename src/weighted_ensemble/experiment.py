@@ -114,7 +114,7 @@ def _batch(K: TransitionMatrix, f: Observable, policy: SelectionPolicy,
     sel_p); without, that second value is None."""
     if gseq is None:
         return run_we(K, f, policy, init, n, seed, reps, traces=traces), None
-    observe, mut, sel = doob_terms(gseq, len(reps), isinstance(policy, NaivePolicy))
+    observe, mut, sel = doob_terms(gseq, len(reps))
     rec = run_we(K, f, policy, init, n, seed, reps, observe=observe, traces=traces)
     return rec, mut.sum(axis=1) + sel.sum(axis=1)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .markov import Observable, TransitionMatrix
+from .markov import TransitionMatrix
 
 
 # most nonzero entries a CSV may list, and most slots of a chain's padded
@@ -293,7 +293,3 @@ def read_vector_csv(path: Path) -> np.ndarray:
     v = np.zeros(n)
     v[index[:, 0]] = values
     return v
-
-
-def observable_from_csv(path: Path) -> Observable:
-    return Observable(read_vector_csv(path))

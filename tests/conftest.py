@@ -8,7 +8,7 @@ from weighted_ensemble import (
     source_sink_kernel,
 )
 from weighted_ensemble.coarse import build_coarse_model
-from weighted_ensemble.engine import Ensemble, largest_remainder, stationary_init_ensemble
+from weighted_ensemble.engine import Ensemble, stationary_init_ensemble
 from weighted_ensemble.config import ExperimentConfig
 from weighted_ensemble.experiment import ChainSetup
 
@@ -30,12 +30,33 @@ def dense_cdf():
     return _dense_cdf
 
 
+def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
+    # floor every quota, then hand the leftover seats to the largest
+    # remainders, breaking ties by lower index
+    quotas = np.asarray(quotas, dtype=float)
+    base = np.floor(quotas).astype(np.int64)
+    leftover = total - int(base.sum())
+    if leftover < 0:
+        raise ValueError("quotas exceed the total")
+    if leftover > 0:
+        remainders = quotas - base
+        order = np.lexsort((np.arange(quotas.size), -remainders))
+        base[order[:leftover]] += 1
+    return base
+
+
+@pytest.fixture(scope="session")
+def largest_remainder():
+    """Integer apportionment of ``total`` seats to fractional quotas."""
+    return _largest_remainder
+
+
 def _init_ensemble(initial, n0: int) -> Ensemble:
     # n0 particles of weight 1/n0 with deterministic per-state counts
     # matching n0 * initial by largest remainder
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    counts = largest_remainder(n0 * initial.weights, n0)
+    counts = _largest_remainder(n0 * initial.weights, n0)
     states = np.repeat(np.arange(initial.n_states), counts)
     return Ensemble(0, states, np.full(n0, 1.0 / n0))
 
@@ -53,7 +74,7 @@ def _per_bin_init_ensemble(mu, bins, n_particles: int) -> Ensemble:
     # (members[arange(k) % m], sorted) and each carries mu_r / k
     R = bins.n_bins
     quotas = np.where(mu.weights / n_particles > 0, n_particles / R, 0.0)
-    per_bin = largest_remainder(quotas * (n_particles / quotas.sum()), n_particles)
+    per_bin = _largest_remainder(quotas * (n_particles / quotas.sum()), n_particles)
     states, weights = [], []
     for r in range(R):
         if per_bin[r] == 0:

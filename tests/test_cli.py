@@ -174,6 +174,18 @@ class TestRun:
         assert (out / "extinctions.csv").exists()
         assert_config_txt_matches_csvs(out)
 
+    @pytest.mark.parametrize("horizon", [1, 5])
+    def test_v_snapshot_lists_each_generation_once(self, tmp_path, horizon):
+        # generations 0 and n_max - 1, which are one generation at n_max = 1
+        cfg = write_config(tmp_path, mode="naive", horizons=str(horizon), reps="2",
+                           n_particles="60")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header, body = read_csv(out / "v_snapshot.csv")
+        assert header == ["p", "r", "value"]
+        assert [(int(p), int(r)) for p, r, _ in body] == [
+            (p, r) for p in sorted({0, horizon - 1}) for r in range(1, 31)]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, **SMALL_RUN)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -36,7 +36,7 @@ from weighted_ensemble.diagnostics import (
     mutation_variance_term,
     selection_variance_term,
 )
-from weighted_ensemble.engine import CHUNK, PASS_CHUNKS, largest_remainder, replicates
+from weighted_ensemble.engine import CHUNK, PASS_CHUNKS, replicates
 from weighted_ensemble.experiment import make_policy, run_sweep_cell
 
 
@@ -274,12 +274,15 @@ class TestReplicateSums:
 
 
 class TestLargestRemainder:
-    def test_hand_example(self):
+    """The reference apportionment in conftest.py, which the init_ensemble
+    fixture spreads particles by."""
+
+    def test_hand_example(self, largest_remainder):
         # floors (1,0,0); two leftover seats go to the larger remainders 0.75
         assert list(largest_remainder(np.array([1.5, 0.75, 0.75]), 3)) == [1, 1, 1]
         assert list(largest_remainder(np.array([2.6, 0.2, 0.2]), 3)) == [3, 0, 0]
 
-    def test_ties_break_by_lower_index(self):
+    def test_ties_break_by_lower_index(self, largest_remainder):
         assert list(largest_remainder(np.array([0.5, 0.5, 1.0]), 2)) == [1, 0, 1]
 
     @settings(max_examples=100, deadline=None)
@@ -288,7 +291,7 @@ class TestLargestRemainder:
             lambda q: sum(q) > 0
         )
     )
-    def test_sums_and_bounds(self, quotas):
+    def test_sums_and_bounds(self, largest_remainder, quotas):
         quotas = np.array(quotas)
         total = int(np.ceil(quotas.sum()))
         out = largest_remainder(quotas, total)
@@ -537,7 +540,7 @@ class TestSelect:
         assert np.array_equal(out.states, e.states)
         assert np.array_equal(out.weights, e.weights)
         assert np.all(out.mean_children == 1.0)
-        assert np.all(out.children_count == 1)
+        assert np.array_equal(out.parent_of, np.arange(3))
 
     def test_one_bin_reweighting(self):
         # two particles (0.75, 0.25) with target 2 -> shared child weight 0.5
@@ -593,7 +596,7 @@ class TestSelect:
                      np.array([0, 2, 3]))
         out = select(e, TraditionalPolicy(bins, 2.0), u=np.zeros(3))
         assert np.allclose(out.mean_children, [1.5, 0.5, 2.0])
-        assert list(out.children_count) == [2, 1, 2]
+        assert list(np.bincount(out.parent_of, minlength=3)) == [2, 1, 2]
         assert list(out.offsets) == [0, 3, 5]
         assert np.allclose(out.weights, [0.5, 0.5, 0.5, 0.5, 0.5])
 
@@ -615,7 +618,6 @@ class TestMutate:
             states=np.empty(0, np.int64),
             weights=np.empty(0),
             parent_of=np.empty(0, np.int64),
-            children_count=np.empty(0, np.int64),
             mean_children=np.empty(0),
             generation=4,
         )
@@ -650,7 +652,7 @@ class TestRunWe:
         assert rec.eta_f[0, 0] == pytest.approx(
             float(init150.weights @ setup.f.values[init150.states])
         )
-        assert not rec.extinct.any()
+        assert rec.num_particles[0, -1] == 150
 
     def test_naive_preserves_population_and_weights(self, setup, init150):
         rec = run_we(setup.K, setup.f, NaivePolicy(), init150, 10, 2, range(3))
@@ -712,16 +714,16 @@ class TestRunWe:
         e = Ensemble(0, np.array([0]), np.array([1.0]))
         policy = TraditionalPolicy(bins, 0.1)
         rec = run_we(two_state, Observable(np.ones(2)), policy, e, 5, 0, range(50))
-        assert rec.extinct.any(), "no extinction observed with kill-heavy policy"
-        for eta, num, extinct in zip(rec.eta_f, rec.num_particles, rec.extinct):
-            if extinct:
-                tau = int(np.argmin(num))
-                assert num[tau] == 0 and np.all(num[tau:] == 0)
-                assert np.all(eta[tau:] == 0.0)
+        extinct = rec.num_particles[:, -1] == 0
+        assert extinct.any(), "no extinction observed with kill-heavy policy"
+        for eta, num in zip(rec.eta_f[extinct], rec.num_particles[extinct]):
+            tau = int(np.argmin(num))
+            assert num[tau] == 0 and np.all(num[tau:] == 0)
+            assert np.all(eta[tau:] == 0.0)
         # a batch that dies out entirely stops at the generation it did
         dead = run_we(two_state, Observable(np.ones(2)), policy, e, 5, 0,
                       np.flatnonzero(rec.num_particles[:, 1] == 0)[:3])
-        assert dead.tau_kill == 1 and dead.extinct.all()
+        assert dead.tau_kill == 1 and not dead.num_particles[:, -1].any()
 
     @pytest.mark.parametrize("mode", ["traditional", "naive"])
     def test_batch_draws_its_first_replicates_stream(self, setup, init150, mode):
@@ -747,9 +749,9 @@ class TestRunWe:
         [cell] = run_sweep_cell(setup, init150, policy, (6,), 70, 4)
         chunk = run_we(setup.K, setup.f, policy, init150, 6, 4, range(32, 64))
         for field, rows in (("eta_f", cell.traces), ("num_particles", cell.count_traces),
-                            ("total_weight", cell.weight_traces),
-                            ("extinct", cell.extinct_flags)):
+                            ("total_weight", cell.weight_traces)):
             assert np.array_equal(rows[32:64], getattr(chunk, field))
+        assert np.array_equal(cell.extinct_flags[32:64], chunk.num_particles[:, -1] == 0)
         first = cell.final[0]  # the pass of replicates 0..63
         lo, hi = first.offsets[32], first.offsets[64]
         assert np.array_equal(first.states[lo:hi], chunk.final.states)
@@ -773,7 +775,7 @@ class TestRunWe:
         for lo in range(0, len(reps), CHUNK):
             rows = slice(lo, min(lo + CHUNK, len(reps)))
             chunk, *terms = run(reps[rows])
-            for field in ("eta_f", "num_particles", "total_weight", "extinct"):
+            for field in ("eta_f", "num_particles", "total_weight"):
                 assert np.array_equal(getattr(whole, field)[rows], getattr(chunk, field))
             for pass_term, chunk_term in zip(whole_terms, terms):
                 assert np.array_equal(pass_term[rows], chunk_term)
@@ -815,7 +817,6 @@ class TestRunWe:
         assert last.eta_f.shape == last.num_particles.shape == (len(reps), 1)
         for field in ("eta_f", "num_particles", "total_weight"):
             assert np.array_equal(getattr(last, field)[:, 0], getattr(every, field)[:, n])
-        assert np.array_equal(last.extinct, every.extinct)
         assert last.tau_kill == every.tau_kill
         for name in ("states", "weights", "offsets"):
             assert np.array_equal(getattr(last.final, name), getattr(every.final, name))
@@ -844,7 +845,8 @@ class TestRunWe:
             every, _ = self.check_generation_n_alone(
                 two_state, Observable(np.ones(2)), TraditionalPolicy(bins, target),
                 e, 5, 4 if tau_kill else 0, range(2 * CHUNK + 6))
-            assert every.tau_kill == tau_kill and every.extinct.sum() == extinct
+            assert every.tau_kill == tau_kill
+            assert np.count_nonzero(every.num_particles[:, -1] == 0) == extinct
 
     def test_a_child_weight_that_underflows_is_refused(self, two_state):
         # 5e-324 / 5 rounds to 0, so the particle's children would weigh nothing

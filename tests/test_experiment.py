@@ -7,6 +7,7 @@ import pytest
 from weighted_ensemble import run_we
 from weighted_ensemble.coarse import compute_v
 from weighted_ensemble.diagnostics import (
+    doob_terms,
     g_sequence,
     mutation_variance_term,
     selection_variance_term,
@@ -95,8 +96,7 @@ def test_doob_readout_keeps_the_etas(doob_cells, mode):
 @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
 def test_doob_variance_is_the_observer_row_sums(setup, model30, init150,
                                                 doob_cells, mode):
-    # naive's cells leave the selection terms at 0 without computing them;
-    # this observer computes both terms for every policy, and its sums are
+    # an observer of its own that computes both terms for every policy gives
     # the same bits
     policy = make_policy(mode, setup.bins, 150, v=model30.v)
     gseq = g_sequence(setup.K, setup.f, 4)
@@ -112,6 +112,21 @@ def test_doob_variance_is_the_observer_row_sums(setup, model30, init150,
     assert np.array_equal(doob_cells[mode][1].variance, np.concatenate(expected))
 
 
+def test_naive_doob_variance_is_its_mutation_terms(setup, init150, doob_cells):
+    # beta = 1 everywhere, so every selection term the cell's observer
+    # records is exactly 0.0 and the variance is the mutation terms' sum
+    policy = make_policy("naive", setup.bins, 150)
+    gseq = g_sequence(setup.K, setup.f, 4)
+    mutation = []
+    for chunk in (range(0, 32), range(32, 40)):  # the driver's two batches
+        observe, mut, sel = doob_terms(gseq, len(chunk))
+        run_we(setup.K, setup.f, policy, init150, 4, 5, chunk, observe=observe)
+        assert mut.all()
+        assert not sel.any() and not np.signbit(sel).any()
+        mutation.append(mut.sum(axis=1))
+    assert doob_cells["naive"][1].variance.tobytes() == np.concatenate(mutation).tobytes()
+
+
 @pytest.mark.parametrize("doob", [False, True])
 @pytest.mark.parametrize("mode", ["adaptive", "traditional", "naive"])
 def test_a_pickled_pass_runs_as_the_original(setup, model30, init150, mode, doob):
@@ -122,7 +137,7 @@ def test_a_pickled_pass_runs_as_the_original(setup, model30, init150, mode, doob
     one = partial(_batch, setup.K, setup.f, policy, init150, 4, 5, gseq, True)
     (want, want_variance), (got, got_variance) = (
         call(range(32, 72)) for call in (one, pickle.loads(pickle.dumps(one))))
-    for name in ("eta_f", "num_particles", "total_weight", "extinct"):
+    for name in ("eta_f", "num_particles", "total_weight"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.tau_kill == want.tau_kill
     for name in ("generation", "states", "weights", "offsets"):
