@@ -7,6 +7,9 @@ Usage, from anywhere inside the repository:
     python3 scripts/bench_pairs.py REF --workload W --pairs 10
         [--seed S] [--seconds T] [--json PATH]
 
+W is a workload of `bench/workloads.WORKLOADS`, or `all` for each of them in
+turn, in that order, on the same two copies.
+
 REF (a commit, tag or branch) is exported with `git archive` into a
 temporary directory, as `compare_outputs.py` does, and the working tree's
 files (tracked, and untracked but not ignored) are copied into another; no
@@ -23,8 +26,8 @@ two values, each side's median and quartiles, the ratio of the medians
 (work/ref), the median of the per-pair ratios (work/ref), which a drift of
 the host over the pairs moves less, and in how many pairs the working tree
 did better, by the metric's direction. With --json it also writes all of it
-to PATH. It exits 1 when a round reports a failed check,
-and 2 when a round cannot run.
+to PATH, for `all` as one object keyed by workload. It exits 1 when a round
+reports a failed check, and 2 when a round cannot run.
 """
 from __future__ import annotations
 
@@ -89,42 +92,23 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ref")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="bench/run.py --seconds (default: BENCHMARK.json's)")
-    parser.add_argument("--json", type=Path, default=None)
-    args = parser.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-
+def run_pairs(trees: dict, args, workload: str, seconds: float, better: dict) -> dict:
+    """The pairs of one workload, printed and summarised."""
     rounds = []
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        export_ref(args.ref, trees["ref"])
-        trees["work"].mkdir()
-        copy_work(trees["work"])
-        for tree in trees.values():
-            compile_tree(tree)
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_round(trees[side], args.workload, seed, seconds)
-            rounds.append(pair)
-            print(f"pair {i + 1}/{args.pairs}, seed {seed}, {order[0]} first: " + ", ".join(
-                f"{name} {pair['ref']['metrics'][name]['value']:.6g} -> "
-                f"{pair['work']['metrics'][name]['value']:.6g}" for name in better),
-                flush=True)
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_round(trees[side], workload, seed, seconds)
+        rounds.append(pair)
+        print(f"{workload} pair {i + 1}/{args.pairs}, seed {seed}, {order[0]} first: "
+              + ", ".join(f"{name} {pair['ref']['metrics'][name]['value']:.6g} -> "
+                          f"{pair['work']['metrics'][name]['value']:.6g}"
+                          for name in better), flush=True)
 
     summary = {}
-    print(f"\n{args.workload}: {args.ref} (ref) against the working tree (work), "
+    print(f"\n{workload}: {args.ref} (ref) against the working tree (work), "
           f"{args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     for name, direction in better.items():
         values = {side: [r[side]["metrics"][name]["value"] for r in rounds] for side in SIDES}
@@ -143,13 +127,46 @@ def main(argv: list[str]) -> int:
               f"{summary[name]['median_pair_ratio']:.4f}, "
               f"work better in {wins} of {args.pairs}")
     failed = {side: sum(r[side]["failed"] for r in rounds) for side in SIDES}
-    print(f"  failed operations: ref {failed['ref']}, work {failed['work']}")
+    print(f"  failed operations: ref {failed['ref']}, work {failed['work']}\n", flush=True)
+    return {"ref": args.ref, "workload": workload, "seconds": seconds,
+            "rounds": rounds, "summary": summary, "failed": failed}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref")
+    parser.add_argument("--workload", required=True, help="a workload, or all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="bench/run.py --seconds (default: BENCHMARK.json's)")
+    parser.add_argument("--json", type=Path, default=None)
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if args.workload == "all":
+        sys.path.insert(0, str(ROOT / "bench"))
+        from workloads import WORKLOADS
+        names = list(WORKLOADS)
+    else:
+        names = [args.workload]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        export_ref(args.ref, trees["ref"])
+        trees["work"].mkdir()
+        copy_work(trees["work"])
+        for tree in trees.values():
+            compile_tree(tree)
+        results = {name: run_pairs(trees, args, name, seconds, better) for name in names}
+
     if args.json is not None:
-        args.json.write_text(json.dumps({
-            "ref": args.ref, "workload": args.workload, "seconds": seconds,
-            "rounds": rounds, "summary": summary, "failed": failed}, indent=1))
-    return 1 if any(failed.values()) or not all(
-        r[side]["correct"] for r in rounds for side in SIDES) else 0
+        args.json.write_text(json.dumps(
+            results if args.workload == "all" else results[args.workload], indent=1))
+    return 1 if any(any(res["failed"].values()) or not all(
+        r[side]["correct"] for r in res["rounds"] for side in SIDES)
+        for res in results.values()) else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ depend only on (seed, config). Passes go through one driver, `replicates`.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -36,41 +35,32 @@ PASS_CHUNKS = 2
 memory, which two keep within 2% of one on `diagnose`. Changing it moves no byte."""
 
 
-class _KeySeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that answers Philox's one request, two uint64 words,
-    with the given key. ``Philox(key=...)`` first builds a throwaway
-    OS-entropy ``SeedSequence()``; seeded with this, it builds none."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.key
-
-
 class RngStream:
     """Reproducible random stream keyed by (seed, replicate, generation, purpose).
 
     A counter-based Philox generator (Salmon et al., "Parallel random numbers:
-    as easy as 1, 2, 3", SC'11): its key is derived from the seed once, and
-    ``at(p, purpose)`` starts its 256-bit counter at [0, replicate, p,
-    purpose id]. Philox advances word 0, the draw index, so streams of
-    different (replicate, generation, purpose) never overlap. Draws depend
-    only on the key, never on execution order or thread count.
+    as easy as 1, 2, 3", SC'11), built once with its key derived from the
+    seed. ``at(p, purpose)`` re-points it: its 256-bit counter restarts at
+    [0, replicate, p, purpose id], with no buffered words. Philox advances
+    word 0, the draw index, so streams of different (replicate, generation,
+    purpose) never overlap. Draws depend only on the key and the counter,
+    never on execution order or thread count.
     """
 
     def __init__(self, seed: int, replicate: int = 0):
-        self.seed, self.replicate = seed, replicate
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        return np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        self.replicate = replicate
+        self._generator = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
+        # counter 0 and an empty buffer; `at` writes the counter's words 1-3
+        self._fresh = self._generator.bit_generator.state
 
     def at(self, generation: int, purpose: str) -> np.random.Generator:
-        """A new generator at the start of the (generation, purpose) stream."""
-        counter = [0, self.replicate, generation, _PURPOSES[purpose]]
-        return np.random.Generator(np.random.Philox(_KeySeed(self.key),
-                                                    counter=counter))
+        """The stream's one generator, at the start of the (generation,
+        purpose) stream; an earlier `at`'s draws are abandoned."""
+        self._fresh["state"]["counter"][1:] = (self.replicate, generation,
+                                               _PURPOSES[purpose])
+        self._generator.bit_generator.state = self._fresh
+        return self._generator
 
 
 class _Replicates:
@@ -291,12 +281,10 @@ def bin_totals(e: Ensemble, bins: BinPartition,
                        minlength=e.n_replicates * bins.n_bins).reshape(-1, bins.n_bins)
 
 
-def _bin_key(e: Ensemble, bins: BinPartition,
-             base: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each particle's (replicate, bin) index, replicate * R + bin; the
-    replicate base, replicate * R, is rebuilt from the offsets unless given."""
-    if base is None:
-        base = np.repeat(np.arange(e.n_replicates) * bins.n_bins, e.sizes)
+def _bin_key(e: Ensemble, bins: BinPartition) -> np.ndarray:
+    """Each particle's (replicate, bin) index, replicate * R + bin, with the
+    replicate read from the offsets."""
+    base = np.repeat(np.arange(e.n_replicates) * bins.n_bins, e.sizes)
     return base + bins.bin_of[e.states]
 
 
@@ -324,17 +312,15 @@ def select(
     policy: SelectionPolicy,
     u: Optional[np.ndarray] = None,
     horizon: Optional[int] = None,
-    base: Optional[np.ndarray] = None,
 ) -> SelectionOutcome:
     """Selection step over a pass: draw children counts and reweight.
 
     Under bin policies, all children in bin r of a replicate share the weight
     omega_bar_r = (bin weight) / (bin target); empty bins stay empty. Counts
-    are stochastically rounded with the uniforms ``u``, one per particle.
-    ``base``, each particle's replicate * R, keys its (replicate, bin)
-    (`_bin_key`); `run_we` carries it through ``parent_of`` so it is never
-    rebuilt. The naive policy copies every particle once, in place, and needs
-    neither. The adaptive policy reads the v row of generation
+    are stochastically rounded with the uniforms ``u``, one per particle, and
+    each particle's (replicate, bin) key comes from the offsets (`_bin_key`).
+    The naive policy copies every particle once, in place, and needs neither.
+    The adaptive policy reads the v row of generation
     ``e.generation`` in a run to ``horizon`` (`AdaptivePolicy.row`). An empty
     outcome (extinction) is legal.
     """
@@ -347,7 +333,7 @@ def select(
             offsets=e.offsets)
     if u is None:
         raise ValueError("bin policies need uniforms for stochastic rounding")
-    key = _bin_key(e, policy.bins, base)
+    key = _bin_key(e, policy.bins)
     bin_weight = bin_totals(e, policy.bins, key)
     if isinstance(policy, TraditionalPolicy):
         targets = policy.per_bin_target
@@ -419,11 +405,10 @@ def run_we(
     table needs at least n rows. An extinct replicate has eta 0 from then on
     by convention; the loop stops when the whole pass is.
 
-    A generation is one `select`, given each particle's replicate base
-    (replicate * R), then one `mutate`; the base follows its particle
-    through ``parent_of``. Each replicate's eta_p(f), total weight and
-    particle count are recorded at every generation with ``traces``, and at
-    generation n alone without; the draws are the same either way.
+    A generation is one `select`, then one `mutate`. Each replicate's
+    eta_p(f), total weight and particle count are recorded at every
+    generation with ``traces``, and at generation n alone without; the draws
+    are the same either way.
     ``observe(p, ensemble, outcome)``, if given, is called at every
     generation p < n that selects, with the pre-selection pass and the
     selection made from it.
@@ -452,9 +437,6 @@ def run_we(
 
     e = Ensemble(0, np.tile(init.states, B), np.tile(init.weights, B),
                  np.arange(B + 1) * init.n_particles)
-    # each particle's replicate base, replicate * R; the naive policy keys no bins
-    base = None if naive else np.repeat(np.arange(B) * policy.bins.n_bins,
-                                        init.n_particles)
     tau_kill: Optional[int] = None
     for p in range(n + 1):
         if p >= first:
@@ -467,11 +449,9 @@ def run_we(
         if p == n:
             break
         u = None if naive else uniforms(p, "select", e.offsets)
-        outcome = select(e, policy, u, n, base)
+        outcome = select(e, policy, u, n)
         if observe is not None:
             observe(p, e, outcome)
-        if base is not None:
-            base = base[outcome.parent_of]
         e = mutate(outcome, K, uniforms(p, "mutate", outcome.offsets))
     return RunRecord(
         eta_f=eta,

@@ -70,26 +70,30 @@ class TestRngStream:
         counter = g.bit_generator.state["state"]["counter"]
         assert counter.tolist() == [3, 32, 7, purpose_id]
 
-    def test_at_reads_no_entropy_and_returns_independent_generators(
-            self, monkeypatch):
-        # each call seeds Philox from the stream's cached key, never from a
-        # fresh OS-entropy SeedSequence, and starts a new generator
+    def test_at_reads_no_entropy_and_repoints_one_generator(self, monkeypatch):
+        # each call re-points the stream's one generator, reading no OS
+        # entropy, to the start of the requested stream, whatever the draws
+        # before left buffered: 1, 3 and 5 doubles end inside a Philox block
         s = RngStream(3, 64)
-        expected = np.random.Generator(
-            np.random.Philox(key=s.key, counter=[0, 64, 2, 2])).random(5)
+        key = np.random.SeedSequence(3).generate_state(2, np.uint64)
+        select_0, mutate_2 = (np.random.Generator(np.random.Philox(
+            key=key, counter=[0, 64, p, purpose_id])).random(5)
+            for p, purpose_id in ((0, 1), (2, 2)))
 
         def no_entropy(*args):
             raise AssertionError("OS entropy read")
 
         monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
-        a, b = s.at(2, "mutate"), s.at(2, "mutate")
-        assert np.array_equal(a.random(5), expected)
-        assert np.array_equal(b.random(5), expected)
-        assert not np.array_equal(a.random(5), expected)
-        # and a generator still pickles, seed sequence included (numpy's
+        g = s.at(2, "mutate")
+        for before in (1, 3, 5):
+            assert s.at(0, "select") is g
+            assert np.array_equal(g.random(before), select_0[:before])
+            assert s.at(2, "mutate") is g
+            assert np.array_equal(g.random(5), mutate_2)
+        # and the generator still pickles, seed sequence included (numpy's
         # unpickling builds a SeedSequence first)
         monkeypatch.undo()
-        assert np.array_equal(pickle.loads(pickle.dumps(b)).random(5), b.random(5))
+        assert np.array_equal(pickle.loads(pickle.dumps(g)).random(5), g.random(5))
 
     def test_order_independent(self):
         s = RngStream(1)
@@ -724,6 +728,22 @@ class TestRunWe:
         dead = run_we(two_state, Observable(np.ones(2)), policy, e, 5, 0,
                       np.flatnonzero(rec.num_particles[:, 1] == 0)[:3])
         assert dead.tau_kill == 1 and not dead.num_particles[:, -1].any()
+
+    def test_a_chunk_builds_one_philox_per_run(self, setup, model30, init150,
+                                               monkeypatch):
+        # each chunk's stream is built once and re-pointed for every
+        # (generation, purpose), not rebuilt for each draw
+        built = []
+
+        class CountingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        policy = make_policy("adaptive", setup.bins, 150, v=model30.v)
+        rec = run_we(setup.K, setup.f, policy, init150, 20, 5, range(2 * CHUNK))
+        assert rec.tau_kill is None and len(built) == 2
 
     @pytest.mark.parametrize("mode", ["traditional", "naive"])
     def test_batch_draws_its_first_replicates_stream(self, setup, init150, mode):
