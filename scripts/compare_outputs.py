@@ -26,6 +26,7 @@ and 2:
         sink_states = 1
     run --mode all --bogus 1
     run --mode all --reps ten
+    run --mode all, with reps = 1.5
 
 and `coarse`, which takes no --threads, once per seed, exact and with
 coarse_samples = 300 and 900. A coarse model of 300 or of 900 samples has
@@ -42,7 +43,9 @@ R = 30 bins: each exits 1 and writes no output directory. The
 run_unknown_flag and run_bad_reps commands are malformed command lines, an
 unknown flag and a --reps that is not an integer: each exits 1 as a config
 error and writes no output directory (argparse, which read the command line
-before, exited 2 on them). The csv: chain is
+before, exited 2 on them). The run_bad_config_value command's config file
+holds reps = 1.5, a value that reps's type does not take: it exits 1 and
+writes no output directory, as a --reps of 1.5 does. The csv: chain is
 `bench/workloads.banded_chain` on 300 states (chain seed 0), so R = 100. It
 is written once into the temporary directory, with comment lines, a blank
 line after every row and CRLF line endings, which the chain reader skips.
@@ -99,6 +102,7 @@ COMMANDS = {
     "hill_steep": (["hill", "--reps", "60"], STEEP_CONFIG),
     "run_unknown_flag": (["run", "--mode", "all", "--bogus", "1"], None),
     "run_bad_reps": (["run", "--mode", "all", "--reps", "ten"], None),
+    "run_bad_config_value": (["run", "--mode", "all"], "reps = 1.5\n"),
 }
 # the same, run once per seed: coarse takes no --threads
 COARSE = {"coarse": None, "coarse_sampled": SAMPLED_CONFIG,

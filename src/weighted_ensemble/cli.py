@@ -49,20 +49,16 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 
-COMMANDS = {
-    "coarse": "build the coarse model and write P/u/mu/v CSVs",
-    "run": "run the replicate sweep over modes and horizons",
-    "diagnose": "unbiasedness and Doob-identity checks",
-    "hill": "source-sink MFPT and hitting-probability estimates",
-}
-# every flag, which every command reads, with its value's type and its help
+# every flag, which every command reads, with its help. --config names the
+# file; every other flag's value is the text of the config key of its name
+# (diag_reps for --reps of diagnose), which `ExperimentConfig.from_file` types
 FLAGS = {
-    "config": (str, "key=value config file"),
-    "seed": (int, "RNG seed, a nonnegative integer"),
-    "out": (str, "output directory"),
-    "reps": (int, "replicate count (diag_reps for diagnose)"),
-    "threads": (int, "worker processes"),
-    "mode": (str, "adaptive | traditional | naive | all"),
+    "config": "key=value config file",
+    "seed": "RNG seed, a nonnegative integer",
+    "out": "output directory",
+    "reps": "replicate count (diag_reps for diagnose)",
+    "threads": "worker processes",
+    "mode": "adaptive | traditional | naive | all",
 }
 
 
@@ -75,19 +71,18 @@ def usage() -> str:
         "Weighted-ensemble resampling for finite-state Markov chains.",
         "",
         "commands:",
-        *(f"  {name:10s}{doc}" for name, doc in COMMANDS.items()),
+        *(f"  {name:10s}{doc}" for name, (_, doc) in COMMANDS.items()),
         "",
         "flags (a repeated flag keeps its last value):",
-        *(f"  --{name:10s}{doc}" for name, (_, doc) in FLAGS.items()),
+        *(f"  --{name:10s}{doc}" for name, doc in FLAGS.items()),
     ])
 
 
 def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """The command of ``argv``, `<command> [--flag value | --flag=value] ...`,
-    and the value of each flag of FLAGS, None where absent. A repeated flag
+    and the text of each flag of FLAGS, None where absent. A repeated flag
     keeps its last value. Raises ValueError for an unknown command or flag
-    (an abbreviation too), a flag with no value, and a value its flag's type
-    does not take."""
+    (an abbreviation too) and a flag with no value."""
     if not argv or argv[0] not in COMMANDS:
         given = f", not {argv[0]!r}" if argv else ""
         raise ValueError(f"the command must be one of {', '.join(COMMANDS)}{given}")
@@ -103,10 +98,7 @@ def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
                 raise ValueError(f"{flag} needs a value")
-        try:
-            flags[name] = FLAGS[name][0](value)
-        except ValueError:
-            raise ValueError(f"{flag} takes an integer, not {value!r}") from None
+        flags[name] = value
     return argv[0], flags
 
 
@@ -120,15 +112,11 @@ def _load_config(command: str, flags: dict
         for flag in ("reps", "threads", "mode"):
             if flags[flag] is not None:
                 raise ValueError(f"coarse does not take --{flag}")
-    reps_key = "diag_reps" if command == "diagnose" else "reps"
-    cfg = ExperimentConfig.from_file(
-        flags["config"],
-        seed=flags["seed"],
-        out=flags["out"],
-        threads=flags["threads"],
-        mode=flags["mode"],
-        **{reps_key: flags["reps"]},
-    )
+    overrides = dict(flags)
+    path = overrides.pop("config")
+    if command == "diagnose":
+        overrides["diag_reps"] = overrides.pop("reps")
+    cfg = ExperimentConfig.from_file(path, **overrides)
     if command == "hill" and len(cfg.modes) > 1:
         raise ValueError("hill runs one mode: adaptive, traditional or naive")
     setup = cfg.build_setup()
@@ -200,16 +188,14 @@ def histograms(res: SweepResult, n_states: int) -> np.ndarray:
     replicate's size or total weight; `np.add.at` adds them to their states'
     sums in replicate order. Extinct replicates own no pair.
     """
-    hist, lo = np.zeros((2, n_states)), 0
+    hist = np.zeros((2, n_states))
     for final in res.final:
-        hi = lo + final.n_replicates
-        keys = np.repeat(np.arange(lo, hi) * n_states, final.sizes) + final.states
-        pairs, pair_of = np.unique(keys, return_inverse=True)
+        keys = np.repeat(np.arange(final.n_replicates) * n_states, final.sizes)
+        pairs, pair_of = np.unique(keys + final.states, return_inverse=True)
         replicate, state = np.divmod(pairs, n_states)
-        np.add.at(hist[0], state, np.bincount(pair_of) / final.sizes[replicate - lo])
+        np.add.at(hist[0], state, np.bincount(pair_of) / final.sizes[replicate])
         np.add.at(hist[1], state, np.bincount(pair_of, final.weights)
-                  / res.weight_traces[replicate, -1])
-        lo = hi
+                  / final.total_weight[replicate])
     return hist / max(res.reps - res.extinct_count, 1)
 
 
@@ -276,9 +262,7 @@ def cmd_diagnose(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str) ->
     for _, [res] in cells(cfg, setup, model, (n,), cfg.diag_reps, doob=True,
                           traces=False):
         for report in run_checks(res):
-            rows.append((report.check, report.n, report.policy, report.value,
-                         report.reference, report.std_err, report.z,
-                         report.passed))
+            rows.append(report)  # its fields are the columns below, in order
             all_passed &= report.passed
             status = "pass" if report.passed else "FAIL"
             print(f"{report.check:16s} mode={report.policy:12s} n={report.n} "
@@ -342,6 +326,13 @@ def cmd_hill(cfg: ExperimentConfig, setup: ChainSetup, out: Path, h: str,
     return EXIT_OK
 
 
+# every command with its handler and its help
+COMMANDS = {
+    "coarse": (cmd_coarse, "build the coarse model and write P/u/mu/v CSVs"),
+    "run": (cmd_run, "run the replicate sweep over modes and horizons"),
+    "diagnose": (cmd_diagnose, "unbiasedness and Doob-identity checks"),
+    "hill": (cmd_hill, "source-sink MFPT and hitting-probability estimates"),
+}
 _heap_frozen = False
 
 
@@ -365,12 +356,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    handler = {
-        "coarse": cmd_coarse,
-        "run": cmd_run,
-        "diagnose": cmd_diagnose,
-        "hill": cmd_hill,
-    }[command]
+    handler = COMMANDS[command][0]
     out = Path(cfg.out)
     text = cfg.canonical_text()
     out.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,7 @@ def parse_state_set(text: str) -> list[int]:
 
 
 # every config key with its default, in canonical_text's order; a value read
-# from a file takes the type of its key's default
+# from a file or a flag takes the type of its key's default
 DEFAULTS = {
     "chain": "three-well",  # or csv:<path> to an i,j,value matrix
     "lag": 4,
@@ -57,6 +57,24 @@ DEFAULTS = {
     "diag_horizon": 5,
     "diag_reps": 2000,
 }
+
+
+_KINDS = {int: "an integer", float: "a number", tuple: "integers separated by commas"}
+
+
+def _typed(key: str, value):
+    """``value`` as the type of ``key``'s default; horizons given as text are
+    split at commas. Raises ValueError, naming the key and the value, for one
+    that type does not take."""
+    kind = type(DEFAULTS[key])
+    try:
+        if kind is not tuple:
+            return kind(value)
+        if isinstance(value, str):
+            return tuple(int(t) for t in value.split(","))
+        return tuple(value)
+    except ValueError:
+        raise ValueError(f"{key} takes {_KINDS[kind]}, not {value!r}") from None
 
 
 class ExperimentConfig:
@@ -133,15 +151,7 @@ class ExperimentConfig:
         unknown = set(values) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, val in values.items():
-            if key == "horizons":
-                if isinstance(val, str):
-                    val = tuple(int(t) for t in val.split(","))
-                kwargs[key] = tuple(val)
-            else:
-                kwargs[key] = type(DEFAULTS[key])(val)
-        cfg = cls(**kwargs)
+        cfg = cls(**{key: _typed(key, val) for key, val in values.items()})
         cfg.validate()
         return cfg
 

@@ -63,12 +63,15 @@ class RngStream:
         return self._generator
 
 
-class _Replicates:
-    """Flat per-particle states and positive, finite weights of a pass, sorted
-    by replicate and cut by ``offsets``: replicate b owns the particles
-    ``offsets[b]:offsets[b + 1]``; no offsets means one replicate."""
+class Ensemble:
+    """Particle populations of a pass of replicates at one generation: flat
+    per-particle states and positive, finite weights, sorted by replicate and
+    cut by ``offsets``. Replicate b owns the particles
+    ``offsets[b]:offsets[b + 1]``; no offsets means one replicate. An extinct
+    replicate owns no particles.
+    """
 
-    def __init__(self, states: np.ndarray, weights: np.ndarray,
+    def __init__(self, generation: int, states: np.ndarray, weights: np.ndarray,
                  offsets: Optional[np.ndarray] = None):
         s = np.asarray(states, dtype=np.int64)
         w = np.asarray(weights, dtype=float)
@@ -83,6 +86,7 @@ class _Replicates:
             raise ValueError("offsets must rise from 0 to the particle count")
         for a in (s, w, o):
             a.setflags(write=False)
+        self.generation = generation
         self.states, self.weights, self.offsets = s, w, o
 
     @classmethod
@@ -94,6 +98,11 @@ class _Replicates:
         built = object.__new__(cls)
         built.__dict__.update(fields)
         return built
+
+    @property
+    def n_particles(self) -> int:
+        """Particles in the whole pass."""
+        return self.states.shape[0]
 
     @property
     def n_replicates(self) -> int:
@@ -119,26 +128,6 @@ class _Replicates:
         sums = np.zeros(occupied.size)
         sums[occupied] = np.add.reduceat(values, starts[occupied])
         return sums
-
-
-class Ensemble(_Replicates):
-    """Particle populations of a pass of replicates at one generation: states
-    and strictly positive weights.
-
-    The flat arrays are sorted by replicate; replicate b owns the particles
-    ``offsets[b]:offsets[b + 1]``. Without offsets the ensemble is one
-    replicate. An extinct replicate owns no particles.
-    """
-
-    def __init__(self, generation: int, states: np.ndarray, weights: np.ndarray,
-                 offsets: Optional[np.ndarray] = None):
-        super().__init__(states, weights, offsets)
-        self.generation = generation
-
-    @property
-    def n_particles(self) -> int:
-        """Particles in the whole pass."""
-        return self.states.shape[0]
 
     @property
     def total_weight(self) -> np.ndarray:
@@ -194,26 +183,22 @@ class AdaptivePolicy:
 SelectionPolicy = Union[NaivePolicy, TraditionalPolicy, AdaptivePolicy]
 
 
-class SelectionOutcome(_Replicates):
-    """Result of one selection step over a pass.
-
-    ``parent_of[i]`` is the index into the parent ensemble of selected particle
-    i; children of parent j all carry weight ``weights[j] / mean_children[j]``.
-    Children stay sorted by replicate, and ``offsets`` bounds each replicate's
-    children as in `Ensemble`.
+class SelectionOutcome(Ensemble):
+    """The children of one selection over a pass: an `Ensemble` at the
+    parents' generation, still sorted by replicate, that also records
+    ``parent_of[i]``, the index into the parent ensemble of child i, and
+    ``mean_children[j]``, parent j's beta; children of parent j all carry
+    weight ``weights[j] / mean_children[j]``.
     """
 
     def __init__(self, states: np.ndarray, weights: np.ndarray, parent_of: np.ndarray,
                  mean_children: np.ndarray, generation: int = 0,
                  offsets: Optional[np.ndarray] = None):
-        super().__init__(states, weights, offsets)
+        super().__init__(generation, states, weights, offsets)
         self.parent_of, self.mean_children = parent_of, mean_children
-        self.generation = generation
 
-    @property
-    def n_selected(self) -> int:
-        """Children in the whole pass."""
-        return self.states.shape[0]
+    # children in the whole pass, by the name bench/probe.py's mutate counter reads
+    n_selected = Ensemble.n_particles
 
 
 def stationary_init_ensemble(

@@ -374,7 +374,7 @@ def _closed_classes(n: int, graph) -> tuple[np.ndarray, np.ndarray]:
 
 # -------------------------------------------------------------------- solves
 
-# most states apart that the solve may couple; it takes about 70 n b bytes
+# most states apart that the solve may couple; it takes about 60 n b bytes
 # at bandwidth b
 MAX_BLOCK = 2048
 PANEL = 32  # states per panel of `_gth_eliminate`
@@ -433,6 +433,7 @@ def _reduce(blocks: np.ndarray, leak: np.ndarray) -> np.ndarray:
     t[:, -1, :size] = out.sum(axis=1)
     pivot = _gth_eliminate(t, size)
     own = t[:, :size, size:] / pivot[:, :, None]  # x = own . (x beside, 1)
+    del t  # own is a new array: free the elimination before the fill product
     x = np.zeros((m + 2, size))  # the blocks' x, between two blocks of zeros
     if no:
         fill = out @ own
@@ -443,7 +444,7 @@ def _reduce(blocks: np.ndarray, leak: np.ndarray) -> np.ndarray:
         odd[:ne - 1, :, -1] += fill[1:, w:-1, -1]
         reduced_leak = leak[1::2] + fill[:no, -1, :w]
         reduced_leak[:ne - 1] += fill[1:, -1, w:-1]
-        del t, out, fill
+        del out, fill
         x[2:m + 1:2] = _reduce(odd, reduced_leak)
     beside = np.concatenate((x[2::2][:ne, :w], x[:2 * ne:2, :w], np.ones((ne, 1))), axis=1)
     x[1:m + 1:2] = (own @ beside[:, :, None])[:, :, 0]

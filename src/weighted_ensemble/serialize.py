@@ -207,7 +207,7 @@ def _parse(path: Path, lines: list[str], width: int) -> tuple[np.ndarray, np.nda
     of raw lines, by numpy's parser, which skips comments and empty lines; by
     the csv module's where that one fails, which also skips lines of
     whitespace, reads quoted fields and names a row with the wrong number of
-    fields."""
+    fields or a field that is not a number."""
     try:
         dtype = [(f"i{k}", np.int64) for k in range(width)] + [("value", float)]
         with warnings.catch_warnings():
@@ -220,12 +220,17 @@ def _parse(path: Path, lines: list[str], width: int) -> tuple[np.ndarray, np.nda
     except ValueError:
         import csv  # here alone: the module costs every command's import
         rows = list(csv.reader(line.partition("#")[0] for line in _data_lines(lines)))
+    index, value = [], []
     for row in rows:
         if len(row) != width + 1:
             raise ValueError(f"{path}: row {','.join(row)!r} needs {width + 1} fields")
-    index = np.array([[int(t) for t in row[:width]] for row in rows],
-                     dtype=np.int64).reshape(-1, width)
-    return index, np.array([float(row[width]) for row in rows])
+        try:
+            index.append([int(t) for t in row[:width]])
+            value.append(float(row[width]))
+        except ValueError:
+            raise ValueError(f"{path}: row {','.join(row)!r} needs integer indices "
+                             "and a numeric value") from None
+    return np.array(index, dtype=np.int64).reshape(-1, width), np.array(value)
 
 
 def _read_indexed(path: Path, width: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -586,6 +586,27 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 1
         assert not out.exists()
 
+    # a flag's value is config text, typed by the config as a file's is; a
+    # value its key's type does not take is named with its key
+    @pytest.mark.parametrize("command, config, flags, key, value", [
+        ("run", {"reps": "1.5"}, [], "reps", "1.5"),
+        ("run", {"n_floor": "one"}, [], "n_floor", "one"),
+        ("run", {"horizons": "1,x"}, [], "horizons", "1,x"),
+        ("run", {}, ["--reps", "1.5"], "reps", "1.5"),
+        ("run", {}, ["--threads=two"], "threads", "two"),
+        ("diagnose", {}, ["--reps", "1.5"], "diag_reps", "1.5"),
+    ], ids=["reps_key", "n_floor_key", "horizons_key", "reps_flag", "threads_flag",
+            "diagnose_reps_flag"])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, command, config,
+                                           flags, key, value):
+        cfg = write_config(tmp_path, **{"horizons": "1", "reps": "2", **config})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} takes ")
+        assert f"not {value!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config", [
         ("run", {"chain": "nope"}),
         ("run", {"bin_width": "7"}),

@@ -194,6 +194,7 @@ def write_noisy_csv(path, header, *rows, fill=("", "# between rows")):
     return path
 
 
+NOT_A_NUMBER = "needs integer indices and a numeric value"
 BAD_MATRIX_ROWS = [
     (("1,1,1.0", "2,2,1.0", "0,1,1.0"), "row '0,1,1.0' has an index outside 1..2"),
     (("1,1,1.0", "2,3,1.0"), "row '2,3,1.0' has an index outside 1..2"),
@@ -201,8 +202,12 @@ BAD_MATRIX_ROWS = [
     (("1,1,0.5", "2,2,1.0", "1,1,0.5"), "row '1,1,0.5' repeats the index"),
     (("1,1,1.0", "2,2"), "row '2,2' needs 3 fields"),
     ((), "no data rows"),
+    (("1,1,1.0", "2,x,1.0"), f"row '2,x,1.0' {NOT_A_NUMBER}"),
+    (("1,1,1.0", "2,1.5,1.0"), f"row '2,1.5,1.0' {NOT_A_NUMBER}"),
+    (("1,1,1.0", "2,2,abc"), f"row '2,2,abc' {NOT_A_NUMBER}"),
 ]
-BAD_MATRIX_IDS = ["index_0", "column_above_n", "negative", "repeat", "short_row", "empty"]
+BAD_MATRIX_IDS = ["index_0", "column_above_n", "negative", "repeat", "short_row",
+                  "empty", "letter_index", "fractional_index", "letter_value"]
 
 
 @pytest.mark.parametrize("rows, match", BAD_MATRIX_ROWS, ids=BAD_MATRIX_IDS)
@@ -222,12 +227,28 @@ def test_bad_rows_are_named_past_comments(tmp_path, rows, match, fill):
         read_matrix_csv(path)
 
 
-@pytest.mark.parametrize("rows, match", [
+BAD_VECTOR_ROWS = [
     (("0,1.0", "2,0.0"), "row '0,1.0' has an index outside 1..2"),
     (("1,1.0", "2,0.0", "1,0.5"), "row '1,0.5' repeats the index"),
-], ids=["index_0", "repeat"])
+    (("1,1.0", "x,0.5"), f"row 'x,0.5' {NOT_A_NUMBER}"),
+    (("1,1.0", "1.5,0.5"), f"row '1.5,0.5' {NOT_A_NUMBER}"),
+    (("1,1.0", "2,abc"), f"row '2,abc' {NOT_A_NUMBER}"),
+]
+BAD_VECTOR_IDS = ["index_0", "repeat", "letter_index", "fractional_index", "letter_value"]
+
+
+@pytest.mark.parametrize("rows, match", BAD_VECTOR_ROWS, ids=BAD_VECTOR_IDS)
 def test_vector_reader_rejects_bad_rows(tmp_path, rows, match):
     path = write_csv(tmp_path / "v.csv", "i,value", *rows)
+    with pytest.raises(ValueError, match=match):
+        read_vector_csv(path)
+
+
+@pytest.mark.parametrize("fill", [("", "# between rows"), ("# c", "   ", "\t")],
+                         ids=["comments", "whitespace"])
+@pytest.mark.parametrize("rows, match", BAD_VECTOR_ROWS, ids=BAD_VECTOR_IDS)
+def test_bad_vector_rows_are_named_past_comments(tmp_path, rows, match, fill):
+    path = write_noisy_csv(tmp_path / "v.csv", "i,value", *rows, fill=fill)
     with pytest.raises(ValueError, match=match):
         read_vector_csv(path)
 
